@@ -1,21 +1,14 @@
-// Micro-benchmarks for the container I/O fast path (DESIGN.md §10) and the
-// async restore data plane (§13): slurp vs footer-index partial reads,
-// fd-cache descriptor reuse, block-cache hits, the CRC-carrying staged copy
-// batched compaction/eviction uses, and sync vs threads vs io_uring batched
-// extent reads (single- and two-stream).
+// Micro-benchmarks for the container I/O fast path (DESIGN.md §10): slurp
+// vs footer-index partial reads, fd-cache descriptor reuse, block-cache
+// hits, and the CRC-carrying staged copy batched compaction/eviction uses.
 // CI runs this with --benchmark_out=BENCH_io.json (artifact "BENCH_io").
 #include <benchmark/benchmark.h>
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <filesystem>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/rng.h"
-#include "storage/async_io.h"
 #include "storage/container_store.h"
 
 namespace {
@@ -50,25 +43,6 @@ struct StoreFixture {
   ~StoreFixture() {
     store.reset();
     std::filesystem::remove_all(dir);
-  }
-};
-
-// Drops a file's pages from the OS page cache (POSIX_FADV_DONTNEED) so a
-// timed read actually queues against the block device instead of memcpying
-// from RAM. The container was written through the fsync'd commit protocol,
-// so its pages are clean and the advice takes effect. Degrades to a no-op
-// (warm-cache numbers) on filesystems that ignore the advice, e.g. tmpfs.
-struct PageCacheEvictor {
-  int fd = -1;
-  explicit PageCacheEvictor(const std::filesystem::path& path)
-      : fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {}
-  PageCacheEvictor(const PageCacheEvictor&) = delete;
-  PageCacheEvictor& operator=(const PageCacheEvictor&) = delete;
-  ~PageCacheEvictor() {
-    if (fd >= 0) ::close(fd);
-  }
-  void evict() const {
-    if (fd >= 0) (void)::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
   }
 };
 
@@ -153,71 +127,6 @@ void BM_StagedCopyKnownCrc(benchmark::State& state) {
                           static_cast<std::int64_t>(kChunks * kChunkBytes));
 }
 BENCHMARK(BM_StagedCopyKnownCrc);
-
-// Async-backend fragmented read (DESIGN.md §13): the same 100-chunk
-// cold-cache partial read as BM_FilePartialRead/100, executed through each
-// read backend. Arg(0) selects it (0=sync, 1=threads, 2=uring); sync is
-// the pre-§13 sequential-pread baseline the others must beat — the win is
-// submission batching (one io_uring_enter covers a whole extent window
-// where sync pays a pread per extent).
-void BM_AsyncPartialRead(benchmark::State& state) {
-  const auto kind = static_cast<aio::Backend>(state.range(0));
-  if (kind == aio::Backend::kUring && !aio::uring_supported()) {
-    state.SkipWithError("io_uring unsupported on this kernel");
-    return;
-  }
-  FileStoreTuning tuning;
-  tuning.block_cache_bytes = 0;
-  tuning.io_backend = kind;
-  StoreFixture fx("hds_micro_io_async", tuning);
-  // Cold cache both ways: block cache off above, OS page cache evicted per
-  // iteration, so the fragmented read queues against the device — the case
-  // where submission batching pipelines instead of serializing latency.
-  const PageCacheEvictor evictor(fx.store->container_path(fx.id));
-  const auto fps = spread_fps(100);
-  for (auto _ : state) {
-    state.PauseTiming();
-    evictor.evict();
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(fx.store->read_chunks(fx.id, fps));
-  }
-  state.SetLabel(std::string(fx.store->io_backend_name()));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(fps.size() * kChunkBytes));
-}
-BENCHMARK(BM_AsyncPartialRead)->Arg(0)->Arg(1)->Arg(2);
-
-// Two concurrent restore streams over one shared store, each issuing the
-// fragmented read with its own ReadMeter — the multi-stream overlap the
-// async data plane exists for. Reported throughput counts both streams.
-void BM_AsyncTwoStreamRead(benchmark::State& state) {
-  const auto kind = static_cast<aio::Backend>(state.range(0));
-  if (kind == aio::Backend::kUring && !aio::uring_supported()) {
-    state.SkipWithError("io_uring unsupported on this kernel");
-    return;
-  }
-  FileStoreTuning tuning;
-  tuning.block_cache_bytes = 0;
-  tuning.io_backend = kind;
-  StoreFixture fx("hds_micro_io_async2", tuning);
-  const PageCacheEvictor evictor(fx.store->container_path(fx.id));
-  const auto fps = spread_fps(100);
-  for (auto _ : state) {
-    state.PauseTiming();
-    evictor.evict();
-    state.ResumeTiming();
-    ReadMeter meters[2];
-    std::thread other([&] {
-      benchmark::DoNotOptimize(fx.store->read_chunks(fx.id, fps, &meters[1]));
-    });
-    benchmark::DoNotOptimize(fx.store->read_chunks(fx.id, fps, &meters[0]));
-    other.join();
-  }
-  state.SetLabel(std::string(fx.store->io_backend_name()));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
-                          static_cast<std::int64_t>(fps.size() * kChunkBytes));
-}
-BENCHMARK(BM_AsyncTwoStreamRead)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_StagedCopyRecomputedCrc(benchmark::State& state) {
   const auto src = filled_container();

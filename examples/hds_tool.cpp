@@ -78,23 +78,11 @@
 //                          N shards (a mismatch is refused with a clear
 //                          error, never reinterpreted)
 //
-// I/O fast path (any command; DESIGN.md §10, §13):
+// I/O fast path (any command; DESIGN.md §10):
 //   --block-cache-mb=N     byte budget of the archival block cache (0
 //                          disables it; default 32)
 //   --no-partial-reads     slurp whole container files instead of using
 //                          the format-3 footer index
-//   --io-backend=NAME      read backend: uring|threads|sync|auto (default
-//                          auto probes io_uring and falls back to threads;
-//                          HDS_IO_BACKEND overrides auto)
-//   --io-depth=N           in-flight reads per batch (uring SQ depth /
-//                          fallback pool width; 0 = default 32)
-//   --direct-io            open containers O_DIRECT (page cache bypassed;
-//                          the block cache is the only cache)
-//   --auto-tune            restore only: after each restored version, feed
-//                          its profile to the RestoreTuner and apply the
-//                          recommended block-cache/fd-cache/prefetch
-//                          budgets to the next one (prints each move;
-//                          most useful with `restore all`)
 //
 // Directories are serialized as path+size headers followed by file bytes
 // (same layout as examples/backup_directory), so a restore of a directory
@@ -122,10 +110,8 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
-#include "restore/tuner.h"
 #include "service/client.h"
 #include "service/server.h"
-#include "storage/async_io.h"
 #include "storage/durable.h"
 #include "verify/fsck.h"
 
@@ -226,9 +212,6 @@ int usage() {
                "[--profile-out=<file>]\n"
                "       [--json] [--threads=N] [--port=N] [--shards=N]\n"
                "       [--block-cache-mb=N] [--no-partial-reads]\n"
-               "       [--io-backend=uring|threads|sync|auto] [--io-depth=N]"
-               "\n"
-               "       [--direct-io] [--auto-tune]\n"
                "       (restore accepts `all <outprefix>` to write every "
                "version)\n");
   return 2;
@@ -273,11 +256,6 @@ struct ObsOptions {
   // SIZE_MAX = flag absent (keep the default budget).
   std::size_t block_cache_mb = SIZE_MAX;
   bool no_partial_reads = false;
-  hds::aio::Backend io_backend = hds::aio::Backend::kAuto;
-  bool io_backend_set = false;
-  std::size_t io_depth = 0;
-  bool direct_io = false;
-  bool auto_tune = false;
   // serve mode.
   std::size_t max_sessions = 4;
   std::size_t pending_sessions = 0;  // 0 = 2 * max_sessions
@@ -433,23 +411,6 @@ int main(int argc, char** argv) {
           static_cast<std::size_t>(parse_flag_uint(arg, 17, 1ull << 20));
     } else if (arg == "--no-partial-reads") {
       options.no_partial_reads = true;
-    } else if (arg.rfind("--io-backend=", 0) == 0) {
-      const auto parsed = aio::parse_backend(arg.substr(13));
-      if (!parsed) {
-        std::fprintf(stderr,
-                     "error: bad --io-backend (want uring|threads|sync|auto)"
-                     "\n");
-        return usage();
-      }
-      options.io_backend = *parsed;
-      options.io_backend_set = true;
-    } else if (arg.rfind("--io-depth=", 0) == 0) {
-      options.io_depth =
-          static_cast<std::size_t>(parse_flag_uint(arg, 11, 4096));
-    } else if (arg == "--direct-io") {
-      options.direct_io = true;
-    } else if (arg == "--auto-tune") {
-      options.auto_tune = true;
     } else if (arg.rfind("--shards=", 0) == 0) {
       options.shards =
           static_cast<std::size_t>(parse_flag_uint(arg, 9, kMaxShards));
@@ -515,9 +476,6 @@ int main(int argc, char** argv) {
     }
     serve_config.tenant_config.io_tuning.partial_reads =
         !options.no_partial_reads;
-    serve_config.tenant_config.io_tuning.io_backend = options.io_backend;
-    serve_config.tenant_config.io_tuning.io_depth = options.io_depth;
-    serve_config.tenant_config.io_tuning.direct_io = options.direct_io;
     service::ServeServer server(serve_config);
     std::string error;
     if (!server.start(&error)) {
@@ -681,16 +639,12 @@ int main(int argc, char** argv) {
   if (options.threads > 1) {
     sys->set_read_ahead(2 * options.threads, options.threads);
   }
-  FileStoreTuning tuning;
-  if (options.block_cache_mb != SIZE_MAX) {
-    tuning.block_cache_bytes = options.block_cache_mb * (1 << 20);
-  }
-  tuning.partial_reads = !options.no_partial_reads;
-  tuning.io_backend = options.io_backend;
-  tuning.io_depth = options.io_depth;
-  tuning.direct_io = options.direct_io;
-  if (options.block_cache_mb != SIZE_MAX || options.no_partial_reads ||
-      options.io_backend_set || options.io_depth != 0 || options.direct_io) {
+  if (options.block_cache_mb != SIZE_MAX || options.no_partial_reads) {
+    FileStoreTuning tuning;
+    if (options.block_cache_mb != SIZE_MAX) {
+      tuning.block_cache_bytes = options.block_cache_mb * (1 << 20);
+    }
+    tuning.partial_reads = !options.no_partial_reads;
     sys->set_io_tuning(tuning);
   }
 
@@ -824,37 +778,6 @@ int main(int argc, char** argv) {
 
   if (command == "restore") {
     if (args.size() < 4) return usage();
-    // --auto-tune: feed each finished restore's profile + the store's io
-    // counters to the RestoreTuner, apply its recommendation before the
-    // next version. Needs a file-backed store (every hds_tool repo is).
-    auto* file_store = sys->file_store();
-    std::unique_ptr<RestoreTuner> tuner;
-    if (options.auto_tune && file_store != nullptr) {
-      TunerState seed;
-      seed.tuning = tuning;
-      seed.prefetch_depth = sys->read_ahead();
-      seed.prefetch_in_flight = sys->read_ahead_in_flight();
-      tuner = std::make_unique<RestoreTuner>(seed);
-      tuner->attach_metrics(&sys->metrics());
-    } else if (options.auto_tune) {
-      std::fprintf(stderr, "warning: --auto-tune needs a file-backed "
-                           "single-shard repository; ignored\n");
-    }
-    const auto tune_after_restore = [&] {
-      if (!tuner) return;
-      const auto ops = sys->profiler().recent();
-      for (auto it = ops.rbegin(); it != ops.rend(); ++it) {
-        if (it->kind != "restore") continue;
-        const auto decision = tuner->observe(*it, file_store->io_stats());
-        if (decision.changed) {
-          std::printf("auto-tune: %s\n", decision.reason.c_str());
-          sys->set_io_tuning(decision.state.tuning);
-          sys->set_read_ahead(decision.state.prefetch_depth,
-                              decision.state.prefetch_in_flight);
-        }
-        break;
-      }
-    };
     const auto restore_one = [&](VersionId version,
                                  const std::string& outfile) -> int {
       std::ofstream out(outfile, std::ios::binary | std::ios::trunc);
@@ -894,15 +817,12 @@ int main(int argc, char** argv) {
       int worst = 0;
       for (const VersionId v : sys->versions()) {
         worst |= restore_one(v, std::string(arg_at(3)) + std::to_string(v));
-        tune_after_restore();
       }
       return worst;
     }
     const auto version = parse_version_arg(arg_at(2));
     if (!version.has_value()) return usage();
-    const int rc_one = restore_one(*version, arg_at(3));
-    tune_after_restore();
-    return rc_one;
+    return restore_one(*version, arg_at(3));
   }
 
   if (command == "expire") {

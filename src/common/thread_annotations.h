@@ -32,14 +32,11 @@
 //   6     service::Tenant::op_mu             everything below (a whole
 //                                            backup/restore runs under it)
 //   10    ReadAheadFetcher::mu_              obs registry (60), tracer (70)
-//   15    RestoreTuner::mu_                  obs registry (60)
 //   20    ThreadPool::mu_                    (leaf)
 //   22    ShardRouter task-group latch       shard queues (23)
 //   23    per-shard worker/merge queues      tracer (70) via wait spans
 //   25    BoundedQueue::mu_                  tracer (70) via wait spans
 //   26    OrderedMerge::mu_                  (leaf)
-//   30    aio threads-backend batch latch    (leaf)
-//   35    aio fault-injection plan           (leaf)
 //   40    container-store index maps         (leaf)
 //   45    FdCache::mu_                       (leaf)
 //   50    BlockCache shard mu                (leaf)
@@ -120,14 +117,11 @@ inline constexpr int kServiceRegistry = 4;   // service::TenantRegistry::mu_
 inline constexpr int kServiceSessions = 5;   // ServeServer active-fd set
 inline constexpr int kServiceTenant = 6;     // service::Tenant::op_mu
 inline constexpr int kRestorePrefetch = 10;  // ReadAheadFetcher::mu_
-inline constexpr int kRestoreTuner = 15;     // RestoreTuner::mu_
 inline constexpr int kPoolIdle = 20;         // ThreadPool::mu_
 inline constexpr int kShardExec = 22;        // ShardRouter task-group latch
 inline constexpr int kShardQueue = 23;       // per-shard worker/merge queues
 inline constexpr int kQueue = 25;            // BoundedQueue::mu_
 inline constexpr int kOrderedMerge = 26;     // OrderedMerge::mu_
-inline constexpr int kIoLatch = 30;          // aio threads-backend latch
-inline constexpr int kIoFault = 35;          // aio fault-injection plan
 inline constexpr int kStoreIndex = 40;       // container-store index maps
 inline constexpr int kFdCache = 45;          // FdCache::mu_
 inline constexpr int kBlockCacheShard = 50;  // BlockCache::Shard::mu

@@ -131,12 +131,7 @@ void HiDeStore::register_metrics() {
         // repositories.
         "io_fd_cache_hits", "io_fd_cache_opens", "io_block_cache_hits",
         "io_block_cache_misses", "io_block_cache_evictions",
-        "io_partial_reads", "io_read_errors",
-        // Async read backend (DESIGN.md §13) — batches submitted to the
-        // io_uring/threads backend, enter/submit syscalls, and retries the
-        // backend absorbed (short reads, EINTR).
-        "io_async_batches", "io_async_reads", "io_async_submits",
-        "io_async_short_retries", "io_async_eintr_retries"}) {
+        "io_partial_reads", "io_read_errors"}) {
     (void)metrics_.counter(name);
   }
   for (const char* name : {"backup_ms", "recipe_update_ms",
@@ -185,21 +180,9 @@ void HiDeStore::refresh_gauges() {
     mirror("io_block_cache_evictions", io.block_cache_evictions);
     mirror("io_partial_reads", io.partial_reads);
     mirror("io_read_errors", io.read_errors);
-    mirror("io_async_batches", io.io_batches);
-    mirror("io_async_reads", io.io_reads);
-    mirror("io_async_submits", io.io_submits);
-    mirror("io_async_short_retries", io.io_short_retries);
-    mirror("io_async_eintr_retries", io.io_eintr_retries);
     metrics_.gauge("io_open_fds").set(static_cast<double>(io.open_fds));
     metrics_.gauge("io_block_cache_bytes")
         .set(static_cast<double>(io.block_cache_bytes));
-    metrics_.gauge("io_registered_files")
-        .set(static_cast<double>(io.io_registered_files));
-    // Backend identity: 0 = sync, 1 = threads, 2 = io_uring (aio::Backend
-    // enum order) — lets dashboards tell which read path produced the
-    // io_async_* numbers.
-    metrics_.gauge("io_backend")
-        .set(static_cast<double>(static_cast<int>(file->io_backend())));
   }
 }
 

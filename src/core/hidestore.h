@@ -134,9 +134,6 @@ class HiDeStore final : public BackupSystem {
   [[nodiscard]] std::size_t read_ahead() const noexcept {
     return read_ahead_depth_;
   }
-  [[nodiscard]] std::size_t read_ahead_in_flight() const noexcept {
-    return read_ahead_in_flight_;
-  }
 
   // Re-tunes the file-backed archival store's I/O fast path at runtime
   // (setup operation — not safe mid-restore). No effect on an in-memory

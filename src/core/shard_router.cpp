@@ -1073,9 +1073,6 @@ void ShardRouter::refresh_gauges() {
   registry.gauge("dedup_ratio").set(dedup_ratio());
   registry.gauge("versions_retained")
       .set(static_cast<double>(version_count()));
-  if (const auto* backend = shards_[0]->metrics().find_gauge("io_backend")) {
-    registry.gauge("io_backend").set(backend->value());
-  }
   registry.gauge("shards").set(static_cast<double>(shards_.size()));
 }
 

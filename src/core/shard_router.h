@@ -140,8 +140,8 @@ class ShardRouter {
       const;
 
   // The archival store as a FileContainerStore, single-shard repositories
-  // only — the RestoreTuner's feedback loop reads one store's IoStats and
-  // has no cross-shard story yet. nullptr for multi-shard or in-memory.
+  // only (multi-shard callers walk shard(i).archival_store()). nullptr for
+  // multi-shard or in-memory.
   [[nodiscard]] FileContainerStore* file_store();
 
   // --- Observability ---
@@ -156,12 +156,6 @@ class ShardRouter {
   void refresh_gauges();
   void set_tracer(obs::Tracer* tracer);
   void set_read_ahead(std::size_t depth, std::size_t in_flight = 1);
-  [[nodiscard]] std::size_t read_ahead() const noexcept {
-    return shards_[0]->read_ahead();
-  }
-  [[nodiscard]] std::size_t read_ahead_in_flight() const noexcept {
-    return shards_[0]->read_ahead_in_flight();
-  }
   void set_io_tuning(const FileStoreTuning& tuning);
 
   // One (shard, chunk-run) of a version's interleave, in stream order.

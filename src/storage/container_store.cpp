@@ -129,12 +129,56 @@ bool MemoryContainerStore::do_erase(ContainerId id) {
 
 namespace {
 
-// pread(2) exactly [offset, offset + len); throws ReadError on failure or
-// unexpected EOF so callers never decode a partially filled buffer.
+// State behind set_read_fault_plan(): relaxed atomics, so an unarmed plan
+// costs the loop two loads per extent and no lock.
+struct ReadFaultState {
+  std::atomic<std::uint32_t> short_every{0};
+  std::atomic<std::uint32_t> eintr_every{0};
+  std::atomic<std::uint64_t> short_draws{0};
+  std::atomic<std::uint64_t> eintr_draws{0};
+  std::atomic<std::uint64_t> short_injected{0};
+  std::atomic<std::uint64_t> eintr_injected{0};
+};
+ReadFaultState g_read_faults;
+
+enum class ReadFault { kNone, kShort, kEintr };
+
+ReadFault take_read_fault() noexcept {
+  ReadFaultState& f = g_read_faults;
+  const std::uint32_t short_n = f.short_every.load(std::memory_order_relaxed);
+  const std::uint32_t eintr_n = f.eintr_every.load(std::memory_order_relaxed);
+  if (short_n != 0 &&
+      (f.short_draws.fetch_add(1, std::memory_order_relaxed) + 1) % short_n ==
+          0) {
+    return ReadFault::kShort;
+  }
+  if (eintr_n != 0 &&
+      (f.eintr_draws.fetch_add(1, std::memory_order_relaxed) + 1) % eintr_n ==
+          0) {
+    return ReadFault::kEintr;
+  }
+  return ReadFault::kNone;
+}
+
+// pread(2) exactly [offset, offset + len), continuing after EINTR and short
+// reads; throws ReadError on failure or unexpected EOF so callers never
+// decode a partially filled buffer.
 void pread_exact(int fd, std::uint8_t* dst, std::size_t len,
                  std::uint64_t offset, ContainerId id) {
+  ReadFault fault = take_read_fault();
   while (len > 0) {
-    const ssize_t n = ::pread(fd, dst, len, static_cast<off_t>(offset));
+    std::size_t want = len;
+    if (fault == ReadFault::kEintr) {
+      fault = ReadFault::kNone;
+      g_read_faults.eintr_injected.fetch_add(1, std::memory_order_relaxed);
+      continue;  // modeled EINTR: the attempt never reached the kernel
+    }
+    if (fault == ReadFault::kShort && want > 1) {
+      want /= 2;
+      g_read_faults.short_injected.fetch_add(1, std::memory_order_relaxed);
+    }
+    fault = ReadFault::kNone;
+    const ssize_t n = ::pread(fd, dst, want, static_cast<off_t>(offset));
     if (n < 0) {
       if (errno == EINTR) continue;
       throw ReadError(id, std::string("pread failed: ") +
@@ -155,15 +199,28 @@ void log_read_error(const ReadError& err) {
 
 }  // namespace
 
+void set_read_fault_plan(const ReadFaultPlan& plan) noexcept {
+  ReadFaultState& f = g_read_faults;
+  f.short_every.store(plan.short_read_every_n, std::memory_order_relaxed);
+  f.eintr_every.store(plan.eintr_every_n, std::memory_order_relaxed);
+  f.short_draws.store(0, std::memory_order_relaxed);
+  f.eintr_draws.store(0, std::memory_order_relaxed);
+  f.short_injected.store(0, std::memory_order_relaxed);
+  f.eintr_injected.store(0, std::memory_order_relaxed);
+}
+
+ReadFaultCounts read_faults_injected() noexcept {
+  return {g_read_faults.short_injected.load(std::memory_order_relaxed),
+          g_read_faults.eintr_injected.load(std::memory_order_relaxed)};
+}
+
 FileContainerStore::FileContainerStore(std::filesystem::path dir,
                                        bool index_existing,
                                        const FileStoreTuning& tuning)
     : dir_(std::move(dir)),
       tuning_(tuning),
       fd_cache_(tuning.fd_cache_slots),
-      block_cache_(tuning.block_cache_bytes, tuning.block_cache_shards),
-      io_(aio::make_backend(tuning.io_backend, tuning.io_depth)) {
-  fd_cache_.set_direct(tuning.direct_io);
+      block_cache_(tuning.block_cache_bytes, tuning.block_cache_shards) {
   std::filesystem::create_directories(dir_);
   if (!index_existing) return;
   ContainerId max_id = 0;
@@ -184,17 +241,11 @@ FileContainerStore::FileContainerStore(std::filesystem::path dir,
 }
 
 void FileContainerStore::set_tuning(const FileStoreTuning& tuning) {
-  const bool backend_changed = tuning.io_backend != tuning_.io_backend ||
-                               tuning.io_depth != tuning_.io_depth;
   tuning_ = tuning;
   fd_cache_.clear();
   fd_cache_.set_capacity(tuning.fd_cache_slots);
-  fd_cache_.set_direct(tuning.direct_io);
   block_cache_.reconfigure(tuning.block_cache_bytes,
                            tuning.block_cache_shards);
-  if (backend_changed) {
-    io_ = aio::make_backend(tuning.io_backend, tuning.io_depth);
-  }
 }
 
 FileContainerStore::IoPathStats FileContainerStore::io_stats() const {
@@ -208,13 +259,6 @@ FileContainerStore::IoPathStats FileContainerStore::io_stats() const {
   out.block_cache_bytes = block_cache_.bytes();
   out.partial_reads = partial_reads_.load(std::memory_order_relaxed);
   out.read_errors = read_errors_.load(std::memory_order_relaxed);
-  const aio::BackendStats io = io_->stats();
-  out.io_batches = io.batches;
-  out.io_reads = io.reads;
-  out.io_submits = io.submits;
-  out.io_short_retries = io.short_retries;
-  out.io_eintr_retries = io.eintr_retries;
-  out.io_registered_files = io.registered_files;
   return out;
 }
 
@@ -236,94 +280,29 @@ void FileContainerStore::do_write(ContainerId id, Container&& container) {
   // path. Throws durable::WriteError on any failure, before the container
   // becomes visible in known_.
   durable::atomic_write_file(path_for(id), container.serialize());
-  // The rename replaced the inode: drop any descriptor, cached image, or
-  // backend fixed-file registration of a previous container under this ID
-  // so later reads see the new content. (Caches are never populated on
-  // write — see BlockCache's policy.)
+  // The rename replaced the inode: drop any descriptor or cached image of a
+  // previous container under this ID so later reads see the new content.
+  // (Caches are never populated on write — see BlockCache's policy.)
   fd_cache_.invalidate(id);
   block_cache_.invalidate(id);
-  io_->invalidate(static_cast<std::uint64_t>(id));
   MutexLock lock(mu_);
   known_[id] = true;
 }
 
-std::uint64_t FileContainerStore::read_extents(const FdCache::Handle& handle,
-                                               ContainerId id,
-                                               std::span<ExtentRead> reads) {
+std::uint64_t FileContainerStore::read_extents(
+    int fd, ContainerId id, std::span<const ExtentRead> reads) {
   if (reads.empty()) return 0;
-  std::vector<aio::ReadOp> ops;
-  ops.reserve(reads.size());
+  // Device-failure injection: a kFail-armed CrashInjector turns the read
+  // into the ReadError a dying disk would produce.
+  try {
+    durable::CrashInjector::crash_point("container_read");
+  } catch (const durable::WriteError&) {
+    throw ReadError(id, std::string("pread failed: ") + std::strerror(EIO));
+  }
   std::uint64_t physical = 0;
-
-  if (!handle.direct()) {
-    for (const ExtentRead& read : reads) {
-      ops.push_back({handle.fd(), read.offset, read.dst, read.len,
-                     static_cast<std::uint64_t>(id)});
-    }
-    io_->read_batch(ops);
-    for (const aio::ReadOp& op : ops) {
-      if (!op.ok()) {
-        throw ReadError(id, std::string("read failed: ") +
-                                std::strerror(op.error));
-      }
-      // The store always reads ranges its header/footer vouch exist, so a
-      // backend EOF (filled < len, error == 0) means truncation.
-      if (op.filled < op.len) throw ReadError(id, "unexpected EOF");
-      physical += op.filled;
-    }
-    return physical;
-  }
-
-  // O_DIRECT: offset, length and buffer must all be kDirectAlign-aligned.
-  // Each extent widens to its aligned hull inside one shared scratch arena;
-  // completed hulls are memcpy'd back to the callers' buffers. The arena
-  // total stays aligned because every hull is a multiple of the alignment.
-  constexpr std::uint64_t kAlign = FdCache::kDirectAlign;
-  struct Hull {
-    std::uint64_t offset = 0;   // aligned-down file offset
-    std::size_t len = 0;        // aligned-up length
-    std::size_t scratch = 0;    // offset of this hull in the arena
-  };
-  std::vector<Hull> hulls;
-  hulls.reserve(reads.size());
-  std::size_t arena_size = 0;
   for (const ExtentRead& read : reads) {
-    const std::uint64_t begin = read.offset / kAlign * kAlign;
-    const std::uint64_t end =
-        (read.offset + read.len + kAlign - 1) / kAlign * kAlign;
-    hulls.push_back({begin, static_cast<std::size_t>(end - begin),
-                     arena_size});
-    arena_size += static_cast<std::size_t>(end - begin);
-  }
-  struct FreeDeleter {
-    void operator()(void* p) const noexcept { std::free(p); }
-  };
-  std::unique_ptr<std::uint8_t, FreeDeleter> arena(
-      static_cast<std::uint8_t*>(std::aligned_alloc(
-          static_cast<std::size_t>(kAlign), arena_size)));
-  if (arena == nullptr) throw std::bad_alloc();
-  for (const Hull& hull : hulls) {
-    ops.push_back({handle.fd(), hull.offset, arena.get() + hull.scratch,
-                   hull.len, static_cast<std::uint64_t>(id)});
-  }
-  io_->read_batch(ops);
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const aio::ReadOp& op = ops[i];
-    const ExtentRead& read = reads[i];
-    const Hull& hull = hulls[i];
-    if (!op.ok()) {
-      throw ReadError(id, std::string("read failed: ") +
-                              std::strerror(op.error));
-    }
-    // An aligned hull may legitimately end past EOF (file tail); the
-    // requested range itself must be fully covered.
-    const std::size_t need =
-        static_cast<std::size_t>(read.offset - hull.offset) + read.len;
-    if (op.filled < need) throw ReadError(id, "unexpected EOF");
-    std::memcpy(read.dst,
-                arena.get() + hull.scratch + (read.offset - hull.offset),
-                read.len);
-    physical += op.filled;
+    pread_exact(fd, read.dst, read.len, read.offset, id);
+    physical += read.len;
   }
   return physical;
 }
@@ -341,7 +320,7 @@ ContainerStore::ReadResult FileContainerStore::slurp(ContainerId id) {
   std::vector<std::uint8_t> bytes(handle.size());
   ExtentRead whole{0, bytes.data(), bytes.size()};
   const std::uint64_t physical =
-      read_extents(handle, id, std::span(&whole, 1));
+      read_extents(handle.fd(), id, std::span(&whole, 1));
   io_span.end();
   auto container = Container::deserialize(bytes);
   // Corrupt (CRC/framing) is not an I/O error: nullptr, nothing cached.
@@ -380,7 +359,7 @@ std::optional<ContainerStore::ReadResult> FileContainerStore::try_partial_read(
   std::array<std::uint8_t, Container::kHeaderSize> header{};
   ExtentRead header_read{0, header.data(), header.size()};
   std::uint64_t physical =
-      read_extents(handle, id, std::span(&header_read, 1));
+      read_extents(handle.fd(), id, std::span(&header_read, 1));
   const auto info = Container::parse_header(header);
   // Legacy format, unknown magic, or a size that does not match the header
   // (truncation, header damage): let the slurp path render the verdict
@@ -390,7 +369,7 @@ std::optional<ContainerStore::ReadResult> FileContainerStore::try_partial_read(
 
   std::vector<std::uint8_t> footer(info->footer_size());
   ExtentRead footer_read{info->footer_offset(), footer.data(), footer.size()};
-  physical += read_extents(handle, id, std::span(&footer_read, 1));
+  physical += read_extents(handle.fd(), id, std::span(&footer_read, 1));
   const auto parsed = Container::parse_footer(header, footer);
   if (!parsed) return std::nullopt;
 
@@ -430,9 +409,7 @@ std::optional<ContainerStore::ReadResult> FileContainerStore::try_partial_read(
 
   // Coalesce extents whose gap is at most one page: one seek amortized
   // beats re-reading a few KiB of unwanted bytes. All runs are planned
-  // first and issued as ONE backend batch — with io_uring, a 100-extent
-  // fragmented read is a couple of io_uring_enter calls instead of 100
-  // sequential preads, and runs complete in parallel.
+  // first into one arena, then read with one pread loop per run.
   constexpr std::uint64_t kCoalesceGap = 4096;
   struct Run {
     std::uint64_t begin = 0;   // data-region offset of the run
@@ -467,7 +444,7 @@ std::optional<ContainerStore::ReadResult> FileContainerStore::try_partial_read(
     extents.push_back({Container::kHeaderSize + run.begin,
                        arena.data() + run.arena, run_len});
   }
-  physical += read_extents(handle, id, extents);
+  physical += read_extents(handle.fd(), id, extents);
   for (const Run& run : runs) {
     for (std::size_t k = run.first; k < run.last; ++k) {
       const auto& [fp, entry] = wanted[k];
@@ -549,7 +526,6 @@ bool FileContainerStore::do_erase(ContainerId id) {
   }
   fd_cache_.invalidate(id);
   block_cache_.invalidate(id);
-  io_->invalidate(static_cast<std::uint64_t>(id));
   std::error_code ec;
   std::filesystem::remove(path_for(id), ec);
   return !ec;

@@ -26,7 +26,6 @@
 #include "common/thread_annotations.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "storage/async_io.h"
 #include "storage/block_cache.h"
 #include "storage/container.h"
 #include "storage/fd_cache.h"
@@ -112,6 +111,24 @@ class ReadError : public std::runtime_error {
   ContainerId id_;
 };
 
+// Deterministic fault injection for the pread loop under every
+// FileContainerStore device read (process-global, like
+// durable::CrashInjector; tests only). every_n == 0 disables that fault.
+// A short-read fault truncates one pread to half its length; an EINTR fault
+// fails one attempt with EINTR before it reaches the kernel. At most one
+// fault hits each extent, and the loop must heal both transparently.
+struct ReadFaultPlan {
+  std::uint32_t short_read_every_n = 0;
+  std::uint32_t eintr_every_n = 0;
+};
+void set_read_fault_plan(const ReadFaultPlan& plan) noexcept;
+// Faults actually injected since the last set_read_fault_plan().
+struct ReadFaultCounts {
+  std::uint64_t short_reads = 0;
+  std::uint64_t eintrs = 0;
+};
+[[nodiscard]] ReadFaultCounts read_faults_injected() noexcept;
+
 // Runtime tuning of the FileContainerStore fast path. Not persisted — a
 // knob of the process, not of the repository.
 struct FileStoreTuning {
@@ -124,16 +141,6 @@ struct FileStoreTuning {
   // needed extents) instead of slurping the file. Format-2 containers and
   // any footer validation failure fall back to the slurp path either way.
   bool partial_reads = true;
-  // Async read backend for device reads (DESIGN.md §13): kAuto probes for
-  // io_uring and falls back to the thread-pool backend; kSync is the pre-PR
-  // sequential-pread behavior.
-  aio::Backend io_backend = aio::Backend::kAuto;
-  // In-flight ops per batch (uring SQ depth / pool width); 0 = default.
-  std::size_t io_depth = 0;
-  // Open container descriptors O_DIRECT and bounce through aligned buffers
-  // (FdCache::kDirectAlign): bypasses the page cache so the BlockCache is
-  // the only cache — measurement mode, off by default.
-  bool direct_io = false;
 };
 
 // Thread-safety contract: read(), read_chunks(), read_verified(), put(),
@@ -315,7 +322,6 @@ class FileContainerStore final : public ContainerStore {
   bool forget(ContainerId id) {
     fd_cache_.invalidate(id);
     block_cache_.invalidate(id);
-    io_->invalidate(static_cast<std::uint64_t>(id));
     MutexLock lock(mu_);
     return known_.erase(id) > 0;
   }
@@ -339,24 +345,16 @@ class FileContainerStore final : public ContainerStore {
     std::uint64_t block_cache_bytes = 0;
     std::uint64_t partial_reads = 0;  // reads served via the footer index
     std::uint64_t read_errors = 0;    // ReadError caught at the boundary
-    // Async backend counters (aio::BackendStats, DESIGN.md §13).
-    std::uint64_t io_batches = 0;
-    std::uint64_t io_reads = 0;
-    std::uint64_t io_submits = 0;
-    std::uint64_t io_short_retries = 0;
-    std::uint64_t io_eintr_retries = 0;
-    std::uint64_t io_registered_files = 0;
   };
   [[nodiscard]] IoPathStats io_stats() const;
 
-  // The resolved read backend ("sync" | "threads" | "uring" — what kAuto
-  // actually picked, not what was asked for).
+  // Every device read is a blocking pread(2) loop on the calling thread
+  // (DESIGN.md §13). Callers that stamp the read path into their output
+  // get that one path: "sync", code 0.
   [[nodiscard]] std::string_view io_backend_name() const noexcept {
-    return io_->name();
+    return "sync";
   }
-  [[nodiscard]] aio::Backend io_backend() const noexcept {
-    return io_->kind();
-  }
+  [[nodiscard]] int io_backend() const noexcept { return 0; }
 
  protected:
   void do_write(ContainerId id, Container&& container) override;
@@ -367,7 +365,7 @@ class FileContainerStore final : public ContainerStore {
   bool do_erase(ContainerId id) override;
 
  private:
-  // One extent of a batched device read (offset is file-absolute).
+  // One extent of a device read (offset is file-absolute).
   struct ExtentRead {
     std::uint64_t offset = 0;
     std::uint8_t* dst = nullptr;
@@ -379,12 +377,11 @@ class FileContainerStore final : public ContainerStore {
     MutexLock lock(mu_);
     return known_.contains(id);
   }
-  // Executes `reads` as one backend batch through `handle` (bouncing via
-  // aligned scratch when the descriptor is O_DIRECT). Throws ReadError on
-  // any per-op failure or EOF inside a requested range; returns the bytes
-  // physically transferred (≥ requested in direct mode — alignment pad).
-  std::uint64_t read_extents(const FdCache::Handle& handle, ContainerId id,
-                             std::span<ExtentRead> reads);
+  // Reads every extent of `reads` from `fd` with the pread loop. Throws
+  // ReadError on any failure or EOF inside a requested range; returns the
+  // bytes transferred.
+  static std::uint64_t read_extents(int fd, ContainerId id,
+                                    std::span<const ExtentRead> reads);
   // Whole-file read through the fd cache; throws ReadError on I/O failure.
   ReadResult slurp(ContainerId id);
   // Footer-index partial read; nullopt when the file is not format 3 or the
@@ -394,14 +391,13 @@ class FileContainerStore final : public ContainerStore {
 
   std::filesystem::path dir_;
   FileStoreTuning tuning_;
-  // Guards only the index map; the caches and io backend synchronize
-  // internally and are never acquired with mu_ held (kStoreIndex < kFdCache
+  // Guards only the index map; the caches synchronize internally and are
+  // never acquired with mu_ held (kStoreIndex < kFdCache
   // < kBlockCacheShard documents the would-be order regardless).
   mutable Mutex mu_{lockrank::kStoreIndex};
   std::unordered_map<ContainerId, bool> known_ HDS_GUARDED_BY(mu_);
   FdCache fd_cache_;
   BlockCache block_cache_;
-  std::unique_ptr<aio::AsyncIoBackend> io_;
   std::atomic<std::uint64_t> partial_reads_{0};
   std::atomic<std::uint64_t> read_errors_{0};
 };

@@ -9,10 +9,8 @@ namespace hds {
 struct FdCache::Handle::Holder {
   int fd = -1;
   std::uint64_t size = 0;
-  bool direct = false;
 
-  Holder(int fd_in, std::uint64_t size_in, bool direct_in)
-      : fd(fd_in), size(size_in), direct(direct_in) {}
+  Holder(int fd_in, std::uint64_t size_in) : fd(fd_in), size(size_in) {}
   ~Holder() {
     if (fd >= 0) ::close(fd);
   }
@@ -24,8 +22,6 @@ int FdCache::Handle::fd() const noexcept { return holder_->fd; }
 
 std::uint64_t FdCache::Handle::size() const noexcept { return holder_->size; }
 
-bool FdCache::Handle::direct() const noexcept { return holder_->direct; }
-
 FdCache::Handle FdCache::acquire(ContainerId id,
                                  const std::filesystem::path& path) {
   {
@@ -36,15 +32,7 @@ FdCache::Handle FdCache::acquire(ContainerId id,
       return Handle(it->second->second);
     }
   }
-  bool direct = direct_.load(std::memory_order_relaxed);
-  int fd = -1;
-  if (direct) {
-#ifdef O_DIRECT
-    fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_DIRECT);
-#endif
-    if (fd < 0) direct = false;  // EINVAL etc.: buffered fallback
-  }
-  if (fd < 0) fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return Handle();
   struct ::stat st{};
   if (::fstat(fd, &st) != 0) {
@@ -53,7 +41,7 @@ FdCache::Handle FdCache::acquire(ContainerId id,
   }
   opens_.fetch_add(1, std::memory_order_relaxed);
   auto holder = std::make_shared<Handle::Holder>(
-      fd, static_cast<std::uint64_t>(st.st_size), direct);
+      fd, static_cast<std::uint64_t>(st.st_size));
   {
     MutexLock lock(mu_);
     // A racing acquire may have inserted the same ID; prefer the existing
@@ -91,12 +79,6 @@ void FdCache::set_capacity(std::size_t capacity) {
   while (lru_.size() > capacity_) {
     index_.erase(lru_.back().first);
     lru_.pop_back();
-  }
-}
-
-void FdCache::set_direct(bool direct) {
-  if (direct_.exchange(direct, std::memory_order_relaxed) != direct) {
-    clear();
   }
 }
 

@@ -41,10 +41,6 @@ class FdCache {
     // wholesale (atomic rename) and invalidate the entry, so the size stays
     // true for the descriptor's inode.
     [[nodiscard]] std::uint64_t size() const noexcept;
-    // True when the descriptor was opened O_DIRECT: reads through it must
-    // obey the alignment rules (offset, length and buffer all aligned to
-    // kDirectAlign; see DESIGN.md §13).
-    [[nodiscard]] bool direct() const noexcept;
 
    private:
     friend class FdCache;
@@ -66,19 +62,6 @@ class FdCache {
   // Resizes the cache, evicting down to the new capacity (setup operation;
   // in-flight handles keep their descriptors pinned as usual).
   void set_capacity(std::size_t capacity);
-
-  // Alignment contract for O_DIRECT descriptors: 4096 covers every current
-  // filesystem/device combination (logical block size ≤ 4K, page size 4K).
-  static constexpr std::size_t kDirectAlign = 4096;
-
-  // Open subsequent descriptors with O_DIRECT (setup operation: clears the
-  // cache so cached buffered descriptors don't masquerade as direct ones).
-  // Per-open EINVAL — a filesystem that refuses O_DIRECT — falls back to a
-  // buffered descriptor, reported through Handle::direct().
-  void set_direct(bool direct);
-  [[nodiscard]] bool direct_mode() const noexcept {
-    return direct_.load(std::memory_order_relaxed);
-  }
 
   [[nodiscard]] std::uint64_t hits() const noexcept {
     return hits_.load(std::memory_order_relaxed);
@@ -104,7 +87,6 @@ class FdCache {
       index_ HDS_GUARDED_BY(mu_);
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> opens_{0};
-  std::atomic<bool> direct_{false};
 };
 
 }  // namespace hds

@@ -3,6 +3,9 @@
 // corner cases.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "core/advisor.h"
 #include "workload/generator.h"
 
@@ -80,18 +83,20 @@ TEST(Advisor, ToleranceGovernsTheVerdict) {
 
 // The calibrated profiles must be diagnosed the way the paper diagnoses
 // their real counterparts (Figure 3): kernel/gcc/fslhomes → window 1,
-// macos → window 2.
+// macos → window 2. The profile name is a std::string, not a const char*,
+// so the printed parameter (and with it the ctest name) carries the name
+// rather than an address that changes from run to run.
 class AdvisorProfileTest
-    : public ::testing::TestWithParam<std::pair<const char*, Recommendation>> {
+    : public ::testing::TestWithParam<std::pair<std::string, Recommendation>> {
 };
 
 TEST_P(AdvisorProfileTest, ProfileDiagnosis) {
-  const auto [name, expected] = GetParam();
+  const auto& [name, expected] = GetParam();
   WorkloadProfile profile;
-  if (std::string(name) == "kernel") profile = WorkloadProfile::kernel();
-  if (std::string(name) == "gcc") profile = WorkloadProfile::gcc();
-  if (std::string(name) == "fslhomes") profile = WorkloadProfile::fslhomes();
-  if (std::string(name) == "macos") profile = WorkloadProfile::macos();
+  if (name == "kernel") profile = WorkloadProfile::kernel();
+  if (name == "gcc") profile = WorkloadProfile::gcc();
+  if (name == "fslhomes") profile = WorkloadProfile::fslhomes();
+  if (name == "macos") profile = WorkloadProfile::macos();
   profile.versions = 15;
   profile.chunks_per_version = 1000;
 
@@ -106,11 +111,12 @@ TEST_P(AdvisorProfileTest, ProfileDiagnosis) {
 
 INSTANTIATE_TEST_SUITE_P(
     PaperProfiles, AdvisorProfileTest,
-    ::testing::Values(std::pair{"kernel", Recommendation::kWindowOne},
-                      std::pair{"gcc", Recommendation::kWindowOne},
-                      std::pair{"fslhomes", Recommendation::kWindowOne},
-                      std::pair{"macos", Recommendation::kWindowTwo}),
-    [](const auto& suite_info) { return std::string(suite_info.param.first); });
+    ::testing::Values(
+        std::pair<std::string, Recommendation>{"kernel", Recommendation::kWindowOne},
+        std::pair<std::string, Recommendation>{"gcc", Recommendation::kWindowOne},
+        std::pair<std::string, Recommendation>{"fslhomes", Recommendation::kWindowOne},
+        std::pair<std::string, Recommendation>{"macos", Recommendation::kWindowTwo}),
+    [](const auto& suite_info) { return suite_info.param.first; });
 
 }  // namespace
 }  // namespace hds

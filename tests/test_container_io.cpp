@@ -1,19 +1,27 @@
-// Tests for the container I/O fast path (DESIGN.md §10): the fd cache, the
-// sharded block cache, and the FileContainerStore under concurrent readers,
-// a writer and an eraser (runs under TSan via the `concurrency` label).
+// Tests for the container I/O fast path (DESIGN.md §10) and the restore
+// read path under it (§13): the fd cache, the sharded block cache, the
+// FileContainerStore under concurrent readers, a writer and an eraser, the
+// pread loop's short-read/EINTR continuation and injected device failures,
+// and per-stream ReadMeter accounting under concurrent (prefetched) restore
+// streams (runs under TSan via the `concurrency` label).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "restore/read_ahead.h"
 #include "storage/block_cache.h"
 #include "storage/container_store.h"
+#include "storage/durable.h"
 #include "storage/fd_cache.h"
 
 #include "util/temp_dir.h"
@@ -272,6 +280,238 @@ TEST(FileStoreConcurrency, ReadersWriterAndEraserStayConsistent) {
   for (ContainerId id = kStable + 1; id <= kStable + kVictims; ++id) {
     EXPECT_EQ(store.read(id), nullptr);
   }
+}
+
+// --- Restore read path (DESIGN.md §13) ------------------------------------
+
+// Six containers on disk plus the reference bytes of every chunk.
+class ContainerReadPath : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fresh_dir("hds_read_path");
+    FileContainerStore seed(dir_);
+    for (std::uint64_t s = 1; s <= 6; ++s) {
+      const auto id = seed.write(make_store_container(s));
+      const auto got = seed.read(id);
+      ASSERT_NE(got, nullptr);
+      for (std::size_t i = 0; i < 8; ++i) {
+        const auto fp = Fingerprint::from_seed(s * 100 + i);
+        const auto bytes = got->read(fp);
+        ASSERT_TRUE(bytes.has_value());
+        reference_[id][fp].assign(bytes->begin(), bytes->end());
+      }
+      ids_.push_back(id);
+    }
+  }
+
+  // True when `got` holds exactly the reference bytes of every chunk in
+  // `fps` (all of the container's chunks when `fps` is empty).
+  bool matches(ContainerId id, const Container* got,
+               std::span<const Fingerprint> fps = {}) {
+    if (got == nullptr) return false;
+    for (const auto& [fp, bytes] : reference_.at(id)) {
+      if (!fps.empty() && std::find(fps.begin(), fps.end(), fp) == fps.end()) {
+        continue;
+      }
+      const auto read = got->read(fp);
+      if (!read.has_value() || !std::equal(bytes.begin(), bytes.end(),
+                                           read->begin(), read->end())) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // Reads every container once whole and once as a 3-chunk partial read
+  // through a cache-less store; checks the bytes and returns the store's
+  // logical read accounting.
+  std::pair<std::uint64_t, std::uint64_t> run_reads() {
+    FileStoreTuning tuning;
+    tuning.block_cache_bytes = 0;
+    FileContainerStore store(dir_, /*index_existing=*/true, tuning);
+    for (const auto id : ids_) {
+      EXPECT_TRUE(matches(id, store.read(id).get())) << "container " << id;
+      std::vector<Fingerprint> subset;
+      for (const auto& [fp, bytes] : reference_[id]) {
+        if (subset.size() < 3) subset.push_back(fp);
+      }
+      EXPECT_TRUE(matches(id, store.read_chunks(id, subset).get(), subset))
+          << "container " << id;
+    }
+    EXPECT_EQ(store.io_stats().partial_reads, ids_.size());
+    return {store.stats().container_reads, store.stats().bytes_read};
+  }
+
+  std::filesystem::path dir_;
+  std::vector<ContainerId> ids_;
+  std::map<ContainerId, std::map<Fingerprint, std::vector<std::uint8_t>>>
+      reference_;
+};
+
+// Forced short reads and EINTRs on the header, footer, extent and slurp
+// preads: the loop continues each one, so bytes and the §5.3 logical
+// accounting match a fault-free run.
+TEST_F(ContainerReadPath, InjectedShortReadsAndEintrHeal) {
+  const auto baseline = run_reads();
+  EXPECT_EQ(baseline.first, ids_.size() * 2);  // one full + one partial each
+  set_read_fault_plan({/*short_read_every_n=*/2, /*eintr_every_n=*/3});
+  const auto faulted = run_reads();
+  const auto injected = read_faults_injected();
+  set_read_fault_plan({});
+  EXPECT_EQ(faulted, baseline);
+  EXPECT_GT(injected.short_reads, 0u);
+  EXPECT_GT(injected.eintrs, 0u);
+}
+
+// A kFail-armed CrashInjector models a dying device: every read in the
+// window fails as a counted ReadError (nullptr to the caller, never
+// garbage), and reads recover once the device does.
+TEST_F(ContainerReadPath, CrashPointTurnsReadsIntoReadErrors) {
+  FileStoreTuning tuning;
+  tuning.block_cache_bytes = 0;
+  FileContainerStore store(dir_, /*index_existing=*/true, tuning);
+  durable::CrashInjector::arm(1, durable::FaultMode::kFail);
+  const auto failed_full = store.read(ids_[0]);
+  const Fingerprint one[] = {reference_[ids_[1]].begin()->first};
+  const auto failed_partial = store.read_chunks(ids_[1], one);
+  durable::CrashInjector::disarm();
+  EXPECT_EQ(failed_full, nullptr);
+  EXPECT_EQ(failed_partial, nullptr);
+  EXPECT_EQ(store.io_stats().read_errors, 2u);
+  EXPECT_EQ(store.stats().container_reads, 0u);  // failures are not reads
+  EXPECT_TRUE(matches(ids_[0], store.read(ids_[0]).get()));
+  EXPECT_TRUE(matches(ids_[1], store.read_chunks(ids_[1], one).get(), one));
+}
+
+// A container truncated in place while the fd cache holds its descriptor:
+// the stale size sends the pread loop past EOF, which must surface as a
+// ReadError for that container alone.
+TEST_F(ContainerReadPath, EofInsideARequestedRangeIsAReadError) {
+  FileStoreTuning tuning;
+  tuning.block_cache_bytes = 0;
+  FileContainerStore store(dir_, /*index_existing=*/true, tuning);
+  ASSERT_TRUE(matches(ids_[0], store.read(ids_[0]).get()));  // caches the fd
+  const auto path = store.container_path(ids_[0]);
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
+  EXPECT_EQ(store.read(ids_[0]), nullptr);
+  EXPECT_EQ(store.io_stats().read_errors, 1u);
+  EXPECT_TRUE(matches(ids_[1], store.read(ids_[1]).get()));
+}
+
+TEST_F(ContainerReadPath, ReadMeterAttributesCallsToTheCaller) {
+  FileContainerStore store(dir_, /*index_existing=*/true);
+  ReadMeter a;
+  ReadMeter b;
+  ASSERT_NE(store.read(ids_[0], &a), nullptr);
+  ASSERT_NE(store.read(ids_[1], &b), nullptr);
+  ASSERT_NE(store.read(ids_[2], &b), nullptr);
+  EXPECT_EQ(a.container_reads.load(), 1u);
+  EXPECT_EQ(b.container_reads.load(), 2u);
+  EXPECT_GT(a.bytes_read.load(), 0u);
+  // Meters partition the store's global accounting exactly.
+  EXPECT_EQ(a.container_reads.load() + b.container_reads.load(),
+            store.stats().container_reads);
+  EXPECT_EQ(a.bytes_read.load() + b.bytes_read.load(),
+            store.stats().bytes_read);
+}
+
+// Two concurrent restore streams hammer one shared store: byte-identical
+// results and exact per-stream accounting, with no cross-pollution between
+// meters.
+TEST_F(ContainerReadPath, ConcurrentStreamsKeepPerStreamAccounting) {
+  FileStoreTuning tuning;
+  tuning.block_cache_bytes = 0;  // every read hits the device path
+  FileContainerStore store(dir_, /*index_existing=*/true, tuning);
+  constexpr int kRounds = 8;
+  ReadMeter meters[2];
+  std::atomic<int> failures{0};
+  auto stream = [&](int which, bool reversed) {
+    auto order = ids_;
+    if (reversed) std::reverse(order.begin(), order.end());
+    for (int round = 0; round < kRounds; ++round) {
+      for (const auto id : order) {
+        if (!matches(id, store.read(id, &meters[which]).get())) {
+          failures.fetch_add(1);
+        }
+      }
+    }
+  };
+  std::thread other(stream, 1, true);
+  stream(0, false);
+  other.join();
+  EXPECT_EQ(failures.load(), 0);
+  const auto per_stream = static_cast<std::uint64_t>(kRounds) * ids_.size();
+  EXPECT_EQ(meters[0].container_reads.load(), per_stream);
+  EXPECT_EQ(meters[1].container_reads.load(), per_stream);
+  EXPECT_EQ(store.stats().container_reads, 2 * per_stream);
+  EXPECT_EQ(meters[0].bytes_read.load(), meters[1].bytes_read.load());
+}
+
+// Two ReadAheadFetcher streams with overlapping prefetch workers against
+// one store: the fetcher pipeline above the pread loop must stay
+// byte-correct and exactly-once under real thread interleavings.
+TEST_F(ContainerReadPath, ConcurrentPrefetchedStreamsStayExactlyOnce) {
+  struct StoreFetcher final : ContainerFetcher {
+    StoreFetcher(FileContainerStore& s, ReadMeter& m) : store(s), meter(m) {}
+    std::shared_ptr<const Container> fetch(const ChunkLoc& loc) override {
+      return store.read(loc.cid, &meter);
+    }
+    FileContainerStore& store;
+    ReadMeter& meter;
+  };
+  FileStoreTuning tuning;
+  tuning.block_cache_bytes = 0;
+  FileContainerStore store(dir_, /*index_existing=*/true, tuning);
+  std::vector<ChunkLoc> locs;
+  for (const auto id : ids_) {
+    for (const auto& [fp, bytes] : reference_[id]) {
+      ChunkLoc loc;
+      loc.fp = fp;
+      loc.cid = id;
+      locs.push_back(loc);
+    }
+  }
+  ReadMeter meters[2];
+  std::atomic<int> failures{0};
+  std::atomic<std::uint64_t> wasted_total{0};
+  auto stream = [&](int which) {
+    StoreFetcher base(store, meters[which]);
+    ReadAheadConfig config;
+    config.depth = 4;
+    config.in_flight = 3;
+    ReadAheadFetcher fetcher(base, locs, config);
+    // One fetch per container run, like a policy whose cache holds the
+    // current container across its chunks (the stream groups by cid).
+    std::shared_ptr<const Container> current;
+    ContainerId current_id = 0;
+    for (const auto& loc : locs) {
+      if (current == nullptr || loc.cid != current_id) {
+        current = fetcher.fetch(loc);
+        current_id = loc.cid;
+      }
+      if (current == nullptr || !current->contains(loc.fp)) {
+        failures.fetch_add(1);
+      }
+    }
+    fetcher.stop();
+    // This stream's meter charges it for exactly its consumed containers
+    // plus its own wasted prefetches — subtracting waste recovers the
+    // serial run's count, with no cross-pollution from the other stream.
+    EXPECT_EQ(fetcher.prefetch_hits() + fetcher.prefetch_misses(),
+              ids_.size());
+    EXPECT_EQ(meters[which].container_reads.load(),
+              ids_.size() + fetcher.wasted_reads());
+    wasted_total.fetch_add(fetcher.wasted_reads());
+  };
+  std::thread other(stream, 1);
+  stream(0);
+  other.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(store.stats().container_reads,
+            2 * ids_.size() + wasted_total.load());
+  EXPECT_EQ(meters[0].container_reads.load() +
+                meters[1].container_reads.load(),
+            store.stats().container_reads);
 }
 
 }  // namespace

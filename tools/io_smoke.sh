@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the container I/O fast path (DESIGN.md §10) and
-# the async read backends (§13): builds a 10-version hds_tool repository,
-# restores every version once per leg —
-#   * fast path fully disabled (slurp-only, sync reads): the baseline,
-#   * 4 MiB block cache + partial reads (auto backend),
-#   * --io-backend=threads (portable async fallback),
-#   * --io-backend=uring (degrades to threads on kernels without io_uring),
+# the restore read path under it (§13): builds a 10-version hds_tool
+# repository, restores every version once per leg —
+#   * fast path fully disabled (slurp-only): the baseline,
+#   * 4 MiB block cache + partial reads,
 # and requires:
-#   * every restored version byte-identical across all legs,
+#   * every restored version byte-identical across both legs,
 #   * the fast leg to report block-cache hits (io_block_cache_hits > 0),
+#   * each removed read-path flag (--io-backend, --io-depth, --direct-io,
+#     --auto-tune) to be rejected with exit status 2 and "unknown option",
 #   * fsck clean afterwards.
 #
 #   tools/io_smoke.sh <build-dir>
@@ -25,8 +25,7 @@ work="$(mktemp -d)"
 trap 'rm -rf "${work}"' EXIT
 repo="${work}/repo"
 source="${work}/source"
-mkdir -p "${source}" "${work}/slow" "${work}/fast" \
-  "${work}/threads" "${work}/uring"
+mkdir -p "${source}" "${work}/slow" "${work}/fast"
 
 "${tool}" init "${repo}"
 
@@ -54,23 +53,13 @@ echo "io_smoke: fast restore-all (4 MiB block cache, partial reads)"
 "${tool}" restore "${repo}" all "${work}/fast/v" \
   --block-cache-mb=4 --metrics-out="${work}/metrics.json" > /dev/null
 
-echo "io_smoke: async restore-all (--io-backend=threads)"
-"${tool}" restore "${repo}" all "${work}/threads/v" \
-  --block-cache-mb=0 --io-backend=threads > /dev/null
-
-echo "io_smoke: async restore-all (--io-backend=uring)"
-"${tool}" restore "${repo}" all "${work}/uring/v" \
-  --block-cache-mb=0 --io-backend=uring > /dev/null
-
 for version in $(seq 1 10); do
-  for leg in fast threads uring; do
-    if ! cmp -s "${work}/slow/v${version}" "${work}/${leg}/v${version}"; then
-      echo "io_smoke: restored v${version} differs (baseline vs ${leg})" >&2
-      exit 1
-    fi
-  done
+  if ! cmp -s "${work}/slow/v${version}" "${work}/fast/v${version}"; then
+    echo "io_smoke: restored v${version} differs (baseline vs fast)" >&2
+    exit 1
+  fi
 done
-echo "io_smoke: all 10 versions byte-identical across 4 legs"
+echo "io_smoke: all 10 versions byte-identical across both legs"
 
 hits="$(grep -o '"io_block_cache_hits": *[0-9]*' "${work}/metrics.json" |
   grep -o '[0-9]*$')"
@@ -79,6 +68,20 @@ if [ -z "${hits}" ] || [ "${hits}" -eq 0 ]; then
   exit 1
 fi
 echo "io_smoke: block cache hit ${hits} times"
+
+# Old scripts passing a removed flag must fail loudly, not run with it
+# silently ignored.
+for flag in --io-backend=threads --io-depth=8 --direct-io --auto-tune; do
+  status=0
+  "${tool}" restore "${repo}" 1 "${work}/removed" "${flag}" \
+    > /dev/null 2> "${work}/removed.err" || status=$?
+  if [ "${status}" -ne 2 ] ||
+    ! grep -q "unknown option ${flag}" "${work}/removed.err"; then
+    echo "io_smoke: ${flag} gave status ${status}, want 2 + unknown option" >&2
+    exit 1
+  fi
+done
+echo "io_smoke: removed read-path flags are rejected"
 
 echo "io_smoke: verifying repository"
 "${tool}" fsck "${repo}"
