@@ -1,49 +1,23 @@
 // backup_directory: a miniature backup tool over a real directory tree.
 //
 // Walks a directory, concatenates its regular files into one logical
-// stream (with a tiny path+size header per file, so restores are
-// verifiable), deduplicates it into a *file-backed* container store, and
-// verifies the restore. Running it repeatedly against a changing directory
+// stream (Repository::snapshot: a tiny path+size header per file, so
+// restores are verifiable), deduplicates it into a *file-backed* container
+// store, and verifies the restore. Running it repeatedly against a changing directory
 // demonstrates cross-version dedup exactly as a nightly backup job would.
 //
 // Usage: backup_directory [dir-to-back-up] [store-dir]
 //   defaults: ./src  /tmp/hds_backup_store
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include "backup/pipeline.h"
 #include "chunking/chunk_stream.h"
 #include "chunking/tttd.h"
 #include "index/full_index.h"
+#include "service/repository.h"
 
 namespace fs = std::filesystem;
-
-namespace {
-
-// Serializes the directory into one deterministic byte stream.
-std::vector<std::uint8_t> snapshot_directory(const fs::path& root) {
-  std::vector<fs::path> files;
-  for (const auto& entry : fs::recursive_directory_iterator(root)) {
-    if (entry.is_regular_file()) files.push_back(entry.path());
-  }
-  std::sort(files.begin(), files.end());
-
-  std::vector<std::uint8_t> stream;
-  for (const auto& path : files) {
-    const std::string header =
-        path.string() + "\n" + std::to_string(fs::file_size(path)) + "\n";
-    stream.insert(stream.end(), header.begin(), header.end());
-    std::ifstream in(path, std::ios::binary);
-    std::vector<char> bytes(static_cast<std::size_t>(fs::file_size(path)));
-    in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    stream.insert(stream.end(), bytes.begin(), bytes.end());
-  }
-  return stream;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace hds;
@@ -58,7 +32,7 @@ int main(int argc, char** argv) {
 
   std::printf("backing up %s into %s\n", source.string().c_str(),
               store_dir.string().c_str());
-  const auto snapshot = snapshot_directory(source);
+  const auto snapshot = Repository::snapshot(source);
   std::printf("snapshot: %.2f MB\n",
               static_cast<double>(snapshot.size()) / (1 << 20));
 

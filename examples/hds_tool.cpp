@@ -1,94 +1,54 @@
-// hds_tool: a persistent command-line backup tool over HiDeStore.
+// hds_tool: a persistent command-line backup tool. It is a thin CLI over
+// hds::Repository (src/service/repository.h), which owns every repository
+// rule; this file parses flags and prints results.
 //
-// A repository directory holds the full system state between invocations
-// (HiDeStore::save/load), so this behaves like a real incremental backup
-// utility:
+//   init    <repo> [--shards=N]          create a repository (N>1 partitions
+//                                        the fingerprint space, DESIGN.md
+//                                        §16; default 1 = legacy layout)
+//   backup  <repo> <file-or-dir>         ingest the next version
+//   list    <repo>                       show retained versions
+//   restore <repo> <version> <outfile>   write a version's bytes
+//   restore <repo> all <outprefix>       every retained version to
+//                                        <outprefix><v>
+//   expire  <repo> <up-to-version>       drop old versions (no GC)
+//   flatten <repo>                       run Algorithm 1 offline
+//   files   <repo> <version>             list cataloged files
+//   restore-file <repo> <version> <path> <outfile>
+//                                        pull ONE file out of a snapshot
+//   stats   <repo> [--json]              export the metrics registry
+//   fsck    <repo> [--json]              verify every store invariant (exit
+//                                        0 clean, 1 violations)
+//   recover <repo> [--json]              run crash recovery, print its
+//                                        report (exit 0 if it opened)
+//   profile <repo>                       recent per-operation profiles
+//   serve-metrics <repo> [--port=N]      serve /metrics, /profiles and
+//                                        /healthz on 127.0.0.1 until Ctrl-C
+//   serve <repo> [--port=N] [--max-sessions=N] [--pending-sessions=N]
+//         [--tenant-quota-mb=N] [--metrics-port=N]
+//                                        multi-tenant loopback service, one
+//                                        namespace per tenant over a shared
+//                                        container store (DESIGN.md §15)
+//   client ping|backup|restore|list|stats|fsck [<tenant> ...] --port=N
+//                                        serve-protocol client (exit 0 ok,
+//                                        1 error, 3 busy/over-quota)
 //
-//   hds_tool init    <repo> [--shards=N]         create a repository
-//                                                (N>1 partitions the
-//                                                fingerprint space over N
-//                                                shards, DESIGN.md §16;
-//                                                default 1 = legacy layout)
-//   hds_tool backup  <repo> <file-or-dir>        ingest the next version
-//   hds_tool list    <repo>                      show retained versions
-//   hds_tool restore <repo> <version> <outfile>  write a version's bytes
-//   hds_tool restore <repo> all <outprefix>      write every retained
-//                                                version to <outprefix><v>
-//   hds_tool expire  <repo> <up-to-version>      drop old versions (no GC)
-//   hds_tool flatten <repo>                      run Algorithm 1 offline
-//   hds_tool files   <repo> <version>            list cataloged files
-//   hds_tool restore-file <repo> <version> <path> <outfile>
-//                                                pull ONE file out of a
-//                                                snapshot (partial restore)
-//   hds_tool stats   <repo> [--json]             export the metrics registry
-//                                                (Prometheus text by default)
-//   hds_tool fsck    <repo> [--json]             verify every store invariant
-//                                                (exit 0 clean, 1 violations)
-//   hds_tool recover <repo> [--json]             run crash recovery and print
-//                                                its report (exit 0 if the
-//                                                repository opened, 1 if not)
-//   hds_tool profile <repo>                      print recent per-operation
-//                                                profiles ({"ops":[...]} —
-//                                                phase wall/CPU, bytes,
-//                                                cache economics)
-//   hds_tool serve-metrics <repo> [--port=N]     serve /metrics (Prometheus),
-//                                                /profiles and /healthz on
-//                                                127.0.0.1 until Ctrl-C
-//   hds_tool serve <repo> [--port=N] [--max-sessions=N]
-//                  [--pending-sessions=N] [--tenant-quota-mb=N]
-//                  [--metrics-port=N]            multi-tenant service: accept
-//                                                concurrent backup/restore/
-//                                                list/stats/fsck sessions
-//                                                over a loopback socket, one
-//                                                namespace per tenant over a
-//                                                shared container store
-//                                                (DESIGN.md §15)
-//   hds_tool client ping --port=N                serve-protocol client mode
-//   hds_tool client backup <tenant> <file-or-dir> --port=N
-//   hds_tool client restore <tenant> <version|latest> <outfile> --port=N
-//   hds_tool client list|stats|fsck <tenant> --port=N
-//                                                (exit 0 ok, 1 error,
-//                                                3 busy/over-quota)
-//
-// Every command runs crash recovery on open: an interrupted backup rolls
-// back to the last committed version, with a one-line notice on stderr
-// (run `recover` for the full report).
-//
-// Observability flags (any command):
-//   --metrics-out=<file>   write a JSON metrics snapshot after the command
-//   --trace-out=<file>     record phase spans, dump Chrome trace_event JSON
-//                          (restores with --threads also get cross-thread
-//                          flow arrows and I/O-wait spans)
-//   --profile-out=<file>   write this invocation's per-operation profiles
-//                          as {"ops":[...]} JSON
+// Every command runs crash recovery on open, with a one-line notice on
+// stderr when it repaired anything. Flags for any command:
+//   --metrics-out=<file>   JSON metrics snapshot after the command
+//   --trace-out=<file>     Chrome trace_event JSON of the command's phases
+//   --profile-out=<file>   this invocation's per-operation profiles
+//   --threads=N            backup: chunk+fingerprint on N threads; restore:
+//                          prefetch containers 2N ahead. 0 = serial
+//   --shards=N             init: the shard count (1-64); elsewhere: assert
+//                          the repository records exactly N shards
+//   --block-cache-mb=N     archival block cache budget (0 disables; 32)
+//   --no-partial-reads     slurp whole containers, ignoring footer indexes
 //   HDS_LOG=<level>        structured key=value logs on stderr
-//
-// Every backup/restore additionally appends its profile to
-// <repo>/profiles.jsonl (bounded history; `profile` and /profiles read it).
-//
-// Concurrency:
-//   --threads=N            backup: chunk+fingerprint on N worker threads
-//                          (parallel_chunk.h, byte-identical to serial);
-//                          restore: prefetch containers 2N ahead of the
-//                          policy (read_ahead.h). 0 (default) = serial.
-//
-// Sharding (any command; DESIGN.md §16):
-//   --shards=N             on init: fix the repository's shard count (1-64);
-//                          elsewhere: assert the repository records exactly
-//                          N shards (a mismatch is refused with a clear
-//                          error, never reinterpreted)
-//
-// I/O fast path (any command; DESIGN.md §10):
-//   --block-cache-mb=N     byte budget of the archival block cache (0
-//                          disables it; default 32)
-//   --no-partial-reads     slurp whole container files instead of using
-//                          the format-3 footer index
-//
-// Directories are serialized as path+size headers followed by file bytes
-// (same layout as examples/backup_directory), so a restore of a directory
-// backup reproduces that serialized stream.
+// Every backup/restore appends its profile to <repo>/profiles.jsonl
+// (bounded history; `profile` and /profiles read it).
 #include <signal.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -96,21 +56,22 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
-#include "backup/catalog.h"
-#include "chunking/chunk_stream.h"
-#include "chunking/parallel_chunk.h"
-#include "chunking/tttd.h"
 #include "common/parse.h"
-#include "core/hidestore.h"
-#include "core/shard_router.h"
 #include "obs/http.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "service/client.h"
+#include "service/repository.h"
 #include "service/server.h"
 #include "storage/durable.h"
 #include "verify/fsck.h"
@@ -121,82 +82,35 @@ namespace {
 
 using namespace hds;
 
-std::vector<std::uint8_t> read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot open %s for reading\n",
-                 path.string().c_str());
-    std::exit(1);
+// A restore's output file. Callers open it only once the restore is known
+// to be possible, so a refused restore leaves any existing file untouched.
+class OutputFile {
+ public:
+  explicit OutputFile(const std::string& path)
+      : path_(path), out_(path, std::ios::binary | std::ios::trunc) {
+    if (!out_) throw RepositoryError("cannot open " + path);
   }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(in.tellg()));
-  in.seekg(0);
-  in.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  if (!in || static_cast<std::size_t>(in.gcount()) != bytes.size()) {
-    std::fprintf(stderr, "error: short read on %s\n", path.string().c_str());
-    std::exit(1);
-  }
-  return bytes;
-}
 
-// Serializes the source into one stream, recording each file's byte range
-// so single files can be pulled back out (catalog).
-std::vector<std::uint8_t> snapshot_source(const fs::path& source,
-                                          std::vector<CatalogEntry>& files) {
-  if (fs::is_regular_file(source)) {
-    auto bytes = read_file(source);
-    files.push_back({source.string(), 0, bytes.size()});
-    return bytes;
+  void write(std::span<const std::uint8_t> bytes) {
+    out_.write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
   }
-  std::vector<fs::path> paths;
-  for (const auto& entry : fs::recursive_directory_iterator(source)) {
-    if (entry.is_regular_file()) paths.push_back(entry.path());
-  }
-  std::sort(paths.begin(), paths.end());
-  std::vector<std::uint8_t> stream;
-  for (const auto& path : paths) {
-    const std::string header =
-        path.string() + "\n" + std::to_string(fs::file_size(path)) + "\n";
-    stream.insert(stream.end(), header.begin(), header.end());
-    const auto bytes = read_file(path);
-    files.push_back({fs::relative(path, source).string(), stream.size(),
-                     bytes.size()});
-    stream.insert(stream.end(), bytes.begin(), bytes.end());
-  }
-  return stream;
-}
 
-FileCatalog load_catalog(const fs::path& repo) {
-  const auto file = repo / "catalog.hds";
-  if (!fs::exists(file)) return {};
-  const auto bytes = read_file(file);
-  auto catalog = FileCatalog::deserialize(bytes);
-  return catalog ? std::move(*catalog) : FileCatalog{};
-}
-
-// Atomic: a crash mid-write never leaves a torn catalog. Fails loudly —
-// a silently dropped catalog would strand restore-file.
-void save_catalog(const fs::path& repo, const FileCatalog& catalog) {
-  try {
-    durable::atomic_write_file(repo / "catalog.hds", catalog.serialize());
-  } catch (const durable::WriteError& e) {
-    std::fprintf(stderr, "error: cannot write catalog: %s\n", e.what());
-    std::exit(1);
+  [[nodiscard]] ChunkSink sink() {
+    return [this](const ChunkLoc&, std::span<const std::uint8_t> bytes) {
+      write(bytes);
+    };
   }
-}
 
-// Drops catalog entries for versions the store no longer retains (expired,
-// or rolled back by crash recovery).
-void trim_catalog(const fs::path& repo, const ShardRouter& sys) {
-  auto catalog = load_catalog(repo);
-  bool changed = false;
-  for (const VersionId v : catalog.versions()) {
-    if (v > sys.latest_version() || v < sys.oldest_version()) {
-      changed = catalog.erase_version(v) || changed;
-    }
+  void finish() {
+    out_.flush();
+    if (!out_) throw RepositoryError("short write to " + path_);
   }
-  if (changed) save_catalog(repo, catalog);
-}
+
+ private:
+  std::string path_;
+  std::ofstream out_;
+};
 
 int usage() {
   std::fprintf(stderr,
@@ -217,57 +131,100 @@ int usage() {
   return 2;
 }
 
-// Checked numeric-flag parsing: rejects garbage, trailing junk and
-// out-of-range values instead of strtoul's silent 0 / wraparound, and exits
-// with the usage status so a typo cannot quietly select a default.
-std::uint64_t parse_flag_uint(const std::string& arg, std::size_t prefix_len,
-                              std::uint64_t max) {
-  const auto value = hds::parse_uint(
-      std::string_view(arg).substr(prefix_len), max);
-  if (!value.has_value()) {
-    std::fprintf(stderr,
-                 "error: %.*s wants an unsigned integer <= %llu, got '%s'\n",
-                 static_cast<int>(prefix_len - 1), arg.c_str(),
-                 static_cast<unsigned long long>(max),
-                 arg.c_str() + prefix_len);
-    std::exit(2);
-  }
-  return *value;
-}
+// Numeric flags and their caps. Checked parsing rejects garbage, trailing
+// junk and out-of-range values (exit 2) instead of strtoul's silent 0 /
+// wraparound, so a typo cannot quietly select a default.
+constexpr std::pair<std::string_view, std::uint64_t> kNumericFlags[] = {
+    {"threads", 4096},
+    {"port", 65535},
+    {"metrics-port", 65535},
+    {"max-sessions", 1024},
+    {"pending-sessions", 65536},
+    {"tenant-quota-mb", 1ull << 30},
+    {"block-cache-mb", 1ull << 20},
+    {"shards", kMaxShards}};
 
-// Positional version-number arguments get the same checked parse.
-std::optional<VersionId> parse_version_arg(const char* text) {
-  const auto value = hds::parse_uint(text, UINT32_MAX);
-  if (!value.has_value()) {
-    std::fprintf(stderr, "error: '%s' is not a version number\n", text);
-    return std::nullopt;
-  }
-  return static_cast<VersionId>(*value);
-}
-
-struct ObsOptions {
+struct Options {
   std::string metrics_out;
   std::string trace_out;
   std::string profile_out;
   bool json = false;
-  std::size_t threads = 0;
-  // serve-metrics listen port; 0 = ephemeral (printed at startup).
-  std::uint16_t port = 0;
-  // SIZE_MAX = flag absent (keep the default budget).
-  std::size_t block_cache_mb = SIZE_MAX;
   bool no_partial_reads = false;
-  // serve mode.
-  std::size_t max_sessions = 4;
-  std::size_t pending_sessions = 0;  // 0 = 2 * max_sessions
-  std::uint64_t tenant_quota_mb = 0;  // 0 = unlimited
-  std::uint16_t metrics_port = 0;
-  bool metrics_port_set = false;
-  // Fingerprint-space shards (DESIGN.md §16). `init --shards=N` fixes the
-  // repository's shard count; on every other command the flag is an
-  // assertion checked against what the repository records.
-  std::size_t shards = 1;
-  bool shards_set = false;
+  // Numeric flags as given, by name; absent ones take their defaults.
+  std::map<std::string, std::uint64_t, std::less<>> numbers;
+
+  [[nodiscard]] bool has(std::string_view name) const {
+    return numbers.find(name) != numbers.end();
+  }
+  [[nodiscard]] std::size_t number(std::string_view name,
+                                   std::uint64_t fallback = 0) const {
+    const auto it = numbers.find(name);
+    return static_cast<std::size_t>(it == numbers.end() ? fallback
+                                                        : it->second);
+  }
 };
+
+// Splits argv into `options` (`--name` / `--name=value`) and positional
+// `args`. False (after complaining) on an unknown or invalid flag.
+bool parse_args(int argc, char** argv, Options& options,
+                std::vector<std::string>& args) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      args.push_back(arg);
+      continue;
+    }
+    const auto eq = arg.find('=');
+    const bool valued = eq != std::string::npos;
+    const std::string name = arg.substr(2, valued ? eq - 2 : arg.size());
+    const std::string value = valued ? arg.substr(eq + 1) : "";
+    const auto* numeric = std::find_if(
+        std::begin(kNumericFlags), std::end(kNumericFlags),
+        [&](const auto& flag) { return flag.first == name; });
+    if (!valued && name == "json") {
+      options.json = true;
+    } else if (!valued && name == "no-partial-reads") {
+      options.no_partial_reads = true;
+    } else if (valued && name == "metrics-out") {
+      options.metrics_out = value;
+    } else if (valued && name == "trace-out") {
+      options.trace_out = value;
+    } else if (valued && name == "profile-out") {
+      options.profile_out = value;
+    } else if (valued && numeric != std::end(kNumericFlags)) {
+      const auto parsed = parse_uint(value, numeric->second);
+      if (!parsed.has_value()) {
+        std::fprintf(stderr,
+                     "error: --%s wants an unsigned integer <= %llu, got "
+                     "'%s'\n",
+                     name.c_str(),
+                     static_cast<unsigned long long>(numeric->second),
+                     value.c_str());
+        std::exit(2);
+      }
+      options.numbers[name] = *parsed;
+    } else {
+      std::fprintf(stderr, "error: unknown option %s\n", arg.c_str());
+      return false;
+    }
+  }
+  if (options.number("shards", 1) == 0) {
+    std::fprintf(stderr, "error: --shards wants 1..%zu\n", kMaxShards);
+    return false;
+  }
+  return true;
+}
+
+// Positional version-number arguments get the same checked parse.
+std::optional<VersionId> parse_version_arg(const std::string& text) {
+  const auto value = parse_uint(text, UINT32_MAX);
+  if (!value.has_value()) {
+    std::fprintf(stderr, "error: '%s' is not a version number\n",
+                 text.c_str());
+    return std::nullopt;
+  }
+  return static_cast<VersionId>(*value);
+}
 
 // --- Per-operation profile history (<repo>/profiles.jsonl) ---
 // hds_tool is one process per command, so the in-memory profiler ring dies
@@ -321,433 +278,247 @@ std::string profiles_json(const fs::path& repo) {
   return out;
 }
 
-// Writes the metrics snapshot / trace file if requested. Returns false (and
-// complains) on I/O failure so commands can fail loudly.
-bool finish_observability(ShardRouter& sys, const ObsOptions& options,
+// Writes the metrics snapshot / trace / profile files if requested.
+// Returns false (and complains) on I/O failure so commands fail loudly.
+bool finish_observability(ShardRouter& sys, const Options& options,
                           const obs::Tracer& tracer) {
   bool ok = true;
-  if (!options.metrics_out.empty()) {
-    sys.refresh_gauges();
+  const auto write = [&ok](const std::string& path, const char* what,
+                           const std::function<std::string()>& render) {
+    if (path.empty()) return;
     try {
-      durable::atomic_write_file(options.metrics_out,
-                                 std::string_view(sys.metrics().to_json()));
+      durable::atomic_write_file(path, std::string_view(render()));
     } catch (const durable::WriteError& e) {
-      std::fprintf(stderr, "error: cannot write metrics to %s: %s\n",
-                   options.metrics_out.c_str(), e.what());
+      std::fprintf(stderr, "error: cannot write %s to %s: %s\n", what,
+                   path.c_str(), e.what());
       ok = false;
     }
-  }
+  };
+  write(options.metrics_out, "metrics", [&sys] {
+    sys.refresh_gauges();
+    return sys.metrics().to_json();
+  });
   if (!options.trace_out.empty() && !tracer.dump(options.trace_out)) {
     std::fprintf(stderr, "error: cannot write trace to %s\n",
                  options.trace_out.c_str());
     ok = false;
   }
-  if (!options.profile_out.empty()) {
-    try {
-      durable::atomic_write_file(options.profile_out,
-                                 std::string_view(sys.profiler().to_json()));
-    } catch (const durable::WriteError& e) {
-      std::fprintf(stderr, "error: cannot write profiles to %s: %s\n",
-                   options.profile_out.c_str(), e.what());
-      ok = false;
-    }
-  }
+  write(options.profile_out, "profiles",
+        [&sys] { return sys.profiler().to_json(); });
   return ok;
 }
 
-// `expected_shards` == 0 accepts whatever the repository records; nonzero
-// (the user passed --shards=N) must match or the open is refused.
-std::unique_ptr<ShardRouter> open_repo(const fs::path& repo,
-                                       std::size_t expected_shards,
-                                       RecoveryReport& recovery) {
-  try {
-    auto sys = ShardRouter::open(repo, expected_shards, &recovery);
-    if (!sys) {
-      std::fprintf(stderr, "error: %s is not a repository (run init)\n",
-                   repo.string().c_str());
-    }
-    return sys;
-  } catch (const ShardMismatchError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return nullptr;
-  }
+// Blocks SIGINT/SIGTERM before any thread spawns, so every thread inherits
+// the mask and wait_for_stop() is the only consumer.
+sigset_t block_stop_signals() {
+  sigset_t sigs;
+  sigemptyset(&sigs);
+  sigaddset(&sigs, SIGINT);
+  sigaddset(&sigs, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
+  return sigs;
 }
 
-}  // namespace
+void wait_for_stop(const sigset_t& sigs) {
+  int sig = 0;
+  sigwait(&sigs, &sig);
+}
 
-int main(int argc, char** argv) {
-  ObsOptions options;
-  std::vector<std::string> args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--metrics-out=", 0) == 0) {
-      options.metrics_out = arg.substr(14);
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      options.trace_out = arg.substr(12);
-    } else if (arg.rfind("--profile-out=", 0) == 0) {
-      options.profile_out = arg.substr(14);
-    } else if (arg == "--json") {
-      options.json = true;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      options.threads =
-          static_cast<std::size_t>(parse_flag_uint(arg, 10, 4096));
-    } else if (arg.rfind("--port=", 0) == 0) {
-      options.port = static_cast<std::uint16_t>(parse_flag_uint(arg, 7,
-                                                                65535));
-    } else if (arg.rfind("--metrics-port=", 0) == 0) {
-      options.metrics_port =
-          static_cast<std::uint16_t>(parse_flag_uint(arg, 15, 65535));
-      options.metrics_port_set = true;
-    } else if (arg.rfind("--max-sessions=", 0) == 0) {
-      options.max_sessions =
-          static_cast<std::size_t>(parse_flag_uint(arg, 15, 1024));
-    } else if (arg.rfind("--pending-sessions=", 0) == 0) {
-      options.pending_sessions =
-          static_cast<std::size_t>(parse_flag_uint(arg, 19, 65536));
-    } else if (arg.rfind("--tenant-quota-mb=", 0) == 0) {
-      options.tenant_quota_mb = parse_flag_uint(arg, 18, 1ull << 30);
-    } else if (arg.rfind("--block-cache-mb=", 0) == 0) {
-      options.block_cache_mb =
-          static_cast<std::size_t>(parse_flag_uint(arg, 17, 1ull << 20));
-    } else if (arg == "--no-partial-reads") {
-      options.no_partial_reads = true;
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      options.shards =
-          static_cast<std::size_t>(parse_flag_uint(arg, 9, kMaxShards));
-      if (options.shards == 0) {
-        std::fprintf(stderr, "error: --shards wants 1..%zu\n", kMaxShards);
-        return usage();
-      }
-      options.shards_set = true;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "error: unknown option %s\n", arg.c_str());
-      return usage();
-    } else {
-      args.push_back(arg);
-    }
+// Routes /metrics (Prometheus text from `render`) and /healthz.
+void route_metrics(obs::HttpServer& http,
+                   std::function<std::string()> render) {
+  http.route("/metrics", [render = std::move(render)] {
+    obs::HttpServer::Response resp;
+    resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
+    resp.body = render();
+    return resp;
+  });
+  http.route("/healthz", [] {
+    obs::HttpServer::Response resp;
+    resp.content_type = "application/json";
+    resp.body = "{\"status\":\"ok\"}\n";
+    return resp;
+  });
+}
+
+int serve(const fs::path& repo, const Options& options) {
+  const sigset_t sigs = block_stop_signals();
+  const std::size_t max_sessions = options.number("max-sessions", 4);
+  service::ServeConfig config;
+  config.repo = repo;
+  config.port = static_cast<std::uint16_t>(options.number("port"));
+  config.max_sessions = max_sessions;
+  config.pending_sessions = options.number("pending-sessions") == 0
+                                ? 2 * max_sessions
+                                : options.number("pending-sessions");
+  config.tenant_quota_bytes =
+      std::uint64_t{options.number("tenant-quota-mb")} << 20;
+  config.shards = options.number("shards", 1);
+  if (options.has("block-cache-mb")) {
+    config.tenant_config.io_tuning.block_cache_bytes =
+        options.number("block-cache-mb") << 20;
   }
-  if (args.size() < 2) return usage();
-  const std::string command = args[0];
-  const fs::path repo = args[1];
-  const auto arg_at = [&](std::size_t i) -> const char* {
-    return args[i].c_str();
-  };
-
-  if (command == "init") {
-    if (fs::exists(repo / "state.hds") ||
-        ShardRouter::detect_shards(repo) != 0) {
-      std::fprintf(stderr, "error: repository already exists\n");
-      return 1;
-    }
-    // File-backed repository: archival containers are individual files
-    // under <repo>/archival (per shard_<i>/ when sharded); the manifest
-    // stays small. --shards=1 (the default) keeps the legacy layout.
-    ShardRouterConfig config;
-    config.shards = options.shards;
-    config.base.storage_dir = repo;
-    ShardRouter sys(config);
-    sys.save(repo);
-    std::printf("initialized empty repository at %s (%zu shard%s)\n",
-                repo.string().c_str(), options.shards,
-                options.shards == 1 ? "" : "s");
-    return 0;
-  }
-
-  if (command == "serve") {
-    // Block SIGINT/SIGTERM before any thread spawns so every thread
-    // inherits the mask and sigwait() below is the only consumer.
-    sigset_t sigs;
-    sigemptyset(&sigs);
-    sigaddset(&sigs, SIGINT);
-    sigaddset(&sigs, SIGTERM);
-    pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
-    service::ServeConfig serve_config;
-    serve_config.repo = repo;
-    serve_config.port = options.port;
-    serve_config.max_sessions = options.max_sessions;
-    serve_config.pending_sessions = options.pending_sessions == 0
-                                        ? 2 * options.max_sessions
-                                        : options.pending_sessions;
-    serve_config.tenant_quota_bytes = options.tenant_quota_mb * (1ull << 20);
-    serve_config.shards = options.shards;
-    if (options.block_cache_mb != SIZE_MAX) {
-      serve_config.tenant_config.io_tuning.block_cache_bytes =
-          options.block_cache_mb * (1 << 20);
-    }
-    serve_config.tenant_config.io_tuning.partial_reads =
-        !options.no_partial_reads;
-    service::ServeServer server(serve_config);
-    std::string error;
-    if (!server.start(&error)) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      return 1;
-    }
-    obs::HttpServer http(options.metrics_port);
-    if (options.metrics_port_set) {
-      http.route("/metrics", [&server] {
-        obs::HttpServer::Response resp;
-        server.refresh_metrics();
-        resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
-        resp.body = server.metrics().to_prometheus();
-        return resp;
-      });
-      http.route("/healthz", [] {
-        obs::HttpServer::Response resp;
-        resp.content_type = "application/json";
-        resp.body = "{\"status\":\"ok\"}\n";
-        return resp;
-      });
-      if (!http.start()) {
-        std::fprintf(stderr, "error: cannot listen on 127.0.0.1:%u: %s\n",
-                     options.metrics_port, std::strerror(errno));
-        return 1;
-      }
-      std::printf("metrics on http://127.0.0.1:%u/metrics\n", http.port());
-    }
-    std::printf("serving tenants on 127.0.0.1:%u (%zu session slots) — "
-                "SIGTERM/Ctrl-C stops\n",
-                server.port(), options.max_sessions);
-    std::fflush(stdout);
-    int sig = 0;
-    sigwait(&sigs, &sig);
-    if (options.metrics_port_set) http.stop();
-    server.stop();
-    std::printf("stopped\n");
-    return 0;
-  }
-
-  if (command == "client") {
-    // args[1] is the sub-operation, not a repository.
-    const std::string op = args[1];
-    if (options.port == 0) {
-      std::fprintf(stderr, "error: client mode needs --port=N\n");
-      return usage();
-    }
-    service::ServeClient client;
-    if (!client.connect(options.port)) {
-      std::fprintf(stderr, "error: cannot connect to 127.0.0.1:%u\n",
-                   options.port);
-      return 1;
-    }
-    service::Request req;
-    std::string outfile;
-    if (op == "ping") {
-      req.op = service::Op::kPing;
-    } else if (op == "backup") {
-      if (args.size() < 4) return usage();
-      req.op = service::Op::kBackup;
-      req.tenant = args[2];
-      const fs::path source = args[3];
-      if (!fs::exists(source)) {
-        std::fprintf(stderr, "error: no such file or directory: %s\n",
-                     source.string().c_str());
-        return 1;
-      }
-      std::vector<CatalogEntry> ignored;
-      req.data = snapshot_source(source, ignored);
-      req.label = source.string();
-    } else if (op == "restore") {
-      if (args.size() < 5) return usage();
-      req.op = service::Op::kRestore;
-      req.tenant = args[2];
-      if (args[3] != "latest") {
-        const auto version = parse_version_arg(args[3].c_str());
-        if (!version.has_value()) return usage();
-        req.version = *version;
-      }
-      outfile = args[4];
-    } else if (op == "list" || op == "stats" || op == "fsck") {
-      if (args.size() < 3) return usage();
-      req.op = op == "list" ? service::Op::kList
-               : op == "stats" ? service::Op::kStats
-                               : service::Op::kFsck;
-      req.tenant = args[2];
-    } else {
-      std::fprintf(stderr, "error: unknown client operation '%s'\n",
-                   op.c_str());
-      return usage();
-    }
-    const auto resp = client.call(req);
-    if (!resp.has_value()) {
-      std::fprintf(stderr, "error: server connection failed\n");
-      return 1;
-    }
-    if (!resp->message.empty()) {
-      std::fprintf(resp->status == service::Status::kOk ? stdout : stderr,
-                   "%s\n", resp->message.c_str());
-    }
-    if (resp->status == service::Status::kOk && !outfile.empty()) {
-      std::ofstream out(outfile, std::ios::binary | std::ios::trunc);
-      out.write(reinterpret_cast<const char*>(resp->data.data()),
-                static_cast<std::streamsize>(resp->data.size()));
-      out.flush();
-      if (!out) {
-        std::fprintf(stderr, "error: short write to %s\n", outfile.c_str());
-        return 1;
-      }
-    } else if (!resp->data.empty()) {
-      std::fwrite(resp->data.data(), 1, resp->data.size(), stdout);
-    }
-    switch (resp->status) {
-      case service::Status::kOk: return 0;
-      case service::Status::kError: return 1;
-      case service::Status::kBusy:
-      case service::Status::kQuotaExceeded: return 3;
-    }
+  config.tenant_config.io_tuning.partial_reads = !options.no_partial_reads;
+  service::ServeServer server(config);
+  std::string error;
+  if (!server.start(&error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
-
-  RecoveryReport recovery;
-  const std::size_t expected_shards =
-      options.shards_set ? options.shards : 0;
-  std::unique_ptr<ShardRouter> sys;
-  if (command == "recover") {
-    // `recover` reports instead of complaining: a failed open IS its output.
-    try {
-      sys = ShardRouter::open(repo, expected_shards, &recovery);
-    } catch (const ShardMismatchError& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
+  const bool metrics = options.has("metrics-port");
+  obs::HttpServer http(
+      static_cast<std::uint16_t>(options.number("metrics-port")));
+  if (metrics) {
+    route_metrics(http, [&server] {
+      server.refresh_metrics();
+      return server.metrics().to_prometheus();
+    });
+    if (!http.start()) {
+      std::fprintf(stderr, "error: cannot listen on 127.0.0.1:%zu: %s\n",
+                   options.number("metrics-port"), std::strerror(errno));
       return 1;
     }
-  } else {
-    sys = open_repo(repo, expected_shards, recovery);
+    std::printf("metrics on http://127.0.0.1:%u/metrics\n", http.port());
   }
+  std::printf("serving tenants on 127.0.0.1:%u (%zu session slots) — "
+              "SIGTERM/Ctrl-C stops\n",
+              server.port(), max_sessions);
+  std::fflush(stdout);
+  wait_for_stop(sigs);
+  if (metrics) http.stop();
+  server.stop();
+  std::printf("stopped\n");
+  return 0;
+}
 
-  if (command == "recover") {
-    const auto text =
-        options.json ? recovery.to_json() + "\n" : recovery.to_text();
-    std::fwrite(text.data(), 1, text.size(), stdout);
-    if (sys) trim_catalog(repo, *sys);
-    return recovery.opened ? 0 : 1;
+int client(const std::vector<std::string>& args, const Options& options) {
+  // args[1] is the sub-operation, not a repository.
+  const std::string& op = args[1];
+  const auto port = static_cast<std::uint16_t>(options.number("port"));
+  if (port == 0) {
+    std::fprintf(stderr, "error: client mode needs --port=N\n");
+    return usage();
   }
-  if (!sys) return 1;
-  if (recovery.performed) {
-    std::fprintf(stderr,
-                 "recovery: repaired to epoch %llu (version %u); run "
-                 "`hds_tool recover %s` for details\n",
-                 static_cast<unsigned long long>(recovery.committed_epoch),
-                 recovery.committed_version, repo.string().c_str());
-    trim_catalog(repo, *sys);
+  service::ServeClient conn;
+  if (!conn.connect(port)) {
+    std::fprintf(stderr, "error: cannot connect to 127.0.0.1:%u\n", port);
+    return 1;
   }
+  // Operation -> (opcode, positional arguments it needs).
+  static const std::map<std::string, std::pair<service::Op, std::size_t>>
+      kOps = {{"ping", {service::Op::kPing, 2}},
+              {"backup", {service::Op::kBackup, 4}},
+              {"restore", {service::Op::kRestore, 5}},
+              {"list", {service::Op::kList, 3}},
+              {"stats", {service::Op::kStats, 3}},
+              {"fsck", {service::Op::kFsck, 3}}};
+  const auto known = kOps.find(op);
+  if (known == kOps.end()) {
+    std::fprintf(stderr, "error: unknown client operation '%s'\n",
+                 op.c_str());
+    return usage();
+  }
+  if (args.size() < known->second.second) return usage();
+  service::Request req;
+  req.op = known->second.first;
+  if (req.op != service::Op::kPing) req.tenant = args[2];
+  if (req.op == service::Op::kBackup) {
+    req.data = Repository::snapshot(args[3]);
+    req.label = args[3];
+  } else if (req.op == service::Op::kRestore && args[3] != "latest") {
+    const auto version = parse_version_arg(args[3]);
+    if (!version.has_value()) return usage();
+    req.version = *version;
+  }
+  const auto resp = conn.call(req);
+  if (!resp.has_value()) {
+    std::fprintf(stderr, "error: server connection failed\n");
+    return 1;
+  }
+  if (!resp->message.empty()) {
+    std::fprintf(resp->status == service::Status::kOk ? stdout : stderr,
+                 "%s\n", resp->message.c_str());
+  }
+  if (resp->status == service::Status::kOk &&
+      req.op == service::Op::kRestore) {
+    OutputFile out(args[4]);
+    out.write(resp->data);
+    out.finish();
+  } else if (!resp->data.empty()) {
+    std::fwrite(resp->data.data(), 1, resp->data.size(), stdout);
+  }
+  switch (resp->status) {
+    case service::Status::kOk: return 0;
+    case service::Status::kError: return 1;
+    case service::Status::kBusy:
+    case service::Status::kQuotaExceeded: return 3;
+  }
+  return 1;
+}
 
-  // The tracer lives at tool scope so every phase of the command — chunking
-  // included — lands in one timeline.
-  obs::Tracer tracer;
-  if (!options.trace_out.empty()) sys->set_tracer(&tracer);
-  // Overlap container reads with chunk assembly on whole-version restores:
-  // a 2N-deep prefetch window with N overlapping container reads in flight.
-  if (options.threads > 1) {
-    sys->set_read_ahead(2 * options.threads, options.threads);
+int serve_metrics(const fs::path& repo, ShardRouter& sys,
+                  const Options& options) {
+  const sigset_t sigs = block_stop_signals();
+  const auto port = static_cast<std::uint16_t>(options.number("port"));
+  obs::HttpServer server(port);
+  route_metrics(server, [&sys] {
+    sys.refresh_gauges();
+    return sys.metrics().to_prometheus();
+  });
+  server.route("/profiles", [&repo] {
+    // Re-read per request: other hds_tool invocations append to the
+    // history while we serve.
+    obs::HttpServer::Response resp;
+    resp.content_type = "application/json";
+    resp.body = profiles_json(repo);
+    return resp;
+  });
+  if (!server.start()) {
+    std::fprintf(stderr, "error: cannot listen on 127.0.0.1:%u: %s\n", port,
+                 std::strerror(errno));
+    return 1;
   }
-  if (options.block_cache_mb != SIZE_MAX || options.no_partial_reads) {
-    FileStoreTuning tuning;
-    if (options.block_cache_mb != SIZE_MAX) {
-      tuning.block_cache_bytes = options.block_cache_mb * (1 << 20);
-    }
-    tuning.partial_reads = !options.no_partial_reads;
-    sys->set_io_tuning(tuning);
-  }
+  std::printf("serving http://127.0.0.1:%u  (/metrics /profiles /healthz) "
+              "— Ctrl-C stops\n",
+              server.port());
+  std::fflush(stdout);
+  wait_for_stop(sigs);
+  server.stop();
+  std::printf("stopped after %llu requests\n",
+              static_cast<unsigned long long>(server.requests_served()));
+  return 0;
+}
 
-  const int rc = [&]() -> int {
+// The commands that run over an opened repository.
+int run_command(const std::vector<std::string>& args, const Options& options,
+                Repository& repository) {
+  const std::string& command = args[0];
+  const fs::path repo = args[1];
+  ShardRouter& sys = repository.router();
+
   if (command == "stats") {
-    sys->refresh_gauges();
-    const auto text = options.json ? sys->metrics().to_json()
-                                   : sys->metrics().to_prometheus();
+    sys.refresh_gauges();
+    const auto text = options.json ? sys.metrics().to_json()
+                                   : sys.metrics().to_prometheus();
     std::fwrite(text.data(), 1, text.size(), stdout);
     return 0;
   }
-
   if (command == "fsck") {
-    const auto report = verify::run_fsck(*sys);
+    const auto report = verify::run_fsck(sys);
     const auto text = options.json ? report.to_json() : report.to_text();
     std::fwrite(text.data(), 1, text.size(), stdout);
     return report.clean() ? 0 : 1;
   }
-
   if (command == "profile") {
     const auto text = profiles_json(repo);
     std::fwrite(text.data(), 1, text.size(), stdout);
     return 0;
   }
-
-  if (command == "serve-metrics") {
-    // Block SIGINT/SIGTERM before any thread spawns so every thread
-    // inherits the mask and sigwait() below is the only consumer.
-    sigset_t sigs;
-    sigemptyset(&sigs);
-    sigaddset(&sigs, SIGINT);
-    sigaddset(&sigs, SIGTERM);
-    pthread_sigmask(SIG_BLOCK, &sigs, nullptr);
-    obs::HttpServer server(options.port);
-    server.route("/metrics", [&] {
-      obs::HttpServer::Response resp;
-      sys->refresh_gauges();
-      resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
-      resp.body = sys->metrics().to_prometheus();
-      return resp;
-    });
-    server.route("/profiles", [&] {
-      // Re-read per request: other hds_tool invocations append to the
-      // history while we serve.
-      obs::HttpServer::Response resp;
-      resp.content_type = "application/json";
-      resp.body = profiles_json(repo);
-      return resp;
-    });
-    server.route("/healthz", [&] {
-      obs::HttpServer::Response resp;
-      resp.content_type = "application/json";
-      resp.body = "{\"status\":\"ok\"}\n";
-      return resp;
-    });
-    if (!server.start()) {
-      std::fprintf(stderr, "error: cannot listen on 127.0.0.1:%u: %s\n",
-                   options.port, std::strerror(errno));
-      return 1;
-    }
-    std::printf("serving http://127.0.0.1:%u  (/metrics /profiles /healthz) "
-                "— Ctrl-C stops\n",
-                server.port());
-    std::fflush(stdout);
-    int sig = 0;
-    sigwait(&sigs, &sig);
-    server.stop();
-    std::printf("stopped after %llu requests\n",
-                static_cast<unsigned long long>(server.requests_served()));
-    return 0;
-  }
+  if (command == "serve-metrics") return serve_metrics(repo, sys, options);
 
   if (command == "backup") {
     if (args.size() < 3) return usage();
-    const fs::path source = arg_at(2);
-    if (!fs::exists(source)) {
-      std::fprintf(stderr, "error: no such file or directory: %s\n",
-                   source.string().c_str());
-      return 1;
-    }
-    std::vector<CatalogEntry> files;
-    obs::Span snapshot_span = tracer.span("snapshot_source");
-    const auto snapshot = snapshot_source(source, files);
-    snapshot_span.end();
-    TttdChunker chunker;
-    obs::Span chunk_span = tracer.span("chunking");
-    VersionStream stream;
-    if (options.threads > 1) {
-      ParallelChunkConfig chunk_config;
-      chunk_config.threads = options.threads;
-      chunk_config.metrics = &sys->metrics();
-      if (!options.trace_out.empty()) chunk_config.tracer = &tracer;
-      const ParallelChunkPipeline pipeline(chunker, chunk_config);
-      stream = pipeline.run(snapshot);
-    } else {
-      stream = chunk_bytes(chunker, snapshot);
-    }
-    chunk_span.end();
-    const auto report = sys->backup(stream);
-    auto catalog = load_catalog(repo);
-    catalog.add_version(report.version, std::move(files));
-    save_catalog(repo, catalog);
-    sys->save(repo);
+    const auto report = repository.backup(args[2], options.number("threads"));
     std::printf("version %u: %.2f MB logical, %.2f MB stored (%.1f%% new), "
                 "%zu chunks\n",
                 report.version,
@@ -763,16 +534,16 @@ int main(int argc, char** argv) {
 
   if (command == "list") {
     std::printf("%-8s  %-12s  %-8s\n", "version", "size", "chunks");
-    for (const VersionId v : sys->versions()) {
+    for (const VersionId v : sys.versions()) {
       std::printf("%-8u  %9.2f MB  %-8zu\n", v,
-                  static_cast<double>(sys->version_logical_bytes(v)) /
+                  static_cast<double>(sys.version_logical_bytes(v)) /
                       (1 << 20),
-                  sys->version_chunk_count(v));
+                  sys.version_chunk_count(v));
     }
     std::printf("dedup ratio: %.2f%%; archival containers: %zu; active "
                 "containers: %zu\n",
-                sys->dedup_ratio() * 100.0, sys->archival_container_count(),
-                sys->active_container_count());
+                sys.dedup_ratio() * 100.0, sys.archival_container_count(),
+                sys.active_container_count());
     return 0;
   }
 
@@ -780,25 +551,10 @@ int main(int argc, char** argv) {
     if (args.size() < 4) return usage();
     const auto restore_one = [&](VersionId version,
                                  const std::string& outfile) -> int {
-      std::ofstream out(outfile, std::ios::binary | std::ios::trunc);
-      if (!out) {
-        std::fprintf(stderr, "error: cannot open %s\n", outfile.c_str());
-        return 1;
-      }
-      const auto report = sys->restore(
-          version, [&](const ChunkLoc&, std::span<const std::uint8_t> bytes) {
-            out.write(reinterpret_cast<const char*>(bytes.data()),
-                      static_cast<std::streamsize>(bytes.size()));
-          });
-      if (report.stats.restored_chunks == 0) {
-        std::fprintf(stderr, "error: no such version: %u\n", version);
-        return 1;
-      }
-      out.flush();
-      if (!out) {
-        std::fprintf(stderr, "error: short write to %s\n", outfile.c_str());
-        return 1;
-      }
+      repository.require_retained(version);
+      OutputFile out(outfile);
+      const auto report = repository.restore(version, out.sink());
+      out.finish();
       std::printf("restored v%u: %.2f MB, %llu container reads, "
                   "%.2f MB/read, %llu failed chunks\n",
                   version,
@@ -811,26 +567,25 @@ int main(int argc, char** argv) {
                       report.stats.failed_chunks));
       return report.stats.failed_chunks == 0 ? 0 : 1;
     };
-    if (std::strcmp(arg_at(2), "all") == 0) {
+    if (args[2] == "all") {
       // Oldest-first: old versions chase recipe chains into archival
       // containers, exactly where the partial-read fast path applies.
       int worst = 0;
-      for (const VersionId v : sys->versions()) {
-        worst |= restore_one(v, std::string(arg_at(3)) + std::to_string(v));
+      for (const VersionId v : repository.versions()) {
+        worst |= restore_one(v, args[3] + std::to_string(v));
       }
       return worst;
     }
-    const auto version = parse_version_arg(arg_at(2));
+    const auto version = parse_version_arg(args[2]);
     if (!version.has_value()) return usage();
-    return restore_one(*version, arg_at(3));
+    return restore_one(*version, args[3]);
   }
 
   if (command == "expire") {
     if (args.size() < 3) return usage();
-    const auto upto = parse_version_arg(arg_at(2));
+    const auto upto = parse_version_arg(args[2]);
     if (!upto.has_value()) return usage();
-    const auto report = sys->delete_versions_up_to(*upto);
-    sys->save(repo);
+    const auto report = repository.expire(*upto);
     std::printf("expired %zu versions: %zu containers erased, %.2f MB "
                 "reclaimed, %llu chunks scanned\n",
                 report.versions_deleted, report.containers_erased,
@@ -841,13 +596,11 @@ int main(int argc, char** argv) {
 
   if (command == "files") {
     if (args.size() < 3) return usage();
-    const auto parsed = parse_version_arg(arg_at(2));
-    if (!parsed.has_value()) return usage();
-    const VersionId version = *parsed;
-    const auto catalog = load_catalog(repo);
-    const auto* files = catalog.files(version);
+    const auto version = parse_version_arg(args[2]);
+    if (!version.has_value()) return usage();
+    const auto* files = repository.files(*version);
     if (files == nullptr) {
-      std::fprintf(stderr, "error: no catalog for version %u\n", version);
+      std::fprintf(stderr, "error: no catalog for version %u\n", *version);
       return 1;
     }
     for (const auto& entry : *files) {
@@ -860,51 +613,114 @@ int main(int argc, char** argv) {
 
   if (command == "restore-file") {
     if (args.size() < 5) return usage();
-    const auto parsed = parse_version_arg(arg_at(2));
-    if (!parsed.has_value()) return usage();
-    const VersionId version = *parsed;
-    const auto catalog = load_catalog(repo);
-    const auto entry = catalog.find(version, arg_at(3));
-    if (!entry) {
-      std::fprintf(stderr, "error: %s not in version %u\n", arg_at(3),
-                   version);
-      return 1;
-    }
-    std::ofstream out(arg_at(4), std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot open %s\n", arg_at(4));
-      return 1;
-    }
-    const auto report = sys->restore_range(
-        version, entry->offset, entry->length,
-        [&](const ChunkLoc&, std::span<const std::uint8_t> bytes) {
-          out.write(reinterpret_cast<const char*>(bytes.data()),
-                    static_cast<std::streamsize>(bytes.size()));
-        });
-    out.flush();
-    if (!out) {
-      std::fprintf(stderr, "error: short write to %s\n", arg_at(4));
-      return 1;
-    }
+    const auto version = parse_version_arg(args[2]);
+    if (!version.has_value()) return usage();
+    const auto entry = repository.find_file(*version, args[3]);
+    OutputFile out(args[4]);
+    const auto report = repository.restore_file(*version, entry, out.sink());
+    out.finish();
     std::printf("restored %s (%llu bytes) with %llu container reads\n",
-                arg_at(3), static_cast<unsigned long long>(entry->length),
+                args[3].c_str(),
+                static_cast<unsigned long long>(report.stats.restored_bytes),
                 static_cast<unsigned long long>(
                     report.stats.container_reads));
     return 0;
   }
 
   if (command == "flatten") {
-    const auto updated = sys->flatten_recipes();
-    sys->save(repo);
-    std::printf("flattened recipe chains: %zu entries rewritten\n", updated);
+    std::printf("flattened recipe chains: %zu entries rewritten\n",
+                repository.flatten());
     return 0;
   }
-
   return usage();
-  }();
+}
 
-  sys->set_tracer(nullptr);
-  append_profiles(repo, sys->profiler());  // no-op when the command ran none
-  if (!finish_observability(*sys, options, tracer)) return 1;
+int run(const std::vector<std::string>& args, const Options& options) {
+  const std::string& command = args[0];
+  const fs::path repo = args[1];
+  if (command == "init") {
+    // File-backed repository: archival containers are individual files
+    // under <repo>/archival (per shard_<i>/ when sharded); the manifest
+    // stays small. --shards=1 (the default) keeps the legacy layout.
+    ShardRouterConfig config;
+    config.shards = options.number("shards", 1);
+    config.base.storage_dir = repo;
+    (void)Repository::create(config);
+    std::printf("initialized empty repository at %s (%zu shard%s)\n",
+                repo.string().c_str(), config.shards,
+                config.shards == 1 ? "" : "s");
+    return 0;
+  }
+  if (command == "serve") return serve(repo, options);
+  if (command == "client") return client(args, options);
+
+  // --shards=N on any other command asserts the recorded count.
+  RecoveryReport recovery;
+  auto repository =
+      Repository::open(repo, options.number("shards"), &recovery);
+  if (command == "recover") {
+    // `recover` reports instead of complaining: a failed open IS its output.
+    const auto text =
+        options.json ? recovery.to_json() + "\n" : recovery.to_text();
+    std::fwrite(text.data(), 1, text.size(), stdout);
+    return recovery.opened ? 0 : 1;
+  }
+  if (!repository) {
+    std::fprintf(stderr, "error: %s is not a repository (run init)\n",
+                 repo.string().c_str());
+    return 1;
+  }
+  if (recovery.performed) {
+    std::fprintf(stderr,
+                 "recovery: repaired to epoch %llu (version %u); run "
+                 "`hds_tool recover %s` for details\n",
+                 static_cast<unsigned long long>(recovery.committed_epoch),
+                 recovery.committed_version, repo.string().c_str());
+  }
+  ShardRouter& sys = repository->router();
+  // The tracer lives at tool scope so every phase of the command — chunking
+  // included — lands in one timeline.
+  obs::Tracer tracer;
+  if (!options.trace_out.empty()) repository->set_tracer(&tracer);
+  // Overlap container reads with chunk assembly on whole-version restores:
+  // a 2N-deep prefetch window with N overlapping container reads in flight.
+  if (const std::size_t threads = options.number("threads"); threads > 1) {
+    sys.set_read_ahead(2 * threads, threads);
+  }
+  if (options.has("block-cache-mb") || options.no_partial_reads) {
+    FileStoreTuning tuning;
+    if (options.has("block-cache-mb")) {
+      tuning.block_cache_bytes = options.number("block-cache-mb") << 20;
+    }
+    tuning.partial_reads = !options.no_partial_reads;
+    sys.set_io_tuning(tuning);
+  }
+
+  int rc = 1;
+  try {
+    rc = run_command(args, options, *repository);
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+  }
+  repository->set_tracer(nullptr);
+  append_profiles(repo, sys.profiler());  // no-op when the command ran none
+  if (!finish_observability(sys, options, tracer)) return 1;
   return rc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Options options;
+  std::vector<std::string> args;
+  if (!parse_args(argc, argv, options, args) || args.size() < 2) {
+    return usage();
+  }
+  try {
+    return run(args, options);
+  } catch (const std::runtime_error& e) {
+    // Repository refusals, shard-count mismatches and write failures.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

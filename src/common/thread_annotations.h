@@ -27,7 +27,7 @@
 // order check but still re-entrancy-checked):
 //
 //   rank  mutex                              may be held while acquiring
-//   4     service::TenantRegistry::mu_       tenant op (6) on first open
+//   4     ServeServer::tenants_mu_           tenant op (6) on first open
 //   5     service::ServeServer sessions mu   (leaf)
 //   6     service::Tenant::op_mu             everything below (a whole
 //                                            backup/restore runs under it)
@@ -113,7 +113,7 @@ namespace hds::lockrank {
 // One level per mutex class; a thread may only acquire strictly ascending
 // ranks. Gaps are deliberate room for future mutexes.
 inline constexpr int kUnranked = 0;  // order-exempt (still no re-entry)
-inline constexpr int kServiceRegistry = 4;   // service::TenantRegistry::mu_
+inline constexpr int kServiceRegistry = 4;   // ServeServer::tenants_mu_
 inline constexpr int kServiceSessions = 5;   // ServeServer active-fd set
 inline constexpr int kServiceTenant = 6;     // service::Tenant::op_mu
 inline constexpr int kRestorePrefetch = 10;  // ReadAheadFetcher::mu_

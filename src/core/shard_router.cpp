@@ -640,8 +640,31 @@ std::size_t ShardRouter::detect_shards(const std::filesystem::path& dir) {
 std::unique_ptr<ShardRouter> ShardRouter::open(
     const std::filesystem::path& dir, std::size_t expected_shards,
     RecoveryReport* report) {
+  return open_impl(dir, expected_shards, {}, report);
+}
+
+std::unique_ptr<ShardRouter> ShardRouter::open_shared(
+    const std::filesystem::path& dir,
+    std::vector<std::shared_ptr<ContainerStore>> stores,
+    RecoveryReport* report) {
+  if (stores.empty()) return nullptr;
+  const std::size_t shards = stores.size();
+  return open_impl(dir, shards, std::move(stores), report);
+}
+
+std::unique_ptr<ShardRouter> ShardRouter::open_impl(
+    const std::filesystem::path& dir, std::size_t expected_shards,
+    std::vector<std::shared_ptr<ContainerStore>> stores,
+    RecoveryReport* report) {
   RecoveryReport local;
   RecoveryReport& rep = report != nullptr ? *report : local;
+  // Shard i opens over stores[i] in service mode, over its own directory
+  // store otherwise.
+  const auto open_shard = [&stores](const std::filesystem::path& sdir,
+                                    std::size_t i, RecoveryReport* r) {
+    return stores.empty() ? HiDeStore::open(sdir, r)
+                          : HiDeStore::open_shared(sdir, stores[i], r);
+  };
 
   std::error_code ec;
   const bool legacy = std::filesystem::exists(dir / "state.hds", ec) ||
@@ -652,7 +675,7 @@ std::unique_ptr<ShardRouter> ShardRouter::open(
           "repository records 1 shard; requested --shards=" +
           std::to_string(expected_shards));
     }
-    auto sys = HiDeStore::open(dir, report);
+    auto sys = open_shard(dir, 0, report);
     if (sys == nullptr) return nullptr;
     auto router = std::unique_ptr<ShardRouter>(new ShardRouter());
     router->root_ = dir;
@@ -687,10 +710,10 @@ std::unique_ptr<ShardRouter> ShardRouter::open(
       }
     }
   }
+  std::vector<std::uint8_t> rebuild_bytes;
   if (!parsed.has_value()) {
     // Best effort: newest parseable router state; rebuild the journal.
     std::uint64_t best_epoch = 0;
-    std::vector<std::uint8_t> best_bytes;
     for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
       if (!is_router_state_name(entry.path().filename().string())) continue;
       const auto bytes = read_file_bytes(entry.path());
@@ -698,7 +721,7 @@ std::unique_ptr<ShardRouter> ShardRouter::open(
       const auto candidate = parse_router_state(*bytes);
       if (candidate.has_value() && candidate->epoch >= best_epoch) {
         best_epoch = candidate->epoch;
-        best_bytes = *bytes;
+        rebuild_bytes = *bytes;
         parsed = candidate;
       }
     }
@@ -706,25 +729,30 @@ std::unique_ptr<ShardRouter> ShardRouter::open(
       rep.notes.push_back("router: no recoverable router state");
       return nullptr;  // not a repository (or nothing committed survives)
     }
+  }
+
+  // Checked before any repair writes: a mismatched open leaves the
+  // directory byte-unchanged.
+  if (expected_shards != 0 && expected_shards != parsed->shard_count) {
+    throw ShardMismatchError(
+        "repository records " + std::to_string(parsed->shard_count) +
+        " shards; requested --shards=" + std::to_string(expected_shards));
+  }
+
+  if (!rebuild_bytes.empty()) {
     Manifest rebuilt;
     CommitRecord root;
     root.epoch = parsed->epoch;
     root.next_version = parsed->next_version;
     root.oldest_version = parsed->oldest_version;
     root.store_next = 0;
-    root.state_size = best_bytes.size();
-    root.state_crc = crc32(best_bytes.data(), best_bytes.size());
+    root.state_size = rebuild_bytes.size();
+    root.state_crc = crc32(rebuild_bytes.data(), rebuild_bytes.size());
     rebuilt.append(root);
     store_manifest(dir, rebuilt);
     rep.performed = true;
     rep.notes.push_back("router: rebuilt root MANIFEST at epoch " +
                         std::to_string(parsed->epoch));
-  }
-
-  if (expected_shards != 0 && expected_shards != parsed->shard_count) {
-    throw ShardMismatchError(
-        "repository records " + std::to_string(parsed->shard_count) +
-        " shards; requested --shards=" + std::to_string(expected_shards));
   }
 
   auto router = std::unique_ptr<ShardRouter>(new ShardRouter());
@@ -766,7 +794,7 @@ std::unique_ptr<ShardRouter> ShardRouter::open(
     }
 
     RecoveryReport shard_report;
-    auto sys = HiDeStore::open(sdir, &shard_report);
+    auto sys = open_shard(sdir, i, &shard_report);
     rep.performed = rep.performed || shard_report.performed;
     rep.rolled_back_versions += shard_report.rolled_back_versions;
     for (const auto& path : shard_report.quarantined) {
@@ -818,131 +846,6 @@ std::unique_ptr<ShardRouter> ShardRouter::open(
       std::filesystem::remove(entry.path(), remove_ec);
     }
   }
-  return router;
-}
-
-std::unique_ptr<ShardRouter> ShardRouter::open_shared(
-    const std::filesystem::path& dir,
-    std::vector<std::shared_ptr<ContainerStore>> stores,
-    RecoveryReport* report) {
-  if (stores.empty()) return nullptr;
-  RecoveryReport local;
-  RecoveryReport& rep = report != nullptr ? *report : local;
-
-  std::error_code ec;
-  const bool legacy = std::filesystem::exists(dir / "state.hds", ec) ||
-                      std::filesystem::exists(dir / "state.prev.hds", ec);
-  if (legacy) {
-    if (stores.size() != 1) {
-      throw ShardMismatchError(
-          "tenant records 1 shard; service configured for " +
-          std::to_string(stores.size()));
-    }
-    auto sys = HiDeStore::open_shared(dir, std::move(stores[0]), report);
-    if (sys == nullptr) return nullptr;
-    auto router = std::unique_ptr<ShardRouter>(new ShardRouter());
-    router->root_ = dir;
-    router->shards_.push_back(std::move(sys));
-    return router;
-  }
-
-  // The sharded tenant layout mirrors open(): committed router state, per-
-  // shard roll-forward, then per-shard open_shared. Implemented by reusing
-  // open()'s walk with the store vector swapped in is not possible without
-  // shared stores at HiDeStore::open time, so the walk is repeated here via
-  // a recovery-only open pass being unnecessary: open_shared() below runs
-  // the same PR-4 recovery per shard.
-  const std::size_t detected = detect_shards(dir);
-  if (detected == 0) {
-    rep.notes.push_back("router: no recoverable router state");
-    return nullptr;
-  }
-  if (detected != stores.size()) {
-    throw ShardMismatchError("tenant records " + std::to_string(detected) +
-                             " shards; service configured for " +
-                             std::to_string(stores.size()));
-  }
-
-  Manifest manifest;
-  std::optional<ParsedRouterState> parsed;
-  if (load_manifest(dir, manifest) == ManifestStatus::kOk) {
-    for (auto it = manifest.records.rbegin(); it != manifest.records.rend();
-         ++it) {
-      const auto bytes = read_file_bytes(dir / router_state_name(it->epoch));
-      if (!bytes || bytes->size() != it->state_size ||
-          crc32(bytes->data(), bytes->size()) != it->state_crc) {
-        continue;
-      }
-      parsed = parse_router_state(*bytes);
-      if (parsed.has_value()) break;
-    }
-  }
-  if (!parsed.has_value()) {
-    rep.notes.push_back("router: no committed router state");
-    return nullptr;
-  }
-
-  auto router = std::unique_ptr<ShardRouter>(new ShardRouter());
-  router->root_ = dir;
-  router->epoch_ = parsed->epoch;
-  for (std::size_t i = 0; i < parsed->shard_count; ++i) {
-    const auto sdir = shard_dir(dir, i);
-    const CommitRecord& pending = parsed->pending[i];
-    Manifest shard_manifest;
-    const bool committed =
-        load_manifest(sdir, shard_manifest) == ManifestStatus::kOk &&
-        shard_manifest.head() != nullptr &&
-        shard_manifest.head()->epoch >= pending.epoch;
-    if (!committed) {
-      const auto state_bytes = read_file_bytes(sdir / "state.hds");
-      if (state_bytes && state_bytes->size() == pending.state_size &&
-          crc32(state_bytes->data(), state_bytes->size()) ==
-              pending.state_crc) {
-        Manifest forward;
-        if (load_manifest(sdir, forward) != ManifestStatus::kOk ||
-            (forward.head() != nullptr &&
-             forward.head()->epoch >= pending.epoch)) {
-          forward.records.clear();
-        }
-        forward.append(pending);
-        store_manifest(sdir, forward);
-        std::filesystem::remove(sdir / "state.prev.hds", ec);
-        rep.performed = true;
-        rep.notes.push_back("shard_" + std::to_string(i) +
-                            ": rolled forward to epoch " +
-                            std::to_string(pending.epoch));
-      }
-    }
-    RecoveryReport shard_report;
-    auto sys = HiDeStore::open_shared(sdir, stores[i], &shard_report);
-    rep.performed = rep.performed || shard_report.performed;
-    rep.rolled_back_versions += shard_report.rolled_back_versions;
-    for (const auto& note : shard_report.notes) {
-      rep.notes.push_back("shard_" + std::to_string(i) + ": " + note);
-    }
-    if (sys == nullptr) {
-      rep.opened = false;
-      rep.notes.push_back("shard_" + std::to_string(i) + ": unrecoverable");
-      return nullptr;
-    }
-    router->shards_.push_back(std::move(sys));
-  }
-  for (std::size_t i = 0; i < router->shards_.size(); ++i) {
-    const HiDeStore& shard = *router->shards_[i];
-    if (shard.latest_version() + 1 != parsed->next_version ||
-        shard.oldest_version() != parsed->oldest_version) {
-      rep.opened = false;
-      rep.notes.push_back(
-          "shard_" + std::to_string(i) +
-          ": version window diverges from the router state");
-      return nullptr;
-    }
-  }
-  router->interleaves_ = std::move(parsed->interleaves);
-  router->start_workers();
-  rep.opened = true;
-  rep.committed_epoch = parsed->epoch;
-  rep.committed_version = parsed->next_version - 1;
   return router;
 }
 

@@ -97,7 +97,9 @@ class ShardRouter {
   static std::unique_ptr<ShardRouter> open(const std::filesystem::path& dir,
                                            std::size_t expected_shards = 0,
                                            RecoveryReport* report = nullptr);
-  // open() for service mode: stores.size() fixes the expected shard count.
+  // open() for service mode: stores.size() fixes the expected shard count,
+  // and shard i resolves archival containers against stores[i]. The same
+  // recovery walk as open() runs.
   static std::unique_ptr<ShardRouter> open_shared(
       const std::filesystem::path& dir,
       std::vector<std::shared_ptr<ContainerStore>> stores,
@@ -172,6 +174,12 @@ class ShardRouter {
   class Workers;  // per-shard worker threads (defined in the .cpp)
 
   ShardRouter() = default;
+  // The one recovery walk behind open() and open_shared(). `stores` empty
+  // opens every shard over its own directory store.
+  static std::unique_ptr<ShardRouter> open_impl(
+      const std::filesystem::path& dir, std::size_t expected_shards,
+      std::vector<std::shared_ptr<ContainerStore>> stores,
+      RecoveryReport* report);
   void start_workers();
   // Runs fn(i) for every shard on its worker (multi-shard) and rethrows
   // the first failure after all shards finished.

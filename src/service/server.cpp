@@ -5,20 +5,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <exception>
 
-#include "chunking/chunk_stream.h"
-#include "chunking/chunker.h"
+#include "core/recovery.h"
 #include "obs/log.h"
-#include "storage/durable.h"
 #include "verify/fsck.h"
 
 namespace hds::service {
-
-namespace {
-constexpr const char* kCatalogFile = "catalog.hds";
-}  // namespace
 
 ServeServer::ServeServer(ServeConfig config) : config_(std::move(config)) {
   if (config_.max_sessions == 0) config_.max_sessions = 1;
@@ -73,18 +68,11 @@ bool ServeServer::start(std::string* error) {
   if (config_.shards > 1) {
     metrics_.gauge("shards").set(static_cast<double>(config_.shards));
   }
-  tenants_ = std::make_unique<TenantRegistry>(config_.repo, stores_,
-                                              config_.tenant_config);
-  std::size_t broken = 0;
-  const std::size_t opened = tenants_->load_existing(&broken);
-  if (broken > 0) {
-    metrics_.counter("serve_tenants_unrecoverable").inc(broken);
-  }
+  std::filesystem::create_directories(config_.repo / "tenants", ec);
+  const std::size_t opened = load_tenants();
   for (const auto& store : stores_) {
-    tenants_->reconcile_store(
-        dynamic_cast<FileContainerStore*>(store.get()));
+    reconcile_store(dynamic_cast<FileContainerStore*>(store.get()));
   }
-  metrics_.gauge("serve_tenants").set(static_cast<double>(opened));
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) return fail("socket() failed");
@@ -241,10 +229,11 @@ Response ServeServer::handle(const Request& req,
                    req.tenant + "'";
     return resp;
   }
-  const auto tenant = tenants_->open_tenant(req.tenant);
+  std::string error;
+  const auto tenant = open_tenant(req.tenant, error);
   if (tenant == nullptr) {
     resp.status = Status::kError;
-    resp.message = "cannot open tenant namespace '" + req.tenant + "'";
+    resp.message = error;
     return resp;
   }
   if (seen.insert(req.tenant).second) {
@@ -267,7 +256,7 @@ Response ServeServer::do_backup(Tenant& tenant, const Request& req) {
   Response resp;
   MutexLock op(tenant.op_mu);
   if (config_.tenant_quota_bytes > 0) {
-    const std::uint64_t retained = tenant.retained_bytes();
+    const std::uint64_t retained = tenant.repo->retained_bytes();
     if (retained + req.data.size() > config_.tenant_quota_bytes) {
       tenant_counter(tenant.name, "quota_rejections").inc();
       resp.status = Status::kQuotaExceeded;
@@ -277,19 +266,7 @@ Response ServeServer::do_backup(Tenant& tenant, const Request& req) {
       return resp;
     }
   }
-  const auto chunker = make_chunker(ChunkerKind::kTttd);
-  const VersionStream stream = chunk_bytes(*chunker, req.data);
-  const BackupReport report = tenant.sys->backup(stream);
-  std::vector<CatalogEntry> files;
-  files.push_back({req.label.empty() ? std::string("data") : req.label, 0,
-                   req.data.size()});
-  tenant.catalog.add_version(report.version, std::move(files));
-  // Commit order: catalog first, then the state commit that makes the
-  // version durable — a crash in between leaves a catalog entry recovery
-  // trims, never a committed version without its catalog.
-  durable::atomic_write_file(tenant.dir / kCatalogFile,
-                             tenant.catalog.serialize());
-  tenant.sys->save(tenant.dir);
+  const BackupReport report = tenant.repo->backup(req.data, req.label);
   tenant_counter(tenant.name, "backups").inc();
   tenant_counter(tenant.name, "logical_bytes").inc(report.logical_bytes);
   tenant_counter(tenant.name, "chunks").inc(report.logical_chunks);
@@ -303,15 +280,14 @@ Response ServeServer::do_backup(Tenant& tenant, const Request& req) {
 Response ServeServer::do_restore(Tenant& tenant, const Request& req) {
   Response resp;
   MutexLock op(tenant.op_mu);
-  const VersionId latest = tenant.sys->latest_version();
-  const VersionId version = req.version == 0 ? latest : req.version;
-  if (latest < 1 || version < tenant.sys->oldest_version() ||
-      version > latest) {
+  const VersionId version =
+      req.version == 0 ? tenant.repo->router().latest_version() : req.version;
+  if (!tenant.repo->retains(version)) {
     resp.status = Status::kError;
     resp.message = "no such version: " + std::to_string(version);
     return resp;
   }
-  const RestoreReport report = tenant.sys->restore(
+  const RestoreReport report = tenant.repo->restore(
       version, [&resp](const ChunkLoc&, std::span<const std::uint8_t> bytes) {
         resp.data.insert(resp.data.end(), bytes.begin(), bytes.end());
       });
@@ -334,18 +310,19 @@ Response ServeServer::do_restore(Tenant& tenant, const Request& req) {
 Response ServeServer::do_list(Tenant& tenant) {
   Response resp;
   MutexLock op(tenant.op_mu);
+  const ShardRouter& sys = tenant.repo->router();
   std::string text;
-  for (const VersionId v : tenant.sys->versions()) {
+  for (const VersionId v : sys.versions()) {
     text += "version=" + std::to_string(v) + " logical_bytes=" +
-            std::to_string(tenant.sys->version_logical_bytes(v)) +
-            " chunks=" + std::to_string(tenant.sys->version_chunk_count(v));
-    if (const auto* files = tenant.catalog.files(v);
+            std::to_string(sys.version_logical_bytes(v)) +
+            " chunks=" + std::to_string(sys.version_chunk_count(v));
+    if (const auto* files = tenant.repo->files(v);
         files != nullptr && !files->empty()) {
       text += " label=" + files->front().path;
     }
     text += "\n";
   }
-  resp.message = std::to_string(tenant.sys->version_count()) + " version(s)";
+  resp.message = std::to_string(sys.version_count()) + " version(s)";
   resp.data.assign(text.begin(), text.end());
   return resp;
 }
@@ -353,8 +330,8 @@ Response ServeServer::do_list(Tenant& tenant) {
 Response ServeServer::do_stats(Tenant& tenant) {
   Response resp;
   MutexLock op(tenant.op_mu);
-  tenant.sys->refresh_gauges();
-  const std::string text = tenant.sys->metrics().to_prometheus();
+  tenant.repo->router().refresh_gauges();
+  const std::string text = tenant.repo->router().metrics().to_prometheus();
   resp.message = "tenant=" + tenant.name;
   resp.data.assign(text.begin(), text.end());
   return resp;
@@ -363,7 +340,7 @@ Response ServeServer::do_stats(Tenant& tenant) {
 Response ServeServer::do_fsck(Tenant& tenant) {
   Response resp;
   MutexLock op(tenant.op_mu);
-  const verify::FsckReport report = verify::run_fsck(*tenant.sys);
+  const verify::FsckReport report = verify::run_fsck(tenant.repo->router());
   const std::string text = report.to_text();
   resp.data.assign(text.begin(), text.end());
   if (report.clean()) {
@@ -382,18 +359,133 @@ obs::Counter& ServeServer::tenant_counter(std::string_view tenant,
 }
 
 void ServeServer::refresh_metrics() {
-  if (tenants_ == nullptr) return;
-  const auto all = tenants_->snapshot();
+  std::vector<std::shared_ptr<Tenant>> all;
+  {
+    MutexLock lock(tenants_mu_);
+    for (const auto& [name, tenant] : tenants_) {
+      (void)name;
+      all.push_back(tenant);
+    }
+  }
   metrics_.gauge("serve_tenants").set(static_cast<double>(all.size()));
   for (const auto& tenant : all) {
     MutexLock op(tenant->op_mu);
     metrics_
         .gauge("tenant_" + tenant->name + "_versions")
-        .set(static_cast<double>(tenant->sys->version_count()));
+        .set(static_cast<double>(tenant->repo->router().version_count()));
     metrics_
         .gauge("tenant_" + tenant->name + "_retained_bytes")
-        .set(static_cast<double>(tenant->retained_bytes()));
+        .set(static_cast<double>(tenant->repo->retained_bytes()));
   }
+}
+
+std::size_t ServeServer::load_tenants() {
+  std::error_code ec;
+  std::vector<std::filesystem::path> dirs;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(config_.repo / "tenants", ec)) {
+    if (entry.is_directory()) dirs.push_back(entry.path());
+  }
+  std::sort(dirs.begin(), dirs.end());
+  MutexLock lock(tenants_mu_);
+  for (const auto& dir : dirs) {
+    const std::string name = dir.filename().string();
+    // An empty directory holds nothing to lose: the name is created on
+    // first use like a new one.
+    if (!valid_tenant_name(name) || std::filesystem::is_empty(dir, ec)) {
+      continue;
+    }
+    auto tenant = std::make_shared<Tenant>();
+    tenant->name = name;
+    std::string reason;
+    {
+      MutexLock op(tenant->op_mu);
+      RecoveryReport report;
+      try {
+        tenant->repo =
+            Repository::open(dir, stores_.size(), &report, stores_);
+      } catch (const ShardMismatchError& e) {
+        reason = e.what();
+      }
+      if (tenant->repo == nullptr && reason.empty()) {
+        reason = "state is unrecoverable";
+        for (const auto& note : report.notes) reason += "; " + note;
+      }
+    }
+    if (reason.empty()) {
+      tenants_.emplace(name, std::move(tenant));
+      continue;
+    }
+    obs::log_warn("tenant_open_failed", {{"tenant", name}, {"reason", reason}});
+    refused_.emplace(name, "tenant '" + name +
+                               "' failed to load and is not served: " +
+                               reason);
+  }
+  if (!refused_.empty()) {
+    metrics_.counter("serve_tenants_unrecoverable").inc(refused_.size());
+  }
+  metrics_.gauge("serve_tenants").set(static_cast<double>(tenants_.size()));
+  return tenants_.size();
+}
+
+void ServeServer::reconcile_store(FileContainerStore* fstore) {
+  if (fstore == nullptr) return;
+  std::unordered_set<ContainerId> tagged;
+  {
+    MutexLock lock(tenants_mu_);
+    if (!refused_.empty()) return;
+    for (const auto& [name, tenant] : tenants_) {
+      (void)name;
+      MutexLock op(tenant->op_mu);
+      for (const auto& [cid, version] :
+           tenant->repo->router().container_tags()) {
+        (void)version;
+        tagged.insert(cid);
+      }
+    }
+  }
+  auto on_disk = fstore->ids();
+  std::sort(on_disk.begin(), on_disk.end());
+  RecoveryReport report;
+  for (const ContainerId id : on_disk) {
+    if (tagged.contains(id)) continue;
+    // Sealed by a backup whose state commit never landed: an orphan no
+    // tenant can reach. Keep it recoverable, off the books.
+    quarantine_file(config_.repo, fstore->container_path(id), report);
+    fstore->forget(id);
+    obs::log_warn("orphan_container_quarantined",
+                  {{"container", static_cast<std::uint64_t>(id)}});
+  }
+}
+
+std::shared_ptr<Tenant> ServeServer::open_tenant(const std::string& name,
+                                                 std::string& error) {
+  MutexLock lock(tenants_mu_);
+  if (const auto it = tenants_.find(name); it != tenants_.end()) {
+    return it->second;
+  }
+  if (const auto it = refused_.find(name); it != refused_.end()) {
+    error = it->second;
+    return nullptr;
+  }
+  auto tenant = std::make_shared<Tenant>();
+  tenant->name = name;
+  {
+    MutexLock op(tenant->op_mu);
+    ShardRouterConfig config;
+    config.shards = stores_.size();
+    config.base = config_.tenant_config;
+    config.base.storage_dir = config_.repo / "tenants" / name;
+    try {
+      // Commit the empty namespace at once, so a restart (or a crash
+      // before the first backup commits) still knows the tenant.
+      tenant->repo = Repository::create(config, stores_);
+    } catch (const std::exception& e) {
+      error = "cannot create tenant '" + name + "': " + e.what();
+      return nullptr;
+    }
+  }
+  return tenants_.emplace(name, std::move(tenant)).first->second;
 }
 
 }  // namespace hds::service

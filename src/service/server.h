@@ -1,37 +1,23 @@
 // ServeServer — the multi-tenant front end behind `hds_tool serve`
-// (DESIGN.md §15).
+// (DESIGN.md §15). One long-running process owns a serve repository:
 //
-// One long-running process owns a serve repository:
-//
-//   <repo>/archival/        shared FileContainerStore (all tenants)
-//   <repo>/tenants/<name>/  per-tenant state.hds + MANIFEST + catalog.hds
+//   <repo>/archival/        shared FileContainerStore(s) (all tenants)
+//   <repo>/tenants/<name>/  one Repository per tenant
 //   <repo>/quarantine/      startup orphan sweep output
 //
-// Clients connect to a loopback TCP port and exchange length-prefixed
-// request/response frames (wire.h). Each connection is a session: it may
-// issue any number of requests (backup/restore/list/stats/fsck/ping)
-// against any tenants, one at a time, and is served by one worker thread
-// end to end.
-//
-// Admission control and backpressure: `max_sessions` workers serve
-// sessions; accepted connections queue in a BoundedQueue of depth
-// `pending_sessions` (its depth is exported as the serve_pending_sessions
-// gauge). When the queue is full the connection is answered immediately
-// with Status::kBusy and closed — the listener never wedges behind slow
-// sessions, and clients get an explicit retry signal instead of an unbound
-// wait. Per-tenant quotas (`tenant_quota_bytes` of retained logical data)
-// reject oversized backups with Status::kQuotaExceeded before any chunk is
-// ingested.
-//
-// Concurrency model: one operation per tenant at a time (Tenant::op_mu);
-// operations on different tenants run concurrently, meeting only in the
-// shared container store's thread-safe surface. Lock ranks: registry (4) →
-// session set (5) → tenant (6) → everything HiDeStore takes internally.
+// Each loopback connection is a session of length-prefixed request/
+// response frames (wire.h) served by one worker end to end. `max_sessions`
+// workers pull connections from a BoundedQueue of depth
+// `pending_sessions`; when it is full the connection gets Status::kBusy
+// and is closed. Per-tenant quotas reject oversized backups with
+// Status::kQuotaExceeded before any chunk is ingested. Lock ranks:
+// registry (4) → session set (5) → tenant (6) → everything below.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -42,10 +28,20 @@
 #include "core/hidestore.h"
 #include "obs/metrics.h"
 #include "parallel/mpmc_queue.h"
-#include "service/tenant.h"
+#include "service/repository.h"
 #include "service/wire.h"
 
 namespace hds::service {
+
+// A tenant namespace: one Repository under <repo>/tenants/<name>/ over the
+// shared stores, with private dedup state, recipes, deletion tags and
+// catalog (DESIGN.md §15.2). One operation at a time per tenant; different
+// tenants overlap, meeting only in the stores' thread-safe surface.
+struct Tenant {
+  std::string name;
+  Mutex op_mu{lockrank::kServiceTenant};
+  std::unique_ptr<Repository> repo HDS_GUARDED_BY(op_mu);
+};
 
 struct ServeConfig {
   std::filesystem::path repo;
@@ -102,8 +98,6 @@ class ServeServer {
   // exporting the registry.
   void refresh_metrics();
 
-  [[nodiscard]] TenantRegistry* tenants() noexcept { return tenants_.get(); }
-
  private:
   void accept_loop();
   void worker_loop();
@@ -119,10 +113,28 @@ class ServeServer {
 
   obs::Counter& tenant_counter(std::string_view tenant, const char* what);
 
+  // Opens every tenant directory under <repo>/tenants and returns how many
+  // opened. One that fails to load (another shard count, unrecoverable
+  // state) is refused, never re-created: requests for it error and
+  // nothing under it is written.
+  std::size_t load_tenants();
+  // Startup orphan sweep: quarantines shared-store containers no tenant
+  // tags. Skipped while any tenant is refused: its tags are unknown.
+  void reconcile_store(FileContainerStore* fstore);
+  // The named tenant, created (and committed empty) on first use; nullptr
+  // with the reason in `error` when refused or creation failed.
+  std::shared_ptr<Tenant> open_tenant(const std::string& name,
+                                      std::string& error);
+
   ServeConfig config_;
   obs::MetricsRegistry metrics_;
   std::vector<std::shared_ptr<ContainerStore>> stores_;  // one per shard
-  std::unique_ptr<TenantRegistry> tenants_;
+  mutable Mutex tenants_mu_{lockrank::kServiceRegistry};
+  std::map<std::string, std::shared_ptr<Tenant>, std::less<>> tenants_
+      HDS_GUARDED_BY(tenants_mu_);
+  // Tenants that failed to load, with the reason.
+  std::map<std::string, std::string, std::less<>> refused_
+      HDS_GUARDED_BY(tenants_mu_);
   std::unique_ptr<parallel::BoundedQueue<int>> queue_;
   std::atomic<bool> running_{false};
   int listen_fd_ = -1;

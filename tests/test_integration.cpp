@@ -8,6 +8,7 @@
 
 #include <filesystem>
 #include <numeric>
+#include <ostream>
 
 #include "backup/pipeline.h"
 #include "index/full_index.h"
@@ -125,6 +126,12 @@ struct SweepCase {
   const char* profile;
   const char* system;
 };
+
+// Names the case in test listings: without it gtest prints the struct's
+// bytes, pointers included, and the ctest names change from run to run.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << c.profile << "/" << c.system;
+}
 
 class SweepTest : public ::testing::TestWithParam<SweepCase> {
  protected:

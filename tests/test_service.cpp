@@ -1,13 +1,16 @@
 // Tests for the multi-tenant serve front end (src/service): wire framing,
 // concurrent per-tenant round trips over one shared container store,
 // dedup-state isolation, quota rejection, admission backpressure (kBusy),
-// restart persistence, and the tenant_* metrics surface.
+// restart persistence, refusal of tenants that fail to load, sharded-tenant
+// recovery, and the tenant_* metrics surface.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -85,6 +88,39 @@ bool wait_counter_at_least(obs::MetricsRegistry& metrics, const char* name,
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return false;
+}
+
+Request tenant_request(Op op, const std::string& tenant) {
+  Request req;
+  req.op = op;
+  req.tenant = tenant;
+  return req;
+}
+
+// Every regular file under `dir`, relative path -> bytes.
+std::map<std::string, std::string> tree_bytes(
+    const std::filesystem::path& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    out[std::filesystem::relative(entry.path(), dir).string()] = std::string(
+        std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  return out;
+}
+
+// A stopped-and-restarted server over `repo` at `shards` shards.
+std::unique_ptr<ServeServer> start_server(const std::filesystem::path& repo,
+                                          std::size_t shards) {
+  ServeConfig config;
+  config.repo = repo;
+  config.shards = shards;
+  auto server = std::make_unique<ServeServer>(config);
+  std::string error;
+  EXPECT_TRUE(server->start(&error)) << error;
+  return server;
 }
 
 // --- Wire protocol ---
@@ -299,6 +335,88 @@ TEST(ServeServer, StateSurvivesRestart) {
     EXPECT_EQ(must_call(client, fsck).status, Status::kOk);
     server.stop();
   }
+}
+
+TEST(ServeServer, RefusesTenantUnderDifferentShardCount) {
+  TempDir dir("svc_shard_refuse");
+  const auto payload = random_bytes(21, 96 * 1024);
+  {
+    auto server = start_server(dir.path, 2);
+    ServeClient client;
+    ASSERT_TRUE(client.connect(server->port()));
+    ASSERT_EQ(must_call(client, backup_request("alpha", payload)).status,
+              Status::kOk);
+    server->stop();
+  }
+  const auto tenant_dir = dir.path / "tenants" / "alpha";
+  const auto before = tree_bytes(tenant_dir);
+  ASSERT_FALSE(before.empty());
+  {
+    // Four shards: the tenant was written at two. Every request for it
+    // errors with the reason, and nothing is written under its directory.
+    auto server = start_server(dir.path, 4);
+    ServeClient client;
+    ASSERT_TRUE(client.connect(server->port()));
+    const auto backup = must_call(client, backup_request("alpha", payload));
+    EXPECT_EQ(backup.status, Status::kError);
+    EXPECT_NE(backup.message.find("records 2 shards"), std::string::npos)
+        << backup.message;
+    EXPECT_EQ(must_call(client, tenant_request(Op::kList, "alpha")).status,
+              Status::kError);
+    EXPECT_EQ(must_call(client, restore_request("alpha", 1)).status,
+              Status::kError);
+    // Other tenants are still served.
+    EXPECT_EQ(must_call(client, backup_request("bravo", payload)).status,
+              Status::kOk);
+    server->stop();
+  }
+  EXPECT_EQ(tree_bytes(tenant_dir), before);
+  {
+    auto server = start_server(dir.path, 2);
+    ServeClient client;
+    ASSERT_TRUE(client.connect(server->port()));
+    const auto back = must_call(client, restore_request("alpha", 1));
+    ASSERT_EQ(back.status, Status::kOk) << back.message;
+    EXPECT_EQ(back.data, payload);
+    server->stop();
+  }
+}
+
+TEST(ServeServer, ShardedTenantRecoversDamagedManifest) {
+  TempDir dir("svc_shard_manifest");
+  const auto versions = make_versions(500);
+  {
+    auto server = start_server(dir.path, 2);
+    ServeClient client;
+    ASSERT_TRUE(client.connect(server->port()));
+    for (const auto& version : versions) {
+      ASSERT_EQ(must_call(client, backup_request("alpha", version)).status,
+                Status::kOk);
+    }
+    server->stop();
+  }
+  {
+    // Garbage over the tenant's root MANIFEST: recovery rebuilds it from
+    // the committed router state.
+    std::ofstream manifest(dir.path / "tenants" / "alpha" / "MANIFEST",
+                           std::ios::binary | std::ios::trunc);
+    manifest << "not a manifest";
+  }
+  auto server = start_server(dir.path, 2);
+  ServeClient client;
+  ASSERT_TRUE(client.connect(server->port()));
+  const auto list = must_call(client, tenant_request(Op::kList, "alpha"));
+  ASSERT_EQ(list.status, Status::kOk) << list.message;
+  EXPECT_EQ(list.message, std::to_string(versions.size()) + " version(s)");
+  for (std::size_t v = 0; v < versions.size(); ++v) {
+    const auto resp = must_call(
+        client, restore_request("alpha", static_cast<std::uint32_t>(v + 1)));
+    ASSERT_EQ(resp.status, Status::kOk) << resp.message;
+    EXPECT_EQ(resp.data, versions[v]);
+  }
+  EXPECT_EQ(must_call(client, tenant_request(Op::kFsck, "alpha")).status,
+            Status::kOk);
+  server->stop();
 }
 
 TEST(ServeServer, QuotaRejectsWithoutIngesting) {
