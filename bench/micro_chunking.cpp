@@ -1,5 +1,6 @@
 // Micro-benchmarks: chunking and hashing throughput (google-benchmark).
-// These are the per-byte costs of the backup pipeline's front end.
+// These are the per-byte costs of the backup pipeline's front end. SHA-1
+// runs on whichever block function Sha1 dispatches to (common/sha1_blocks.h).
 #include <benchmark/benchmark.h>
 
 #include "chunking/chunker.h"
@@ -32,13 +33,22 @@ void BM_Chunker(benchmark::State& state) {
   const auto chunker = make_chunker(Kind);
   const auto data = random_buffer(4 * 1024 * 1024);
   std::vector<std::size_t> lengths;
+  std::int64_t chunks = 0;
   for (auto _ : state) {
     lengths.clear();
     chunker->chunk(data, lengths);
     benchmark::DoNotOptimize(lengths.data());
+    chunks += static_cast<std::int64_t>(lengths.size());
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(data.size()));
+  if constexpr (Kind == ChunkerKind::kFixed) {
+    // Fixed-size chunking never reads the bytes, so a byte rate would only
+    // measure the loop that emits lengths. Report cuts per second instead.
+    state.counters["chunks_per_second"] = benchmark::Counter(
+        static_cast<double>(chunks), benchmark::Counter::kIsRate);
+  } else {
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(data.size()));
+  }
 }
 BENCHMARK(BM_Chunker<ChunkerKind::kFixed>)->Name("BM_Chunker/fixed");
 BENCHMARK(BM_Chunker<ChunkerKind::kRabin>)->Name("BM_Chunker/rabin");
@@ -48,4 +58,15 @@ BENCHMARK(BM_Chunker<ChunkerKind::kAe>)->Name("BM_Chunker/ae");
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// Custom main so the result JSON carries this binary's own build type
+// (context key "build_type"), which tools/bench_gate.py reads.
+int main(int argc, char** argv) {
+#ifdef HDS_BENCH_BUILD_TYPE
+  benchmark::AddCustomContext("build_type", HDS_BENCH_BUILD_TYPE);
+#endif
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -4,70 +4,10 @@
 
 namespace hds {
 
-namespace {
-// Reduces (value << 8) modulo the polynomial, bit by bit. Used only at table
-// construction time; the hot path is table-driven.
-std::uint64_t slow_append_byte(std::uint64_t fp, std::uint8_t b,
-                               std::uint64_t poly, int degree) noexcept {
-  for (int i = 7; i >= 0; --i) {
-    fp <<= 1;
-    fp |= (b >> i) & 1;
-    if (fp & (1ULL << degree)) fp ^= poly | (1ULL << degree);
-  }
-  return fp;
-}
-}  // namespace
-
-RabinHash::RabinHash() {
-  // append_table_[t] = (t << degree) mod P, reducing the byte that overflows
-  // past the polynomial degree after an 8-bit shift.
-  for (unsigned t = 0; t < 256; ++t) {
-    std::uint64_t v = t;
-    // v currently represents t * x^degree; reduce by appending degree zero
-    // bits with reduction enabled.
-    std::uint64_t fp = t;
-    for (int i = 0; i < kDegree; ++i) {
-      fp <<= 1;
-      if (fp & (1ULL << kDegree)) fp ^= kPolynomial | (1ULL << kDegree);
-    }
-    append_table_[t] = fp;
-    (void)v;
-  }
-  // remove_table_[b] = b * x^(8*kWindowSize) mod P: the contribution of a
-  // byte after the whole window has slid past it.
-  for (unsigned b = 0; b < 256; ++b) {
-    std::uint64_t fp = 0;
-    fp = slow_append_byte(fp, static_cast<std::uint8_t>(b), kPolynomial,
-                          kDegree);
-    for (std::size_t i = 0; i < kWindowSize; ++i) {
-      fp = slow_append_byte(fp, 0, kPolynomial, kDegree);
-    }
-    remove_table_[b] = fp;
-  }
-  reset();
-}
-
 void RabinHash::reset() noexcept {
   window_.fill(0);
   pos_ = 0;
   fp_ = 0;
-}
-
-std::uint64_t RabinHash::append(std::uint64_t fp,
-                                std::uint8_t b) const noexcept {
-  const auto top = static_cast<std::uint8_t>(fp >> (kDegree - 8));
-  return ((fp << 8) | b) ^ append_table_[top] ^
-         ((static_cast<std::uint64_t>(top) << kDegree));
-}
-
-std::uint64_t RabinHash::roll(std::uint8_t in) noexcept {
-  const std::uint8_t out = window_[pos_];
-  window_[pos_] = in;
-  pos_ = (pos_ + 1) % kWindowSize;
-  fp_ = append(fp_ ^ 0, in) ^ remove_table_[out];
-  // Keep the fingerprint inside the field.
-  fp_ &= (1ULL << kDegree) - 1;
-  return fp_;
 }
 
 RabinChunker::RabinChunker(const ChunkerParams& params) : params_(params) {
@@ -83,21 +23,21 @@ RabinChunker::RabinChunker(const ChunkerParams& params) : params_(params) {
 
 void RabinChunker::chunk(std::span<const std::uint8_t> data,
                          std::vector<std::size_t>& lengths) const {
-  RabinHash hash;
-  std::size_t chunk_start = 0;
-  std::size_t i = 0;
-  while (i < data.size()) {
-    hash.roll(data[i]);
-    ++i;
-    const std::size_t len = i - chunk_start;
-    if (len < params_.min_size) continue;
-    if ((hash.value() & mask_) == mask_ || len >= params_.max_size) {
-      lengths.push_back(len);
-      chunk_start = i;
-      hash.reset();
-    }
+  // Every length from min_size on is a candidate; max_size forces a cut.
+  const std::size_t first = std::max<std::size_t>(params_.min_size, 1);
+  const std::size_t forced = std::max(first, params_.max_size);
+  std::size_t start = 0;
+  while (start < data.size()) {
+    const std::size_t last = std::min(data.size() - start, forced);
+    const std::size_t cut =
+        rabin_scan(data.data() + start, first, last,
+                   [this](std::size_t, std::uint64_t fp) {
+                     return (fp & mask_) == mask_;
+                   });
+    const std::size_t len = cut != 0 ? cut : last;
+    lengths.push_back(len);
+    start += len;
   }
-  if (chunk_start < data.size()) lengths.push_back(data.size() - chunk_start);
 }
 
 }  // namespace hds

@@ -7,10 +7,33 @@
 // around the average without destroying content-definedness at forced cuts.
 #pragma once
 
+#include <bit>
+#include <cstdint>
+
 #include "chunking/chunker.h"
 #include "chunking/rabin.h"
 
 namespace hds {
+
+// Exact divisibility test without a division (Granlund & Montgomery,
+// PLDI '94, §9). For d = odd · 2^k, multiplying by the inverse of `odd`
+// modulo 2^64 maps the multiples of `odd` onto [0, ⌊(2^64-1)/odd⌋], and
+// those that are also multiples of 2^k onto its multiples of 2^k. A rotate
+// right by k divides those by 2^k and lifts every other value above
+// ⌊(2^64-1)/d⌋, so d | x exactly when rotr(x · inv, k) <= ⌊(2^64-1)/d⌋.
+class DivisorTest {
+ public:
+  explicit DivisorTest(std::uint64_t d);
+
+  [[nodiscard]] bool divides(std::uint64_t x) const noexcept {
+    return std::rotr(x * inverse_, shift_) <= limit_;
+  }
+
+ private:
+  int shift_;
+  std::uint64_t limit_;
+  std::uint64_t inverse_ = 0;
+};
 
 class TttdChunker final : public Chunker {
  public:
@@ -28,8 +51,8 @@ class TttdChunker final : public Chunker {
  private:
   std::size_t min_size_;
   std::size_t max_size_;
-  std::uint64_t main_divisor_;
-  std::uint64_t backup_divisor_;
+  DivisorTest main_;
+  DivisorTest backup_;
 };
 
 }  // namespace hds

@@ -4,7 +4,9 @@
 // with SHA-1. Cryptographic strength is irrelevant here — what matters is a
 // uniformly distributed 160-bit identifier whose collision probability is far
 // below hardware error rates — so a clean, dependency-free implementation is
-// the right tool.
+// the right tool. The compression function runs on the CPU's SHA extensions
+// (SHA-NI) when it has them and on portable scalar code otherwise; both give
+// the same digest (common/sha1_blocks.h).
 #pragma once
 
 #include <cstddef>
@@ -15,9 +17,18 @@
 
 namespace hds {
 
+class Sha1;
+
+namespace sha1_detail {
+// Compresses `count` consecutive 64-byte blocks into the five-word state.
+using BlockFn = void (*)(std::uint32_t* state, const std::uint8_t* blocks,
+                         std::size_t count) noexcept;
+[[nodiscard]] Sha1 with_blocks(BlockFn blocks) noexcept;
+}  // namespace sha1_detail
+
 class Sha1 {
  public:
-  Sha1() noexcept { reset(); }
+  Sha1() noexcept;
 
   void reset() noexcept;
   void update(std::span<const std::uint8_t> data) noexcept;
@@ -42,8 +53,10 @@ class Sha1 {
   }
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
+  friend Sha1 sha1_detail::with_blocks(sha1_detail::BlockFn) noexcept;
+  explicit Sha1(sha1_detail::BlockFn blocks) noexcept;
 
+  sha1_detail::BlockFn blocks_;
   std::uint32_t h_[5]{};
   std::uint64_t total_len_ = 0;
   std::uint8_t buffer_[64]{};

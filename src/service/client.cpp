@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -19,6 +20,10 @@ bool ServeClient::connect(std::uint16_t port, int timeout_s) {
     ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
     ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
   }
+  // Requests are one write each (write_frame); send them without waiting
+  // on Nagle's algorithm.
+  const int one = 1;
+  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);

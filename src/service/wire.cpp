@@ -1,6 +1,7 @@
 #include "service/wire.h"
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 
 #include <cerrno>
 
@@ -24,15 +25,27 @@ bool recv_all(int fd, std::uint8_t* out, std::size_t size) {
   return true;
 }
 
-bool send_all(int fd, const std::uint8_t* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
+// Sends the buffers in `iov` in order, resuming after short writes.
+bool send_all(int fd, iovec* iov, std::size_t count) {
+  while (count > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return false;  // peer gone or SO_SNDTIMEO expired (stalled reader)
     }
-    sent += static_cast<std::size_t>(n);
+    auto sent = static_cast<std::size_t>(n);
+    while (count > 0 && sent >= iov->iov_len) {
+      sent -= iov->iov_len;
+      ++iov;
+      --count;
+    }
+    if (count > 0) {
+      iov->iov_base = static_cast<std::uint8_t*>(iov->iov_base) + sent;
+      iov->iov_len -= sent;
+    }
   }
   return true;
 }
@@ -123,8 +136,11 @@ bool write_frame(int fd, std::span<const std::uint8_t> payload) {
   for (int i = 0; i < 4; ++i) {
     header[i] = static_cast<std::uint8_t>(len >> (8 * i));
   }
-  return send_all(fd, header, sizeof header) &&
-         send_all(fd, payload.data(), payload.size());
+  // Header and payload leave in one call: a lone 4-byte header write would
+  // let Nagle's algorithm hold the payload until the peer's delayed ACK.
+  iovec iov[2] = {{header, sizeof header},
+                  {const_cast<std::uint8_t*>(payload.data()), payload.size()}};
+  return send_all(fd, iov, 2);
 }
 
 std::optional<std::vector<std::uint8_t>> read_frame(int fd,

@@ -2,6 +2,7 @@
 // content generation, measurement helpers.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 #include <string>
 
@@ -11,6 +12,7 @@
 #include "common/parse.h"
 #include "common/rng.h"
 #include "common/sha1.h"
+#include "common/sha1_blocks.h"
 #include "common/stats.h"
 
 namespace hds {
@@ -76,6 +78,90 @@ TEST(Sha1, ExactBlockBoundary) {
   h.update(msg.data(), 32);
   h.update(msg.data() + 32, 32);
   EXPECT_EQ(h.finish(), a);
+}
+
+// The vectors above hash through Sha1's default block function. Name it, so
+// a log shows which path they covered.
+TEST(Sha1, VectorsRanOnDispatchedPath) {
+  const std::string path =
+      sha1_detail::dispatched_blocks() == sha1_detail::blocks_shani
+          ? "shani"
+          : "scalar";
+  RecordProperty("sha1_path", path);
+  std::printf("SHA-1 block function: %s\n", path.c_str());
+  EXPECT_EQ(path, sha1_detail::shani_supported() ? "shani" : "scalar");
+  EXPECT_EQ(Sha1::digest("abc", 3).hex(),
+            "a9993e364706816aba3e25717850c26c9cd0d89d");
+}
+
+// --- SHA-1 block functions: SHA-NI against scalar ---
+
+std::vector<std::uint8_t> sha_input(std::size_t n, std::uint64_t seed) {
+  std::vector<std::uint8_t> data(n);
+  Xoshiro256ss rng(seed);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+  return data;
+}
+
+class Sha1Paths : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!sha1_detail::shani_supported()) {
+      GTEST_SKIP() << "CPU has no SHA-NI: every digest uses the scalar path, "
+                      "so there is nothing to cross-check";
+    }
+  }
+
+  static Fingerprint digest(sha1_detail::BlockFn blocks,
+                            std::span<const std::uint8_t> data) {
+    auto h = sha1_detail::with_blocks(blocks);
+    h.update(data);
+    return h.finish();
+  }
+};
+
+TEST_F(Sha1Paths, EveryLengthAtFourMisalignments) {
+  const auto data = sha_input(4096 + 3, 40);
+  for (std::size_t offset = 0; offset < 4; ++offset) {
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const auto in = std::span(data).subspan(offset, len);
+      ASSERT_EQ(digest(sha1_detail::blocks_shani, in),
+                digest(sha1_detail::blocks_scalar, in))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST_F(Sha1Paths, RandomIncrementalSplits) {
+  const auto data = sha_input(64 * 1024, 41);
+  Xoshiro256ss rng(42);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t len = rng.next_below(data.size() + 1);
+    const auto in = std::span(data).first(len);
+    auto h = sha1_detail::with_blocks(sha1_detail::blocks_shani);
+    std::size_t pos = 0;
+    while (pos < len) {
+      // Mostly sub-block pieces, some spanning many blocks, some empty.
+      const std::size_t cap = rng.chance(0.2) ? 5000 : 130;
+      const std::size_t n = std::min<std::size_t>(rng.next_below(cap), len - pos);
+      h.update(in.subspan(pos, n));
+      pos += n;
+    }
+    ASSERT_EQ(h.finish(), digest(sha1_detail::blocks_scalar, in))
+        << "trial " << trial << " length " << len;
+  }
+}
+
+TEST_F(Sha1Paths, OneMebibyte) {
+  const auto data = sha_input(1 << 20, 43);
+  EXPECT_EQ(digest(sha1_detail::blocks_shani, data),
+            digest(sha1_detail::blocks_scalar, data));
+  // The block functions alone, from a non-initial state.
+  std::uint32_t a[5] = {1, 2, 3, 4, 5};
+  std::uint32_t b[5] = {1, 2, 3, 4, 5};
+  sha1_detail::blocks_shani(a, data.data(), data.size() / 64);
+  sha1_detail::blocks_scalar(b, data.data(), data.size() / 64);
+  EXPECT_TRUE(std::equal(a, a + 5, b));
 }
 
 // --- CRC-32 ---
