@@ -244,8 +244,8 @@ std::vector<std::string> read_profile_lines(const fs::path& repo) {
   return lines;
 }
 
-void append_profiles(const fs::path& repo, const obs::OpProfiler& profiler) {
-  const auto ops = profiler.recent();
+void append_profiles(const fs::path& repo,
+                     const std::vector<obs::OpProfile>& ops) {
   if (ops.empty()) return;
   auto lines = read_profile_lines(repo);
   for (const auto& op : ops) lines.push_back(op.to_json());
@@ -280,7 +280,7 @@ std::string profiles_json(const fs::path& repo) {
 
 // Writes the metrics snapshot / trace / profile files if requested.
 // Returns false (and complains) on I/O failure so commands fail loudly.
-bool finish_observability(ShardRouter& sys, const Options& options,
+bool finish_observability(Repository& repository, const Options& options,
                           const obs::Tracer& tracer) {
   bool ok = true;
   const auto write = [&ok](const std::string& path, const char* what,
@@ -294,17 +294,17 @@ bool finish_observability(ShardRouter& sys, const Options& options,
       ok = false;
     }
   };
-  write(options.metrics_out, "metrics", [&sys] {
-    sys.refresh_gauges();
-    return sys.metrics().to_json();
+  write(options.metrics_out, "metrics", [&repository] {
+    return obs::to_json(repository.router().metric_parts());
   });
   if (!options.trace_out.empty() && !tracer.dump(options.trace_out)) {
     std::fprintf(stderr, "error: cannot write trace to %s\n",
                  options.trace_out.c_str());
     ok = false;
   }
-  write(options.profile_out, "profiles",
-        [&sys] { return sys.profiler().to_json(); });
+  write(options.profile_out, "profiles", [&repository] {
+    return obs::profiles_to_json(repository.recent_profiles());
+  });
   return ok;
 }
 
@@ -370,8 +370,7 @@ int serve(const fs::path& repo, const Options& options) {
       static_cast<std::uint16_t>(options.number("metrics-port")));
   if (metrics) {
     route_metrics(http, [&server] {
-      server.refresh_metrics();
-      return server.metrics().to_prometheus();
+      return obs::to_prometheus(server.metric_parts());
     });
     if (!http.start()) {
       std::fprintf(stderr, "error: cannot listen on 127.0.0.1:%zu: %s\n",
@@ -461,10 +460,8 @@ int serve_metrics(const fs::path& repo, ShardRouter& sys,
   const sigset_t sigs = block_stop_signals();
   const auto port = static_cast<std::uint16_t>(options.number("port"));
   obs::HttpServer server(port);
-  route_metrics(server, [&sys] {
-    sys.refresh_gauges();
-    return sys.metrics().to_prometheus();
-  });
+  route_metrics(server,
+                [&sys] { return obs::to_prometheus(sys.metric_parts()); });
   server.route("/profiles", [&repo] {
     // Re-read per request: other hds_tool invocations append to the
     // history while we serve.
@@ -497,9 +494,9 @@ int run_command(const std::vector<std::string>& args, const Options& options,
   ShardRouter& sys = repository.router();
 
   if (command == "stats") {
-    sys.refresh_gauges();
-    const auto text = options.json ? sys.metrics().to_json()
-                                   : sys.metrics().to_prometheus();
+    const auto parts = sys.metric_parts();
+    const auto text =
+        options.json ? obs::to_json(parts) : obs::to_prometheus(parts);
     std::fwrite(text.data(), 1, text.size(), stdout);
     return 0;
   }
@@ -703,8 +700,9 @@ int run(const std::vector<std::string>& args, const Options& options) {
     std::fprintf(stderr, "error: %s\n", e.what());
   }
   repository->set_tracer(nullptr);
-  append_profiles(repo, sys.profiler());  // no-op when the command ran none
-  if (!finish_observability(sys, options, tracer)) return 1;
+  // No-op when the command ran no profiled op.
+  append_profiles(repo, repository->recent_profiles());
+  if (!finish_observability(*repository, options, tracer)) return 1;
   return rc;
 }
 

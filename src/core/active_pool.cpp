@@ -56,16 +56,12 @@ std::shared_ptr<const Container> ActiveContainerPool::fetch(ContainerId cid) {
   if (it == containers_.end()) return nullptr;
   stats_.container_reads++;
   stats_.bytes_read += it->second->data_size();
-  if (m_reads_ != nullptr) {
-    m_reads_->inc();
-    m_bytes_read_->inc(it->second->data_size());
-  }
   return it->second;
 }
 
 void ActiveContainerPool::attach_metrics(obs::MetricsRegistry& registry) {
-  m_reads_ = &registry.counter("pool_container_reads");
-  m_bytes_read_ = &registry.counter("pool_bytes_read");
+  registry.counter_view("pool_container_reads", stats_.container_reads);
+  registry.counter_view("pool_bytes_read", stats_.bytes_read);
 }
 
 std::vector<std::uint8_t> ActiveContainerPool::extract(const Fingerprint& fp) {

@@ -79,10 +79,10 @@ class ActiveContainerPool {
   }
 
   [[nodiscard]] const IoStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_.reset(); }
 
-  // Mirrors restore-time fetches into `pool_container_reads` /
-  // `pool_bytes_read` counters of `registry` (which must outlive the pool).
+  // Registers the restore-time fetch counts of stats() as
+  // `pool_container_reads` / `pool_bytes_read` counter views. The pool
+  // must outlive the registry's exports.
   void attach_metrics(obs::MetricsRegistry& registry);
 
   // Cold chunks of one source container, in storage-offset order — eviction
@@ -104,8 +104,6 @@ class ActiveContainerPool {
   std::unordered_map<ContainerId, std::shared_ptr<Container>> containers_;
   std::unordered_map<Fingerprint, ContainerId> index_;
   IoStats stats_;
-  obs::Counter* m_reads_ = nullptr;
-  obs::Counter* m_bytes_read_ = nullptr;
 };
 
 }  // namespace hds

@@ -82,7 +82,7 @@ HiDeStore::HiDeStore(const HiDeStoreConfig& config)
       pool_(config.container_size, config.materialize_contents),
       cache_(config.cache_window) {
   register_metrics();
-  store_->attach_metrics(metrics_, "store");
+  store_->attach_metrics(metrics_);
   pool_.attach_metrics(metrics_);
   crc_failures_baseline_ = chunk_crc_failures();
 }
@@ -98,9 +98,9 @@ HiDeStore::HiDeStore(const HiDeStoreConfig& config,
     throw std::invalid_argument("HiDeStore: shared store must not be null");
   }
   register_metrics();
-  // Deliberately no store_->attach_metrics(): the shared store belongs to
-  // the service layer, which mirrors it into ONE registry — per-tenant
-  // mirrors would race each other over the same counters.
+  // Deliberately no store_->attach_metrics(): the shared store's counters
+  // aggregate every tenant, so they belong to the service layer's registry
+  // for that store.
   pool_.attach_metrics(metrics_);
   crc_failures_baseline_ = chunk_crc_failures();
 }
@@ -126,12 +126,8 @@ void HiDeStore::register_metrics() {
         "versions_deleted", "containers_erased", "bytes_reclaimed",
         "delete_chunks_scanned",
         // Integrity: per-chunk CRC mismatches observed on any read path.
-        "io_crc_failures",
-        // Container I/O fast path (DESIGN.md §10) — all 0 for in-memory
-        // repositories.
-        "io_fd_cache_hits", "io_fd_cache_opens", "io_block_cache_hits",
-        "io_block_cache_misses", "io_block_cache_evictions",
-        "io_partial_reads", "io_read_errors"}) {
+        // (The store registers its own store_* / io_* counter views.)
+        "io_crc_failures"}) {
     (void)metrics_.counter(name);
   }
   for (const char* name : {"backup_ms", "recipe_update_ms",
@@ -156,34 +152,13 @@ void HiDeStore::refresh_gauges() {
   metrics_.gauge("versions_retained")
       .set(static_cast<double>(recipes_.versions().size()));
   metrics_.gauge("dedup_ratio").set(dedup_ratio());
-  // Mirror the process-wide chunk-CRC failure count (growth since this
-  // system was opened) into the registry so exporters and `hds_tool stats`
-  // surface it alongside everything else.
+  // The one scrape-time copy: the chunk-CRC failure count is process-wide,
+  // so each system reports its growth since it was opened.
   auto& crc = metrics_.counter("io_crc_failures");
   const std::uint64_t seen = chunk_crc_failures() - crc_failures_baseline_;
   if (seen > crc.value()) crc.inc(seen - crc.value());
-  // Same diff-mirror for the file store's fast-path counters (monotonic
-  // since store construction; metrics are reset when a repository reopens,
-  // right after the store is rebuilt). Skipped for a shared store — its
-  // counters aggregate every tenant and are mirrored once, by the owner.
-  if (shared_store_) return;
-  if (const auto* file = dynamic_cast<const FileContainerStore*>(store_.get())) {
-    const auto io = file->io_stats();
-    const auto mirror = [&](const char* name, std::uint64_t value) {
-      auto& counter = metrics_.counter(name);
-      if (value > counter.value()) counter.inc(value - counter.value());
-    };
-    mirror("io_fd_cache_hits", io.fd_cache_hits);
-    mirror("io_fd_cache_opens", io.fd_cache_opens);
-    mirror("io_block_cache_hits", io.block_cache_hits);
-    mirror("io_block_cache_misses", io.block_cache_misses);
-    mirror("io_block_cache_evictions", io.block_cache_evictions);
-    mirror("io_partial_reads", io.partial_reads);
-    mirror("io_read_errors", io.read_errors);
-    metrics_.gauge("io_open_fds").set(static_cast<double>(io.open_fds));
-    metrics_.gauge("io_block_cache_bytes")
-        .set(static_cast<double>(io.block_cache_bytes));
-  }
+  // A shared store's state is the service's to report.
+  if (!shared_store_) store_->refresh_gauges(metrics_);
 }
 
 void HiDeStore::set_io_tuning(const FileStoreTuning& tuning) {
@@ -1096,7 +1071,7 @@ std::unique_ptr<HiDeStore> HiDeStore::parse_state(
   if (inline_archival == 0) {
     // Reopen the on-disk container files and resume the ID counter.
     sys->store_ = make_archival_store(config, /*index_existing=*/true);
-    sys->store_->attach_metrics(sys->metrics_, "store");
+    sys->store_->attach_metrics(sys->metrics_);
   }
   if (!reader.u32(sys->next_version_) || !reader.u32(sys->oldest_version_) ||
       !reader.u64(sys->total_logical_bytes_) ||
@@ -1174,8 +1149,8 @@ std::unique_ptr<HiDeStore> HiDeStore::parse_state(
     }
   }
   sys->cache_.restore_tables(std::move(t1), std::move(t0));
-  // Like reset_stats() above: loading replays container writes into the
-  // store, which the mirrored counters saw. Start the process clean.
+  // Like reset_stats() above (which clears the store_* views' source):
+  // start the process's own counters clean.
   sys->metrics_.reset();
   sys->refresh_gauges();
   return sys;

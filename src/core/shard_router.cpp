@@ -5,7 +5,6 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
-#include <map>
 #include <span>
 #include <thread>
 #include <utility>
@@ -941,42 +940,17 @@ obs::MetricsRegistry& ShardRouter::metrics() noexcept {
   return shards_.size() == 1 ? shards_[0]->metrics() : *router_metrics_;
 }
 
-void ShardRouter::refresh_gauges() {
-  if (shards_.size() == 1) {
-    shards_[0]->refresh_gauges();
-    return;
-  }
+std::vector<obs::MetricsPart> ShardRouter::metric_parts(
+    const obs::Labels& labels) {
   for (const auto& shard : shards_) shard->refresh_gauges();
-
-  obs::MetricsRegistry& registry = *router_metrics_;
-  std::map<std::string, double> gauge_sums;
+  std::vector<obs::MetricsPart> parts{{labels, metrics()}};
+  if (shards_.size() == 1) return parts;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const std::string prefix = "shard_" + std::to_string(i) + "_";
-    // Counters: diff-mirror. The per-shard mirror remembers the last seen
-    // value; growth is added to both the mirror and the aggregate, so the
-    // aggregate is a true cross-shard counter (monotone, restart-safe).
-    for (const auto& [name, value] :
-         shards_[i]->metrics().counter_snapshot()) {
-      obs::Counter& mirror = registry.counter(prefix + name);
-      if (value > mirror.value()) {
-        const std::uint64_t delta = value - mirror.value();
-        mirror.inc(delta);
-        registry.counter(name).inc(delta);
-      }
-    }
-    for (const auto& [name, value] : shards_[i]->metrics().gauge_snapshot()) {
-      registry.gauge(prefix + name).set(value);
-      gauge_sums[name] += value;
-    }
+    obs::Labels shard_labels = labels;
+    shard_labels.emplace_back("shard", std::to_string(i));
+    parts.push_back({std::move(shard_labels), shards_[i]->metrics()});
   }
-  for (const auto& [name, sum] : gauge_sums) {
-    registry.gauge(name).set(sum);
-  }
-  // Summing is wrong for these; overwrite with the cross-shard meaning.
-  registry.gauge("dedup_ratio").set(dedup_ratio());
-  registry.gauge("versions_retained")
-      .set(static_cast<double>(version_count()));
-  registry.gauge("shards").set(static_cast<double>(shards_.size()));
+  return parts;
 }
 
 void ShardRouter::set_tracer(obs::Tracer* tracer) {

@@ -147,15 +147,21 @@ class ShardRouter {
   [[nodiscard]] FileContainerStore* file_store();
 
   // --- Observability ---
-  // Single shard: the shard's own registry (bit-identical legacy metrics).
-  // Multi shard: a router-owned registry holding cross-shard aggregates
-  // under the legacy names plus per-shard `shard_<i>_*` mirrors, refreshed
-  // by refresh_gauges().
+  // Single shard: the shard's own registry. Multi shard: the router's own
+  // registry, holding only what no shard counts (`shards` and the
+  // ParallelChunkPipeline's ingest_* metrics); every shard fact stays in
+  // shard(i).metrics().
   [[nodiscard]] obs::MetricsRegistry& metrics() noexcept;
+  // The repository's exposition, gauges refreshed first: metrics() under
+  // `labels`, then (multi shard) each shard's registry under `labels` plus
+  // {shard="i"}. Cross-shard totals are a scraper's sum/max.
+  [[nodiscard]] std::vector<obs::MetricsPart> metric_parts(
+      const obs::Labels& labels = {});
+  // Shard 0's profiler only; Repository::recent_profiles() merges every
+  // shard's.
   [[nodiscard]] obs::OpProfiler& profiler() noexcept {
     return shards_[0]->profiler();
   }
-  void refresh_gauges();
   void set_tracer(obs::Tracer* tracer);
   void set_read_ahead(std::size_t depth, std::size_t in_flight = 1);
   void set_io_tuning(const FileStoreTuning& tuning);

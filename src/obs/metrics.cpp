@@ -164,32 +164,17 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
               .first->second;
 }
 
+Counter& MetricsRegistry::counter_view(
+    std::string_view name, const std::atomic<std::uint64_t>& source) {
+  Counter& view = counter(name);
+  view.source_ = &source;
+  return view;
+}
+
 const Counter* MetricsRegistry::find_counter(std::string_view name) const {
   MutexLock lock(mu_);
   const auto it = counters_.find(name);
   return it == counters_.end() ? nullptr : it->second.get();
-}
-
-std::vector<std::pair<std::string, std::uint64_t>>
-MetricsRegistry::counter_snapshot() const {
-  MutexLock lock(mu_);
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  out.reserve(counters_.size());
-  for (const auto& [name, counter] : counters_) {
-    out.emplace_back(name, counter->value());
-  }
-  return out;  // std::map iteration is already name-sorted
-}
-
-std::vector<std::pair<std::string, double>> MetricsRegistry::gauge_snapshot()
-    const {
-  MutexLock lock(mu_);
-  std::vector<std::pair<std::string, double>> out;
-  out.reserve(gauges_.size());
-  for (const auto& [name, gauge] : gauges_) {
-    out.emplace_back(name, gauge->value());
-  }
-  return out;
 }
 
 const Gauge* MetricsRegistry::find_gauge(std::string_view name) const {
@@ -213,86 +198,140 @@ void MetricsRegistry::reset() {
 }
 
 std::string MetricsRegistry::to_prometheus() const {
+  const MetricsPart part{{}, *this};
+  return obs::to_prometheus(std::span(&part, 1));
+}
+
+std::string MetricsRegistry::to_json() const {
+  const MetricsPart part{{}, *this};
+  return obs::to_json(std::span(&part, 1));
+}
+
+// --- Exposition over labeled parts ---
+
+namespace {
+
+// `{k="v",...}` with `le` last for histogram buckets; empty without labels.
+// Label values are plain identifiers (shard indices, validated tenant
+// names), so nothing needs escaping.
+std::string label_block(Labels labels, const std::string& le = {}) {
+  if (!le.empty()) labels.emplace_back("le", le);
+  std::string out;
+  for (const auto& [key, value] : labels) {
+    out += (out.empty() ? "{" : ",") + key + "=\"" + value + "\"";
+  }
+  return out.empty() ? out : out + "}";
+}
+
+std::string histogram_json(const Histogram& h) {
+  std::string out = "{\"count\": " + std::to_string(h.count()) +
+                    ", \"sum\": " + format_double(h.sum()) +
+                    ", \"min\": " + format_double(h.min()) +
+                    ", \"max\": " + format_double(h.max()) +
+                    ", \"mean\": " + format_double(h.mean()) +
+                    ", \"p50\": " + format_double(h.quantile(0.50)) +
+                    ", \"p95\": " + format_double(h.quantile(0.95)) +
+                    ", \"p99\": " + format_double(h.quantile(0.99)) +
+                    ", \"buckets\": [";
+  const auto counts = h.bucket_counts();
+  const auto& bounds = h.bounds();
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    if (i != 0) out += ", ";
+    const std::string le =
+        i < bounds.size() ? format_double(bounds[i]) : "\"+Inf\"";
+    out += "{\"le\": " + le + ", \"count\": " + std::to_string(counts[i]) +
+           "}";
+  }
+  return out + "]}";
+}
+
+}  // namespace
+
+std::string MetricsRegistry::json_members() const {
   MutexLock lock(mu_);
   std::string out;
-  for (const auto& [raw, c] : counters_) {
-    const auto name = sanitize_prometheus_name(raw);
-    out += "# TYPE " + name + " counter\n";
-    out += name + " " + std::to_string(c->value()) + "\n";
-  }
-  for (const auto& [raw, g] : gauges_) {
-    const auto name = sanitize_prometheus_name(raw);
-    out += "# TYPE " + name + " gauge\n";
-    out += name + " " + format_double(g->value()) + "\n";
-  }
-  for (const auto& [raw, h] : histograms_) {
-    // Exposition-format histogram family: cumulative `_bucket{le="..."}`
-    // rows ending at the mandatory +Inf bucket (== _count), then _sum and
-    // _count.
-    const auto name = sanitize_prometheus_name(raw);
-    out += "# TYPE " + name + " histogram\n";
-    const auto counts = h->bucket_counts();
-    const auto& bounds = h->bounds();
-    std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      cum += counts[i];
-      const std::string le =
-          i < bounds.size() ? format_double(bounds[i]) : "+Inf";
-      out += name + "_bucket{le=\"" + le + "\"} " + std::to_string(cum) +
-             "\n";
+  const auto section = [&out](const char* title, const auto& instruments,
+                              const auto& render) {
+    out += std::string("  \"") + title + "\": {";
+    bool first = true;
+    for (const auto& [name, instrument] : instruments) {
+      out += (first ? "\n    \"" : ",\n    \"") + name +
+             "\": " + render(*instrument);
+      first = false;
     }
-    out += name + "_sum " + format_double(h->sum()) + "\n";
-    out += name + "_count " + std::to_string(h->count()) + "\n";
+    out += first ? "}" : "\n  }";
+  };
+  section("counters", counters_,
+          [](const Counter& c) { return std::to_string(c.value()); });
+  out += ",\n";
+  section("gauges", gauges_,
+          [](const Gauge& g) { return format_double(g.value()); });
+  out += ",\n";
+  section("histograms", histograms_, histogram_json);
+  return out;
+}
+
+std::string to_prometheus(std::span<const MetricsPart> parts) {
+  // (kind, registry name) -> the family's sample rows from every part, in
+  // part order; the map keeps kinds in counter/gauge/histogram order and
+  // each kind's families name-sorted, as one registry is.
+  static constexpr const char* kKinds[] = {"counter", "gauge", "histogram"};
+  std::map<std::pair<int, std::string>, std::string> families;
+  for (const MetricsPart& part : parts) {
+    const MetricsRegistry& registry = part.registry;
+    MutexLock lock(registry.mu_);
+    const auto labels = label_block(part.labels);
+    for (const auto& [raw, c] : registry.counters_) {
+      families[{0, raw}] += sanitize_prometheus_name(raw) + labels + " " +
+                            std::to_string(c->value()) + "\n";
+    }
+    for (const auto& [raw, g] : registry.gauges_) {
+      families[{1, raw}] += sanitize_prometheus_name(raw) + labels + " " +
+                            format_double(g->value()) + "\n";
+    }
+    for (const auto& [raw, h] : registry.histograms_) {
+      // Cumulative `_bucket{...,le="..."}` rows ending at the mandatory
+      // +Inf bucket (== _count), then _sum and _count.
+      const auto name = sanitize_prometheus_name(raw);
+      std::string& rows = families[{2, raw}];
+      const auto counts = h->bucket_counts();
+      const auto& bounds = h->bounds();
+      std::uint64_t cum = 0;
+      for (std::size_t i = 0; i < counts.size(); ++i) {
+        cum += counts[i];
+        const std::string le =
+            i < bounds.size() ? format_double(bounds[i]) : "+Inf";
+        rows += name + "_bucket" + label_block(part.labels, le) + " " +
+                std::to_string(cum) + "\n";
+      }
+      rows += name + "_sum" + labels + " " + format_double(h->sum()) + "\n";
+      rows += name + "_count" + labels + " " + std::to_string(h->count()) +
+              "\n";
+    }
+  }
+  std::string out;
+  for (const auto& [key, rows] : families) {
+    out += "# TYPE " + sanitize_prometheus_name(key.second) + " " +
+           kKinds[key.first] + "\n" + rows;
   }
   return out;
 }
 
-std::string MetricsRegistry::to_json() const {
-  MutexLock lock(mu_);
-  std::string out = "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    out += first ? "\n" : ",\n";
-    out += "    \"" + name + "\": " + std::to_string(c->value());
-    first = false;
+std::string to_json(std::span<const MetricsPart> parts) {
+  if (parts.size() == 1 && parts[0].labels.empty()) {
+    return "{\n" + parts[0].registry.json_members() + "\n}\n";
   }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    out += first ? "\n" : ",\n";
-    out += "    \"" + name + "\": " + format_double(g->value());
-    first = false;
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    out += first ? "\n" : ",\n";
-    out += "    \"" + name + "\": {\"count\": " + std::to_string(h->count()) +
-           ", \"sum\": " + format_double(h->sum()) +
-           ", \"min\": " + format_double(h->min()) +
-           ", \"max\": " + format_double(h->max()) +
-           ", \"mean\": " + format_double(h->mean()) +
-           ", \"p50\": " + format_double(h->quantile(0.50)) +
-           ", \"p95\": " + format_double(h->quantile(0.95)) +
-           ", \"p99\": " + format_double(h->quantile(0.99)) +
-           ", \"buckets\": [";
-    const auto counts = h->bucket_counts();
-    const auto& bounds = h->bounds();
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      if (i != 0) out += ", ";
-      const std::string le = i < bounds.size()
-                                 ? format_double(bounds[i])
-                                 : "\"+Inf\"";
-      out += "{\"le\": " + le +
-             ", \"count\": " + std::to_string(counts[i]) + "}";
+  std::string out = "[";
+  for (const MetricsPart& part : parts) {
+    out += out.size() == 1 ? "\n{\n  \"labels\": {" : ",\n{\n  \"labels\": {";
+    std::string_view sep;
+    for (const auto& [key, value] : part.labels) {
+      out.append(sep).append("\"" + key + "\": \"" + value + "\"");
+      sep = ", ";
     }
-    out += "]}";
-    first = false;
+    out += "},\n" + part.registry.json_members() + "\n}";
   }
-  out += first ? "}\n}\n" : "\n  }\n}\n";
-  return out;
+  return out + (parts.empty() ? "]\n" : "\n]\n");
 }
 
 }  // namespace hds::obs

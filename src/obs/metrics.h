@@ -10,9 +10,12 @@
 //                 max and interpolated p50/p95/p99 extraction.
 // Instruments are registered on first use and never move (stable
 // references), so hot paths can hold a `Counter&` and increment it with a
-// single relaxed atomic add — no locks, no allocation.
+// single relaxed atomic add — no locks, no allocation. A fact another
+// object already counts is a read-only view of its atomic (counter_view()).
 //
-// Exporters: Prometheus text exposition format and a JSON snapshot.
+// Exporters: Prometheus text exposition format and a JSON snapshot, of one
+// registry or of labeled parts: per-shard and per-tenant splits are labels
+// added at render time (`{shard="1"}`), never name prefixes.
 #pragma once
 
 #include <atomic>
@@ -20,6 +23,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -52,17 +56,22 @@ inline void atomic_add(std::atomic<double>& target, double d) noexcept {
 }
 }  // namespace detail
 
+// Owns its value, or is a view (counter_view) whose value() reads an
+// owner's atomic; inc() and reset() never touch that source.
 class Counter {
  public:
   void inc(std::uint64_t n = 1) noexcept {
     value_.fetch_add(n, std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
+    return (source_ != nullptr ? *source_ : value_)
+        .load(std::memory_order_relaxed);
   }
   void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
 
  private:
+  friend class MetricsRegistry;  // counter_view() rebinds the source
+  const std::atomic<std::uint64_t>* source_ = nullptr;
   std::atomic<std::uint64_t> value_{0};
 };
 
@@ -126,11 +135,17 @@ class Histogram {
   std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
+struct MetricsPart;
+
 class MetricsRegistry {
  public:
   // Create-if-missing accessors; the returned reference is stable for the
   // registry's lifetime. Registration takes a mutex, increments do not.
   Counter& counter(std::string_view name);
+  // Makes `name` a view of `source`, rebinding an existing name. A setup
+  // operation; `source` must outlive every export of this registry.
+  Counter& counter_view(std::string_view name,
+                        const std::atomic<std::uint64_t>& source);
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name,
                        std::vector<double> bounds =
@@ -141,17 +156,8 @@ class MetricsRegistry {
   [[nodiscard]] const Gauge* find_gauge(std::string_view name) const;
   [[nodiscard]] const Histogram* find_histogram(std::string_view name) const;
 
-  // Name→value snapshots of every registered counter / gauge, sorted by
-  // name — the enumeration surface ShardRouter uses to mirror per-shard
-  // registries into `shard_<i>_*` instruments and cross-shard aggregates.
-  // Histograms are deliberately absent (bucket merges have no single-value
-  // story); per-shard latencies stay on the shard registries.
-  [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>>
-  counter_snapshot() const;
-  [[nodiscard]] std::vector<std::pair<std::string, double>> gauge_snapshot()
-      const;
-
-  // Zeroes every registered instrument (names stay registered).
+  // Zeroes every registered instrument (names stay registered; counter
+  // views keep reading their sources).
   void reset();
 
   // Prometheus text exposition format, instruments sorted by name.
@@ -162,6 +168,11 @@ class MetricsRegistry {
   [[nodiscard]] std::string to_json() const;
 
  private:
+  friend std::string to_prometheus(std::span<const MetricsPart> parts);
+  friend std::string to_json(std::span<const MetricsPart> parts);
+  // This registry's "counters"/"gauges"/"histograms" JSON members.
+  [[nodiscard]] std::string json_members() const;
+
   // Leaf lock: registration/export only — instrument updates are lock-free.
   mutable Mutex mu_{lockrank::kObsRegistry};
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
@@ -171,5 +182,22 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
       HDS_GUARDED_BY(mu_);
 };
+
+// One registry of an exposition and its samples' labels, e.g.
+// {{"tenant", "alpha"}, {"shard", "1"}}.
+using Labels = std::vector<std::pair<std::string, std::string>>;
+struct MetricsPart {
+  Labels labels;
+  const MetricsRegistry& registry;
+};
+
+// The exposition over several registries: every family gets one `# TYPE`
+// line followed by its samples from each part that registered it, in part
+// order, labeled with that part's labels (histogram labels precede `le`).
+// One unlabeled part renders exactly as MetricsRegistry::to_prometheus().
+[[nodiscard]] std::string to_prometheus(std::span<const MetricsPart> parts);
+// One unlabeled part: MetricsRegistry::to_json(). Otherwise a JSON array
+// of {"labels": {..}, "counters": .., "gauges": .., "histograms": ..}.
+[[nodiscard]] std::string to_json(std::span<const MetricsPart> parts);
 
 }  // namespace hds::obs

@@ -62,6 +62,7 @@ std::string OpProfile::to_json() const {
   std::string out = "{";
   out += "\"id\": " + std::to_string(id);
   out += ", \"kind\": \"" + json_escape(kind) + "\"";
+  if (shard >= 0) out += ", \"shard\": " + std::to_string(shard);
   out += ", \"version\": " + std::to_string(version);
   out += ", \"wall_ms\": " + json_number(wall_ms);
   out += ", \"cpu_ms\": " + json_number(cpu_ms);
@@ -215,8 +216,9 @@ std::uint64_t OpProfiler::completed() const {
   return completed_;
 }
 
-std::string OpProfiler::to_json() const {
-  const auto ops = recent();
+std::string OpProfiler::to_json() const { return profiles_to_json(recent()); }
+
+std::string profiles_to_json(std::span<const OpProfile> ops) {
   std::string out = "{\"ops\": [";
   for (std::size_t i = 0; i < ops.size(); ++i) {
     if (i != 0) out += ",";

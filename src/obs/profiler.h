@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,6 +43,9 @@ struct PhaseTiming {
 struct OpProfile {
   std::uint64_t id = 0;   // monotonic per profiler
   std::string kind;       // "backup", "restore", ...
+  // The shard that ran the op, in merged views of a multi-shard repository
+  // (Repository::recent_profiles); -1, and absent from the JSON, otherwise.
+  int shard = -1;
   std::uint32_t version = 0;
   double wall_ms = 0.0;
   double cpu_ms = 0.0;
@@ -160,7 +164,7 @@ class OpProfiler {
   [[nodiscard]] std::uint64_t completed() const;
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
-  // {"ops":[<report>,...]} — each report as OpProfile::to_json().
+  // profiles_to_json(recent()).
   [[nodiscard]] std::string to_json() const;
 
  private:
@@ -175,6 +179,9 @@ class OpProfiler {
   std::uint64_t next_id_ HDS_GUARDED_BY(mu_) = 1;
   std::uint64_t completed_ HDS_GUARDED_BY(mu_) = 0;
 };
+
+// {"ops":[<report>,...]} — each report as OpProfile::to_json().
+[[nodiscard]] std::string profiles_to_json(std::span<const OpProfile> ops);
 
 // Monotonic wall clock in ms (process-local epoch).
 [[nodiscard]] double profiler_wall_ms() noexcept;

@@ -214,6 +214,18 @@ std::uint64_t Repository::retained_bytes() const {
   return total;
 }
 
+std::vector<obs::OpProfile> Repository::recent_profiles() const {
+  std::vector<obs::OpProfile> out;
+  const std::size_t shards = sys_->shard_count();
+  for (std::size_t i = 0; i < shards; ++i) {
+    for (obs::OpProfile& op : sys_->shard(i).profiler().recent()) {
+      if (shards > 1) op.shard = static_cast<int>(i);
+      out.push_back(std::move(op));
+    }
+  }
+  return out;
+}
+
 void Repository::set_tracer(obs::Tracer* tracer) {
   tracer_ = tracer;
   sys_->set_tracer(tracer);

@@ -93,6 +93,10 @@ class Repository {
   // Logical bytes across retained versions (the service's quota basis).
   [[nodiscard]] std::uint64_t retained_bytes() const;
 
+  // Every shard's recent operation profiles, shard by shard, oldest first
+  // within a shard; multi-shard profiles name their shard.
+  [[nodiscard]] std::vector<obs::OpProfile> recent_profiles() const;
+
   void set_tracer(obs::Tracer* tracer);
   // fsck, stats, tuning and the per-version facade.
   [[nodiscard]] ShardRouter& router() noexcept { return *sys_; }

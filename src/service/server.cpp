@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <exception>
+#include <iterator>
 
 #include "core/recovery.h"
 #include "obs/log.h"
@@ -46,6 +47,7 @@ bool ServeServer::start(std::string* error) {
   // One shared store per fingerprint-space shard; one shard keeps the
   // legacy flat <repo>/archival layout.
   stores_.clear();
+  store_metrics_.clear();
   for (std::size_t i = 0; i < config_.shards; ++i) {
     const auto dir = config_.shards == 1
                          ? config_.repo / "archival"
@@ -61,10 +63,8 @@ bool ServeServer::start(std::string* error) {
     } catch (const std::exception& e) {
       return fail(std::string("cannot open shared store: ") + e.what());
     }
-    const std::string prefix =
-        config_.shards == 1 ? "store" : "shard_" + std::to_string(i) +
-                                            "_store";
-    stores_.back()->attach_metrics(metrics_, prefix);
+    store_metrics_.push_back(std::make_unique<obs::MetricsRegistry>());
+    stores_.back()->attach_metrics(*store_metrics_.back());
   }
   if (config_.shards > 1) {
     metrics_.gauge("shards").set(static_cast<double>(config_.shards));
@@ -240,7 +240,7 @@ Response ServeServer::handle(const Request& req,
     return resp;
   }
   if (seen.insert(req.tenant).second) {
-    tenant_counter(req.tenant, "sessions").inc();
+    tenant->metrics.counter("sessions").inc();
   }
   switch (req.op) {
     case Op::kBackup:  return do_backup(*tenant, req);
@@ -261,7 +261,7 @@ Response ServeServer::do_backup(Tenant& tenant, const Request& req) {
   if (config_.tenant_quota_bytes > 0) {
     const std::uint64_t retained = tenant.repo->retained_bytes();
     if (retained + req.data.size() > config_.tenant_quota_bytes) {
-      tenant_counter(tenant.name, "quota_rejections").inc();
+      tenant.metrics.counter("quota_rejections").inc();
       resp.status = Status::kQuotaExceeded;
       resp.message = "quota exceeded: retained " + std::to_string(retained) +
                      " + incoming " + std::to_string(req.data.size()) +
@@ -270,9 +270,6 @@ Response ServeServer::do_backup(Tenant& tenant, const Request& req) {
     }
   }
   const BackupReport report = tenant.repo->backup(req.data, req.label);
-  tenant_counter(tenant.name, "backups").inc();
-  tenant_counter(tenant.name, "logical_bytes").inc(report.logical_bytes);
-  tenant_counter(tenant.name, "chunks").inc(report.logical_chunks);
   resp.message = "version=" + std::to_string(report.version) +
                  " logical_bytes=" + std::to_string(report.logical_bytes) +
                  " stored_bytes=" + std::to_string(report.stored_bytes) +
@@ -300,9 +297,7 @@ Response ServeServer::do_restore(Tenant& tenant, const Request& req) {
                    " chunk(s) failed to restore";
     return resp;
   }
-  tenant_counter(tenant.name, "restores").inc();
-  tenant_counter(tenant.name, "restored_bytes")
-      .inc(report.stats.restored_bytes);
+  tenant.metrics.counter("restores").inc();
   resp.message = "version=" + std::to_string(version) +
                  " bytes=" + std::to_string(report.stats.restored_bytes) +
                  " container_reads=" +
@@ -333,8 +328,8 @@ Response ServeServer::do_list(Tenant& tenant) {
 Response ServeServer::do_stats(Tenant& tenant) {
   Response resp;
   MutexLock op(tenant.op_mu);
-  tenant.repo->router().refresh_gauges();
-  const std::string text = tenant.repo->router().metrics().to_prometheus();
+  const std::string text =
+      obs::to_prometheus(tenant.repo->router().metric_parts());
   resp.message = "tenant=" + tenant.name;
   resp.data.assign(text.begin(), text.end());
   return resp;
@@ -356,30 +351,30 @@ Response ServeServer::do_fsck(Tenant& tenant) {
   return resp;
 }
 
-obs::Counter& ServeServer::tenant_counter(std::string_view tenant,
-                                          const char* what) {
-  return metrics_.counter("tenant_" + std::string(tenant) + "_" + what);
-}
-
-void ServeServer::refresh_metrics() {
+std::vector<obs::MetricsPart> ServeServer::metric_parts() {
+  std::vector<obs::MetricsPart> parts{{{}, metrics_}};
+  for (std::size_t i = 0; i < stores_.size(); ++i) {
+    stores_[i]->refresh_gauges(*store_metrics_[i]);
+    obs::Labels labels;
+    if (stores_.size() > 1) labels.emplace_back("shard", std::to_string(i));
+    parts.push_back({std::move(labels), *store_metrics_[i]});
+  }
   std::vector<std::shared_ptr<Tenant>> all;
   {
     MutexLock lock(tenants_mu_);
-    for (const auto& [name, tenant] : tenants_) {
-      (void)name;
-      all.push_back(tenant);
-    }
+    for (const auto& entry : tenants_) all.push_back(entry.second);
   }
   metrics_.gauge("serve_tenants").set(static_cast<double>(all.size()));
   for (const auto& tenant : all) {
+    const obs::Labels labels{{"tenant", tenant->name}};
     MutexLock op(tenant->op_mu);
-    metrics_
-        .gauge("tenant_" + tenant->name + "_versions")
-        .set(static_cast<double>(tenant->repo->router().version_count()));
-    metrics_
-        .gauge("tenant_" + tenant->name + "_retained_bytes")
+    tenant->metrics.gauge("retained_bytes")
         .set(static_cast<double>(tenant->repo->retained_bytes()));
+    std::ranges::copy(tenant->repo->router().metric_parts(labels),
+                      std::back_inserter(parts));
+    parts.push_back({labels, tenant->metrics});
   }
+  return parts;
 }
 
 std::size_t ServeServer::load_tenants() {

@@ -41,6 +41,10 @@ struct Tenant {
   std::string name;
   Mutex op_mu{lockrank::kServiceTenant};
   std::unique_ptr<Repository> repo HDS_GUARDED_BY(op_mu);
+  // What only the service knows about the tenant: `sessions`, `restores`,
+  // `quota_rejections` and the `retained_bytes` gauge. Its dedup, backup
+  // and restore facts stay in its repository's registries.
+  obs::MetricsRegistry metrics;
 };
 
 struct ServeConfig {
@@ -90,13 +94,16 @@ class ServeServer {
   // Bound port (resolves ephemeral requests after start()).
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
-  // Service-wide registry: shared-store mirrors (store_*), admission
-  // gauges/counters (serve_*) and per-tenant counters (tenant_<name>_*).
+  // Service-wide registry: admission gauges/counters (serve_*) and, when
+  // sharded, the `shards` gauge.
   [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return metrics_; }
 
-  // Recomputes per-tenant gauges (versions, retained bytes) — call before
-  // exporting the registry.
-  void refresh_metrics();
+  // The /metrics exposition, gauges refreshed first: metrics(); each shared
+  // store's store_* / io_* registry under {shard="i"} (unlabeled for one
+  // shard); then per tenant its repository's parts and Tenant::metrics
+  // under {tenant="<name>"} (plus {shard="i"} for shard registries). The
+  // parts stay valid while the server lives: tenants are never dropped.
+  [[nodiscard]] std::vector<obs::MetricsPart> metric_parts();
 
  private:
   void accept_loop();
@@ -110,8 +117,6 @@ class ServeServer {
   Response do_list(Tenant& tenant);
   Response do_stats(Tenant& tenant);
   Response do_fsck(Tenant& tenant);
-
-  obs::Counter& tenant_counter(std::string_view tenant, const char* what);
 
   // Opens every tenant directory under <repo>/tenants and returns how many
   // opened. One that fails to load (another shard count, unrecoverable
@@ -129,6 +134,8 @@ class ServeServer {
   ServeConfig config_;
   obs::MetricsRegistry metrics_;
   std::vector<std::shared_ptr<ContainerStore>> stores_;  // one per shard
+  // stores_[i]'s counter views (store_*, io_*).
+  std::vector<std::unique_ptr<obs::MetricsRegistry>> store_metrics_;
   mutable Mutex tenants_mu_{lockrank::kServiceRegistry};
   std::map<std::string, std::shared_ptr<Tenant>, std::less<>> tenants_
       HDS_GUARDED_BY(tenants_mu_);

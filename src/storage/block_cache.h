@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
+#include "obs/metrics.h"
 #include "storage/container.h"
 
 namespace hds {
@@ -77,6 +78,13 @@ class BlockCache {
   }
   [[nodiscard]] std::uint64_t evictions() const noexcept {
     return evictions_.load(std::memory_order_relaxed);
+  }
+  // Registers hits()/misses()/evictions() as
+  // `io_block_cache_{hits,misses,evictions}` counter views.
+  void attach_metrics(obs::MetricsRegistry& registry) const {
+    registry.counter_view("io_block_cache_hits", hits_);
+    registry.counter_view("io_block_cache_misses", misses_);
+    registry.counter_view("io_block_cache_evictions", evictions_);
   }
   // Current resident charge across all shards.
   [[nodiscard]] std::uint64_t bytes() const;

@@ -38,10 +38,6 @@ void ContainerStore::put(Container container) {
   do_write(id, std::move(container));
   stats_.container_writes++;
   stats_.bytes_written += size;
-  if (m_writes_ != nullptr) {
-    m_writes_->inc();
-    m_bytes_written_->inc(size);
-  }
 }
 
 std::shared_ptr<const Container> ContainerStore::account_read(
@@ -52,11 +48,6 @@ std::shared_ptr<const Container> ContainerStore::account_read(
   stats_.bytes_read_physical += result.physical_bytes;
   if (meter != nullptr) {
     meter->add(result.logical_bytes, result.physical_bytes);
-  }
-  if (m_reads_ != nullptr) {
-    m_reads_->inc();
-    m_bytes_read_->inc(result.logical_bytes);
-    m_bytes_read_physical_->inc(result.physical_bytes);
   }
   return std::move(result.container);
 }
@@ -79,19 +70,18 @@ std::shared_ptr<const Container> ContainerStore::read_verified(
 
 bool ContainerStore::erase(ContainerId id) {
   const bool erased = do_erase(id);
-  if (erased && m_erases_ != nullptr) m_erases_->inc();
+  if (erased) stats_.container_erases++;
   return erased;
 }
 
-void ContainerStore::attach_metrics(obs::MetricsRegistry& registry,
-                                    std::string_view prefix) {
-  const std::string p(prefix);
-  m_writes_ = &registry.counter(p + "_container_writes");
-  m_reads_ = &registry.counter(p + "_container_reads");
-  m_erases_ = &registry.counter(p + "_container_erases");
-  m_bytes_written_ = &registry.counter(p + "_bytes_written");
-  m_bytes_read_ = &registry.counter(p + "_bytes_read");
-  m_bytes_read_physical_ = &registry.counter(p + "_bytes_read_physical");
+void ContainerStore::attach_metrics(obs::MetricsRegistry& registry) {
+  registry.counter_view("store_container_writes", stats_.container_writes);
+  registry.counter_view("store_container_reads", stats_.container_reads);
+  registry.counter_view("store_container_erases", stats_.container_erases);
+  registry.counter_view("store_bytes_written", stats_.bytes_written);
+  registry.counter_view("store_bytes_read", stats_.bytes_read);
+  registry.counter_view("store_bytes_read_physical",
+                        stats_.bytes_read_physical);
 }
 
 // --- MemoryContainerStore ---
@@ -260,6 +250,21 @@ FileContainerStore::IoPathStats FileContainerStore::io_stats() const {
   out.partial_reads = partial_reads_.load(std::memory_order_relaxed);
   out.read_errors = read_errors_.load(std::memory_order_relaxed);
   return out;
+}
+
+void FileContainerStore::attach_metrics(obs::MetricsRegistry& registry) {
+  ContainerStore::attach_metrics(registry);
+  fd_cache_.attach_metrics(registry);
+  block_cache_.attach_metrics(registry);
+  registry.counter_view("io_partial_reads", partial_reads_);
+  registry.counter_view("io_read_errors", read_errors_);
+}
+
+void FileContainerStore::refresh_gauges(obs::MetricsRegistry& registry) const {
+  registry.gauge("io_open_fds")
+      .set(static_cast<double>(fd_cache_.open_fds()));
+  registry.gauge("io_block_cache_bytes")
+      .set(static_cast<double>(block_cache_.bytes()));
 }
 
 std::filesystem::path FileContainerStore::path_for(ContainerId id) const {

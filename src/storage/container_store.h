@@ -34,8 +34,8 @@ namespace hds {
 
 // I/O counters shared between the consumer thread and the restore
 // read-ahead prefetcher: each field is a relaxed atomic (counts must not be
-// lost; cross-field consistency is not needed). Copying takes a relaxed
-// snapshot, so existing `stats().container_reads` call sites read naturally.
+// lost; cross-field consistency is not needed). The metrics registry
+// exports them as counter views (attach_metrics), never as copies.
 //
 // Accounting rules (§5.3 + DESIGN.md §10): `container_reads` and
 // `bytes_read` keep their paper meaning — every read() / read_chunks() call
@@ -48,25 +48,15 @@ namespace hds {
 struct IoStats {
   std::atomic<std::uint64_t> container_reads{0};
   std::atomic<std::uint64_t> container_writes{0};
+  std::atomic<std::uint64_t> container_erases{0};
   std::atomic<std::uint64_t> bytes_read{0};
   std::atomic<std::uint64_t> bytes_written{0};
   std::atomic<std::uint64_t> bytes_read_physical{0};
 
-  IoStats() = default;
-  IoStats(const IoStats& other) { *this = other; }
-  IoStats& operator=(const IoStats& other) {
-    container_reads = other.container_reads.load(std::memory_order_relaxed);
-    container_writes = other.container_writes.load(std::memory_order_relaxed);
-    bytes_read = other.bytes_read.load(std::memory_order_relaxed);
-    bytes_written = other.bytes_written.load(std::memory_order_relaxed);
-    bytes_read_physical =
-        other.bytes_read_physical.load(std::memory_order_relaxed);
-    return *this;
-  }
-
   void reset() noexcept {
     container_reads.store(0, std::memory_order_relaxed);
     container_writes.store(0, std::memory_order_relaxed);
+    container_erases.store(0, std::memory_order_relaxed);
     bytes_read.store(0, std::memory_order_relaxed);
     bytes_written.store(0, std::memory_order_relaxed);
     bytes_read_physical.store(0, std::memory_order_relaxed);
@@ -145,10 +135,11 @@ struct FileStoreTuning {
 
 // Thread-safety contract: read(), read_chunks(), read_verified(), put(),
 // write(), erase(), reserve_id() and stats() are safe to call from multiple
-// threads concurrently — counters are atomic, ID reservation is atomic, and
-// both backends guard their container maps (and the file backend its
-// caches) with mutexes. This is what lets the restore read-ahead thread
-// issue reads while the consumer thread reads and the backup path writes.
+// threads concurrently — counters are atomic (metrics exporters read them
+// in place through counter views), ID reservation is atomic, and both
+// backends guard their container maps (and the file backend its caches)
+// with mutexes. This is what lets the restore read-ahead thread issue
+// reads while the consumer thread reads and the backup path writes.
 // NOT thread-safe: attach_metrics(), reset_stats(), restore_next_id(),
 // set_tuning() and construction/destruction, which must be serialized
 // externally (they are setup/teardown operations).
@@ -208,11 +199,16 @@ class ContainerStore {
   [[nodiscard]] const IoStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_.reset(); }
 
-  // Mirrors every I/O into `<prefix>_container_{writes,reads,erases}`,
-  // `<prefix>_bytes_{written,read}` and `<prefix>_bytes_read_physical`
-  // counters of `registry`. The registry must outlive this store.
-  void attach_metrics(obs::MetricsRegistry& registry,
-                      std::string_view prefix);
+  // Registers stats() in `registry` as counter views:
+  // `store_container_{writes,reads,erases}`, `store_bytes_{written,read}`
+  // and `store_bytes_read_physical`; the file backend adds its `io_*`
+  // fast-path counters. This store must outlive the registry's exports.
+  virtual void attach_metrics(obs::MetricsRegistry& registry);
+  // Sets the backend's state gauges in `registry` (the file backend's
+  // `io_open_fds` and `io_block_cache_bytes`); none by default.
+  virtual void refresh_gauges(obs::MetricsRegistry& registry) const {
+    (void)registry;
+  }
 
   // Wraps device reads in "store_slurp" / "store_partial_read" I/O-wait
   // spans on whichever thread issues them — the restore timeline's
@@ -268,12 +264,6 @@ class ContainerStore {
   // 0 is reserved for "active" in recipes
   std::atomic<ContainerId> next_id_{1};
   IoStats stats_;
-  obs::Counter* m_writes_ = nullptr;
-  obs::Counter* m_reads_ = nullptr;
-  obs::Counter* m_erases_ = nullptr;
-  obs::Counter* m_bytes_written_ = nullptr;
-  obs::Counter* m_bytes_read_ = nullptr;
-  obs::Counter* m_bytes_read_physical_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
 };
 
@@ -333,8 +323,8 @@ class FileContainerStore final : public ContainerStore {
     return tuning_;
   }
 
-  // Fast-path observability snapshot, mirrored into io_* metrics by the
-  // owning system (README "Observability").
+  // Fast-path observability snapshot; the same counters are the io_*
+  // metric views attach_metrics() registers (README "Observability").
   struct IoPathStats {
     std::uint64_t fd_cache_hits = 0;
     std::uint64_t fd_cache_opens = 0;
@@ -355,6 +345,9 @@ class FileContainerStore final : public ContainerStore {
     return "sync";
   }
   [[nodiscard]] int io_backend() const noexcept { return 0; }
+
+  void attach_metrics(obs::MetricsRegistry& registry) override;
+  void refresh_gauges(obs::MetricsRegistry& registry) const override;
 
  protected:
   void do_write(ContainerId id, Container&& container) override;

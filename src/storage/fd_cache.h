@@ -22,6 +22,7 @@
 #include <unordered_map>
 
 #include "common/thread_annotations.h"
+#include "obs/metrics.h"
 #include "storage/container.h"
 
 namespace hds {
@@ -73,6 +74,12 @@ class FdCache {
   // Descriptors currently held by the cache (fd pressure; excludes pinned
   // handles in flight).
   [[nodiscard]] std::size_t open_fds() const;
+
+  // Registers hits()/opens() as `io_fd_cache_{hits,opens}` counter views.
+  void attach_metrics(obs::MetricsRegistry& registry) const {
+    registry.counter_view("io_fd_cache_hits", hits_);
+    registry.counter_view("io_fd_cache_opens", opens_);
+  }
 
  private:
   mutable Mutex mu_{lockrank::kFdCache};

@@ -1,14 +1,18 @@
 // Tests for the observability layer (src/obs): counter/gauge/histogram
-// semantics and exporter formats, span nesting in the Chrome trace JSON,
+// semantics, counter views, exporter formats (one registry and labeled
+// parts), span nesting in the Chrome trace JSON,
 // HDS_LOG level handling, and the end-to-end instrumentation invariants on
 // HiDeStore (t1_hits + t2_hits + unique == chunks seen; restore container
 // reads match RestoreReport; overheads() equals the registry's view).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <sstream>
 #include <string>
 
 #include "core/hidestore.h"
@@ -514,6 +518,136 @@ TEST(Metrics, PrometheusHistogramFamilyIsComplete) {
   EXPECT_NE(text.find("lat_bucket{le=\"+Inf\"} 3\n"), std::string::npos);
   EXPECT_NE(text.find("lat_sum 105.5\n"), std::string::npos);
   EXPECT_NE(text.find("lat_count 3\n"), std::string::npos);
+}
+
+// --- Labeled exposition over several registries ---
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(Metrics, LabeledPartsRenderOneFamilyWithContiguousSamples) {
+  // Same families, registered in different orders, plus one only the
+  // second part has.
+  obs::MetricsRegistry a;
+  a.counter("hits").inc(1);
+  a.gauge("depth").set(2.0);
+  a.counter("zeta").inc(5);
+  obs::MetricsRegistry b;
+  b.counter("zeta").inc(7);
+  b.counter("only_b").inc(9);
+  b.gauge("depth").set(3.0);
+  b.counter("hits").inc(4);
+  const obs::MetricsPart parts[] = {{{{"shard", "0"}}, a},
+                                    {{{"shard", "1"}}, b}};
+  const auto text = obs::to_prometheus(parts);
+
+  for (const char* family : {"hits counter", "zeta counter",
+                             "only_b counter", "depth gauge"}) {
+    EXPECT_EQ(count_of(text, std::string("# TYPE ") + family + "\n"), 1u)
+        << family << "\n" << text;
+  }
+  EXPECT_NE(text.find("# TYPE hits counter\nhits{shard=\"0\"} 1\n"
+                      "hits{shard=\"1\"} 4\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("# TYPE zeta counter\nzeta{shard=\"0\"} 5\n"
+                      "zeta{shard=\"1\"} 7\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE only_b counter\nonly_b{shard=\"1\"} 9\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE depth gauge\ndepth{shard=\"0\"} 2\n"
+                      "depth{shard=\"1\"} 3\n"),
+            std::string::npos);
+
+  // Contiguity in general: once a family's block ends, no later line
+  // belongs to it.
+  std::set<std::string> closed;
+  std::string current;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    std::string family;
+    if (line.rfind("# TYPE ", 0) == 0) {
+      family = line.substr(7, line.find(' ', 7) - 7);
+    } else {
+      family = line.substr(0, line.find_first_of("{ "));
+    }
+    if (family != current) {
+      closed.insert(current);
+      EXPECT_EQ(closed.count(family), 0u) << family << " split:\n" << text;
+      current = family;
+    }
+  }
+}
+
+TEST(Metrics, LabeledHistogramRowsPutLabelsBeforeLe) {
+  obs::MetricsRegistry a;
+  a.histogram("lat", {1.0}).observe(0.5);
+  obs::MetricsRegistry b;
+  b.histogram("lat", {1.0}).observe(3.0);
+  const obs::MetricsPart parts[] = {{{{"shard", "0"}}, a},
+                                    {{{"tenant", "t"}, {"shard", "1"}}, b}};
+  const auto text = obs::to_prometheus(parts);
+  EXPECT_EQ(count_of(text, "# TYPE lat histogram\n"), 1u) << text;
+  EXPECT_NE(text.find("lat_bucket{shard=\"0\",le=\"1\"} 1\n"
+                      "lat_bucket{shard=\"0\",le=\"+Inf\"} 1\n"
+                      "lat_sum{shard=\"0\"} 0.5\n"
+                      "lat_count{shard=\"0\"} 1\n"
+                      "lat_bucket{tenant=\"t\",shard=\"1\",le=\"1\"} 0\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("lat_count{tenant=\"t\",shard=\"1\"} 1\n"),
+            std::string::npos);
+}
+
+TEST(Metrics, OneUnlabeledPartIsTheRegistryExport) {
+  obs::MetricsRegistry registry;
+  registry.counter("hits").inc(3);
+  registry.gauge("depth").set(1.5);
+  registry.histogram("lat", {1.0}).observe(2.0);
+  const obs::MetricsPart part{{}, registry};
+  EXPECT_EQ(obs::to_prometheus(std::span(&part, 1)), registry.to_prometheus());
+  EXPECT_EQ(obs::to_json(std::span(&part, 1)), registry.to_json());
+}
+
+TEST(Metrics, MultiPartJsonIsAnArrayOfLabeledRegistries) {
+  obs::MetricsRegistry a;
+  a.counter("hits").inc(1);
+  a.histogram("lat").observe(2.0);
+  obs::MetricsRegistry empty;
+  const obs::MetricsPart parts[] = {{{}, a},
+                                    {{{"tenant", "alpha"}, {"shard", "1"}},
+                                     empty}};
+  const auto json = obs::to_json(parts);
+  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  EXPECT_EQ(json.front(), '[');
+  EXPECT_NE(json.find("\"labels\": {}"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"labels\": {\"tenant\": \"alpha\", \"shard\": \"1\"}"),
+            std::string::npos)
+      << json;
+  EXPECT_TRUE(JsonChecker(obs::to_json({})).valid());
+}
+
+TEST(Metrics, CounterViewFollowsItsSourceAndSurvivesReset) {
+  std::atomic<std::uint64_t> source{5};
+  obs::MetricsRegistry registry;
+  // Registered first as a plain counter: counter_view rebinds the name.
+  registry.counter("reads").inc(100);
+  const obs::Counter& view = registry.counter_view("reads", source);
+  EXPECT_EQ(&view, registry.find_counter("reads"));
+  EXPECT_EQ(view.value(), 5u);
+  source += 3;
+  EXPECT_EQ(view.value(), 8u);
+  EXPECT_NE(registry.to_prometheus().find("reads 8\n"), std::string::npos);
+
+  registry.reset();
+  EXPECT_EQ(source.load(), 8u);
+  EXPECT_EQ(view.value(), 8u);
 }
 
 }  // namespace

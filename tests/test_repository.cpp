@@ -3,8 +3,9 @@
 // and reopen, plus the catalog and retention rules it owns — the catalog
 // is trimmed after expire, restores of versions the store no longer
 // retains fail before the first byte, empty versions restore,
-// single-file restores check the delivered length, and create never
-// writes over an existing repository.
+// single-file restores check the delivered length, create never
+// writes over an existing repository, and recent_profiles() covers every
+// shard.
 //
 // HDS_SHARDS=<n> sets the shard count (default 1, the legacy layout), so
 // CI's HDS_SHARDS=4 replay covers the sharded layout too.
@@ -266,6 +267,33 @@ TEST(Repository, SnapshotSerializesPathAndSizeHeaders) {
   EXPECT_EQ(files[0].path, (source_dir.path / "b").string());
   EXPECT_THROW((void)Repository::snapshot(source_dir.path / "missing"),
                RepositoryError);
+}
+
+TEST(Repository, RecentProfilesCoverEveryShard) {
+  TempDir dir("repo_profiles");
+  ShardRouterConfig config = repo_config(dir.path);
+  config.shards = 4;
+  auto repo = Repository::create(config);
+  const std::string bytes = random_text(11, 1 << 20);
+  const auto report = repo->backup(
+      std::span(reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                bytes.size()),
+      "data");
+
+  std::vector<int> backups_per_shard(config.shards, 0);
+  std::uint64_t chunks = 0;
+  for (const auto& op : repo->recent_profiles()) {
+    if (op.kind != "backup") continue;
+    ASSERT_GE(op.shard, 0);
+    ASSERT_LT(op.shard, 4);
+    ++backups_per_shard[static_cast<std::size_t>(op.shard)];
+    chunks += op.chunks;
+    EXPECT_NE(op.to_json().find("\"shard\": " + std::to_string(op.shard)),
+              std::string::npos);
+  }
+  EXPECT_EQ(backups_per_shard, std::vector<int>(config.shards, 1));
+  EXPECT_EQ(chunks, repo->router().version_chunk_count(report.version));
+  EXPECT_EQ(chunks, report.logical_chunks);
 }
 
 }  // namespace

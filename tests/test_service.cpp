@@ -2,7 +2,7 @@
 // concurrent per-tenant round trips over one shared container store,
 // dedup-state isolation, quota rejection, admission backpressure (kBusy),
 // restart persistence, refusal of tenants that fail to load, sharded-tenant
-// recovery, the tenant_* metrics surface, and small-frame round-trip
+// recovery, the tenant-labeled metrics surface, and small-frame round-trip
 // latency.
 #include <gtest/gtest.h>
 
@@ -25,11 +25,13 @@
 #include "service/server.h"
 #include "service/wire.h"
 #include "storage/durable.h"
+#include "util/prometheus.h"
 #include "util/temp_dir.h"
 
 namespace hds::service {
 namespace {
 
+using testutil::sample_sum;
 using testutil::TempDir;
 
 std::vector<std::uint8_t> random_bytes(std::uint64_t seed, std::size_t size) {
@@ -445,10 +447,9 @@ TEST(ServeServer, QuotaRejectsWithoutIngesting) {
   const auto back = must_call(client, restore_request("alpha", 1));
   EXPECT_EQ(back.data, small);
 
-  const auto* rejections =
-      server.metrics().find_counter("tenant_alpha_quota_rejections");
-  ASSERT_NE(rejections, nullptr);
-  EXPECT_GE(rejections->value(), 1u);
+  EXPECT_GE(sample_sum(obs::to_prometheus(server.metric_parts()),
+                       "quota_rejections{tenant=\"alpha\""),
+            1u);
   server.stop();
 }
 
@@ -507,20 +508,25 @@ TEST(ServeServer, MetricsExposeTenantCounters) {
   ASSERT_EQ(must_call(client, restore_request("alpha", 1)).status,
             Status::kOk);
 
-  server.refresh_metrics();
-  const std::string prom = server.metrics().to_prometheus();
-  for (const char* metric :
-       {"tenant_alpha_sessions", "tenant_alpha_backups",
-        "tenant_alpha_restores", "tenant_alpha_logical_bytes",
-        "tenant_alpha_restored_bytes", "tenant_alpha_chunks",
-        "tenant_alpha_versions", "serve_sessions_accepted",
-        "serve_pending_sessions"}) {
-    EXPECT_NE(prom.find(metric), std::string::npos) << metric;
+  // Tenant facts are the tenant's own metric families under a tenant
+  // label; the shared store's counters carry no tenant at all.
+  const std::string prom = obs::to_prometheus(server.metric_parts());
+  for (const char* sample :
+       {"sessions{tenant=\"alpha\"} 1\n", "restores{tenant=\"alpha\"} 1\n",
+        "backups_completed{tenant=\"alpha\"} 1\n",
+        "versions_retained{tenant=\"alpha\"} 1\n",
+        "logical_bytes{tenant=\"alpha\"} ",
+        "chunks_processed{tenant=\"alpha\"} ",
+        "retained_bytes{tenant=\"alpha\"} ", "\nstore_container_writes ",
+        "\nio_block_cache_hits ", "\nserve_sessions_accepted ",
+        "\nserve_pending_sessions "}) {
+    EXPECT_NE(prom.find(sample), std::string::npos) << sample << "\n" << prom;
   }
-  const auto* restored =
-      server.metrics().find_counter("tenant_alpha_restored_bytes");
-  ASSERT_NE(restored, nullptr);
-  EXPECT_EQ(restored->value(), payload.size());
+  EXPECT_EQ(prom.find("tenant_"), std::string::npos) << prom;
+  EXPECT_EQ(sample_sum(prom, "restored_bytes{tenant=\"alpha\""),
+            payload.size());
+  EXPECT_EQ(sample_sum(prom, "logical_bytes{tenant=\"alpha\""),
+            payload.size());
   server.stop();
 }
 

@@ -1,9 +1,10 @@
 // ShardRouter proving ground (DESIGN.md §16): routing determinism, the
-// shard-count contract on open, cross-shard identity against a
-// single-shard run (dedup ratio, stored bytes, restored bytes — all
-// bit-identical), the two-phase commit crashed at every durable site (over
-// owned and over shared stores), and a compaction hammer that keeps every
-// per-shard worker busy (run under TSan via the `concurrency` label).
+// shard-count contract on open, the {shard="i"}-labeled exposition,
+// cross-shard identity against a single-shard run (dedup ratio, stored
+// bytes, restored bytes — all bit-identical), the two-phase commit
+// crashed at every durable site (over owned and over shared stores), and a
+// compaction hammer that keeps every per-shard worker busy (run under
+// TSan via the `concurrency` label).
 //
 // Fixtures honor HDS_SHARDS=<n> (parsed strictly; see CI's sanitizer job,
 // which replays the suite at 4 shards) wherever the shard count is a free
@@ -26,6 +27,7 @@
 #include "workload/generator.h"
 
 #include "util/env_shards.h"
+#include "util/prometheus.h"
 #include "util/temp_dir.h"
 
 namespace hds {
@@ -196,6 +198,51 @@ TEST(ShardRouter, ShardCountMismatchThrowsTypedError) {
   fs::create_directories(empty.path);
   EXPECT_EQ(ShardRouter::detect_shards(empty.path), 0u);
   EXPECT_EQ(ShardRouter::open(empty.path), nullptr);
+}
+
+// --- One labeled exposition over the shard registries ---
+
+TEST(ShardRouter, ExpositionLabelsEveryShardFact) {
+  constexpr std::size_t kShards = 4;
+  const auto versions = generate(4, 300);
+  ShardRouter sys(memory_config(kShards));
+  std::uint64_t chunks = 0;
+  std::uint64_t unique = 0;
+  for (const auto& vs : versions) {
+    const auto report = sys.backup(vs);
+    chunks += report.logical_chunks;
+    unique += report.stored_chunks;
+  }
+  const auto restored =
+      sys.restore(2, [](const ChunkLoc&, std::span<const std::uint8_t>) {});
+
+  const std::string text = obs::to_prometheus(sys.metric_parts());
+  // No name-mangled per-shard copies and no re-aggregated totals: each
+  // fact is one family, one sample per shard.
+  EXPECT_EQ(text.find("shard_"), std::string::npos) << text;
+  EXPECT_EQ(text.find("\nchunks_processed "), std::string::npos);
+  EXPECT_NE(text.find("\nshards 4\n"), std::string::npos);
+  using testutil::sample_sum;
+  EXPECT_EQ(sample_sum(text, "chunks_processed{shard="), chunks);
+  EXPECT_EQ(sample_sum(text, "unique_chunks{shard="), unique);
+  EXPECT_EQ(sample_sum(text, "restored_bytes{shard="),
+            restored.stats.restored_bytes);
+  EXPECT_EQ(restored.stats.restored_bytes, sys.version_logical_bytes(2));
+  // No deletion ran, so every archival container is one store write.
+  EXPECT_GT(sys.archival_container_count(), 0u);
+  EXPECT_EQ(sample_sum(text, "store_container_writes{shard="),
+            sys.archival_container_count());
+  std::size_t backup_families = 0;
+  std::size_t backup_counts = 0;
+  for (std::size_t at = text.find("backup_ms"); at != std::string::npos;
+       at = text.find("backup_ms", at + 1)) {
+    backup_families += text.compare(at - 7, 7, "# TYPE ") == 0;
+    backup_counts += text.compare(at, 22, "backup_ms_count{shard=") == 0;
+  }
+  EXPECT_EQ(backup_families, 1u);
+  EXPECT_EQ(backup_counts, kShards);
+  EXPECT_EQ(sample_sum(text, "backup_ms_count{shard="),
+            kShards * versions.size());
 }
 
 // --- Cross-shard identity vs a single-shard run ---

@@ -20,6 +20,11 @@ Rules (see README "Static analysis" and DESIGN.md §14):
                  smart pointer in the same statement (make_unique /
                  make_shared, or unique_ptr(new T(...)) when the
                  constructor is private).
+  metric-name    No metric name built at run time in src/ or examples/: a
+                 counter( / counter_view( / gauge( / histogram( call whose
+                 name argument contains `+` or std::to_string. Per-shard or
+                 per-tenant splits are labels the exporter adds
+                 (DESIGN.md §12), not name prefixes.
   bench-date     Every bench/baselines/*.json must parse and carry a
                  non-empty context.date — an undated baseline cannot be
                  judged stale.
@@ -47,6 +52,8 @@ RAW_MUTEX_RE = re.compile(
 DETACH_RE = re.compile(r"\.\s*detach\s*\(\s*\)")
 NEW_RE = re.compile(r"\bnew\b")
 SMART_OWNER_RE = re.compile(r"unique_ptr\s*<|shared_ptr\s*<|make_unique|make_shared")
+METRIC_CALL_RE = re.compile(r"\b(?:counter|counter_view|gauge|histogram)\s*\(")
+BUILT_NAME_RE = re.compile(r"\+|\bto_string\b")
 
 RAW_WRITE_ALLOWED = {Path("src/storage/durable.cpp")}
 RAW_MUTEX_ALLOWED = {Path("src/common/thread_annotations.h")}
@@ -108,6 +115,23 @@ def statement_start(text: str, pos: int) -> int:
     return 0
 
 
+def first_argument(text: str, open_paren: int) -> str:
+    """The text of the first argument of the call whose '(' is at
+    `open_paren`: up to the first top-level ',' or the closing ')'."""
+    depth = 0
+    for j in range(open_paren, len(text)):
+        ch = text[j]
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+            if depth == 0:
+                return text[open_paren + 1 : j]
+        elif ch == "," and depth == 1:
+            return text[open_paren + 1 : j]
+    return text[open_paren + 1 :]
+
+
 def iter_cxx_files(root: Path, subdirs: list[str]):
     for sub in subdirs:
         base = root / sub
@@ -164,6 +188,19 @@ def check_tree(root: Path) -> list[dict]:
                 "naked 'new' — wrap in make_unique/make_shared (or a "
                 "unique_ptr in the same statement for private constructors)",
             )
+
+    for path in iter_cxx_files(root, ["src", "examples"]):
+        text = strip_comments_and_strings(path.read_text(errors="replace"))
+        for m in METRIC_CALL_RE.finditer(text):
+            if BUILT_NAME_RE.search(first_argument(text, m.end() - 1)):
+                add(
+                    path,
+                    line_of(text, m.start()),
+                    "metric-name",
+                    "metric name built at run time — one name per fact; "
+                    "put the shard/tenant split in exposition labels "
+                    "(obs::MetricsPart)",
+                )
 
     for path in iter_cxx_files(root, ["src", "tests", "bench", "examples"]):
         text = strip_comments_and_strings(path.read_text(errors="replace"))

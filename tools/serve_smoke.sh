@@ -8,7 +8,7 @@
 #
 # Runs two legs: the legacy single-shard layout, then --shards=4 (both
 # tenants over one 4-way sharded shared store, DESIGN.md §16) whose leg
-# additionally checks the shards gauge, the per-shard store mirrors, and
+# additionally checks the shards gauge, the {shard="i"} store samples, and
 # the per-shard on-disk layout.
 #
 #   tools/serve_smoke.sh <build-dir> [port] [metrics-port]
@@ -93,22 +93,30 @@ smoke_leg() {
   "${tool}" client fsck bravo --port="${port}" > /dev/null
   echo "serve_smoke[${tag}]: per-tenant fsck clean"
 
-  # The metrics endpoint must expose the per-tenant counters.
+  # The metrics endpoint must expose each tenant's own counters under a
+  # tenant label, and the shared store's cache counters.
   local metrics
   metrics="$(curl -fsS "http://127.0.0.1:${metrics_port}/metrics")"
   local name
-  for name in tenant_alpha_backups tenant_bravo_backups \
-      tenant_alpha_restored_bytes serve_sessions_accepted; do
+  for name in 'backups_completed{tenant="alpha"' \
+      'backups_completed{tenant="bravo"' 'restored_bytes{tenant="alpha"' \
+      'sessions{tenant="alpha"}' '^io_block_cache_hits[{ ]' \
+      serve_sessions_accepted; do
     if ! printf '%s\n' "${metrics}" | grep -q "${name}"; then
       echo "serve_smoke[${tag}]: /metrics missing ${name}" >&2
       exit 1
     fi
   done
+  if printf '%s\n' "${metrics}" | grep -q 'tenant_\|shard_'; then
+    echo "serve_smoke[${tag}]: /metrics has name-mangled copies" >&2
+    exit 1
+  fi
   echo "serve_smoke[${tag}]: /metrics exposes tenant counters"
 
   if [ "${tag}" = "shards4" ]; then
-    # Sharded leg: the shards gauge and every per-shard store mirror.
-    for name in shards shard_0_store shard_3_store; do
+    # Sharded leg: the shards gauge and every shared store's counters.
+    for name in '^shards ' 'store_container_writes{shard="0"}' \
+        'store_container_writes{shard="3"}'; do
       if ! printf '%s\n' "${metrics}" | grep -q "${name}"; then
         echo "serve_smoke[${tag}]: /metrics missing ${name}" >&2
         exit 1

@@ -123,6 +123,41 @@ class CheckRulesTest(unittest.TestCase):
         self.assertEqual(len(finds), 1)
         self.assertEqual(finds[0]["path"], "src/core/leak.cpp")
 
+    def test_metric_name_built_at_run_time_flagged(self):
+        self.tree.write(
+            "src/service/leak.cpp",
+            'void f(R& r, const std::string& t, int i) {\n'
+            '  r.counter("tenant_" + t + "_backups").inc();\n'
+            '  r.gauge(std::to_string(i)).set(1);\n'
+            "}\n",
+        )
+        self.tree.write(
+            "examples/leak.cpp",
+            'void g(R& r, const std::string& p) { r.histogram(p + "_ms"); }\n',
+        )
+        finds = [f for f in self.tree.findings() if f["rule"] == "metric-name"]
+        self.assertEqual(
+            sorted((f["path"], f["line"]) for f in finds),
+            [("examples/leak.cpp", 1), ("src/service/leak.cpp", 2),
+             ("src/service/leak.cpp", 3)],
+        )
+
+    def test_metric_name_literal_or_variable_allowed(self):
+        self.tree.write(
+            "src/core/ok.cpp",
+            'void f(R& r, const char* name, std::uint64_t n) {\n'
+            '  r.counter("t1_hits").inc(n + 1);\n'
+            "  r.counter(name).inc();\n"
+            '  r.histogram("lat_ms", {1.0 + 2.0});\n'
+            '  r.gauge("depth").set(std::to_string(n).size());\n'
+            "}\n",
+        )
+        # Tests may build names freely (e.g. to probe the sanitizer).
+        self.tree.write(
+            "tests/test_x.cpp", 'void t(R& r, int i) { r.counter("c" + i); }\n'
+        )
+        self.assertEqual(self.tree.findings(), [])
+
     def test_bench_baseline_date(self):
         self.tree.write(
             "bench/baselines/BENCH_ok.json",
