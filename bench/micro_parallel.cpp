@@ -2,8 +2,9 @@
 //   * BM_ParallelChunk/threads:N — parallel chunk+fingerprint ingest
 //     (parallel_chunk.h) at 1/2/4/8 worker threads. The 1-thread row is the
 //     serial chunk_bytes() path, so the ratio is the pipeline speedup.
-//   * BM_RestoreReadAhead/depth:N — whole-version restore with a prefetch
-//     buffer of N containers (0 = serial fetches).
+//   * BM_FaaRestore/workers:N — whole-version FAA restore whose assembly
+//     areas fill from N containers at once (1 = the calling thread alone),
+//     over 512 KiB containers so even the small input spans 16 of them.
 //
 // Scaling only shows on multi-core hardware; every configuration produces
 // byte-identical output regardless (asserted by the concurrency tests, not
@@ -62,17 +63,19 @@ BENCHMARK(BM_ParallelChunk)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-void BM_RestoreReadAhead(benchmark::State& state) {
+void BM_FaaRestore(benchmark::State& state) {
   const auto& data = ingest_buffer();
   const FastCdcChunker chunker;
-  auto sys = make_baseline(BaselineKind::kDdfs);
+  PipelineConfig pipeline_config;
+  pipeline_config.container_size = 512 * 1024;
+  auto sys = make_baseline(BaselineKind::kDdfs, pipeline_config);
   const auto version = sys->backup(chunk_bytes(chunker, data)).version;
-  sys->set_read_ahead(static_cast<std::size_t>(state.range(0)));
+  RestoreConfig config;
+  config.workers = static_cast<std::size_t>(state.range(0));
+  FaaRestore policy(config);
   std::uint64_t restored = 0;
   for (auto _ : state) {
     restored = 0;
-    RestoreConfig config;
-    FaaRestore policy(config);
     const auto report = sys->restore_with(
         version, policy,
         [&](const ChunkLoc&, std::span<const std::uint8_t> bytes) {
@@ -83,11 +86,11 @@ void BM_RestoreReadAhead(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(restored));
 }
-BENCHMARK(BM_RestoreReadAhead)
-    ->ArgName("depth")
-    ->Arg(0)
+BENCHMARK(BM_FaaRestore)
+    ->ArgName("workers")
+    ->Arg(1)
+    ->Arg(2)
     ->Arg(4)
-    ->Arg(16)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -38,7 +38,8 @@
 //   --trace-out=<file>     Chrome trace_event JSON of the command's phases
 //   --profile-out=<file>   this invocation's per-operation profiles
 //   --threads=N            backup: chunk+fingerprint on N threads; restore:
-//                          prefetch containers 2N ahead. 0 = serial
+//                          fill each assembly area from N containers at
+//                          once. 0 = serial
 //   --shards=N             init: the shard count (1-64); elsewhere: assert
 //                          the repository records exactly N shards
 //   --block-cache-mb=N     archival block cache budget (0 disables; 32)
@@ -84,16 +85,23 @@ using namespace hds;
 
 // A restore's output file. Callers open it only once the restore is known
 // to be possible, so a refused restore leaves any existing file untouched.
+// Chunks gather in a 1 MiB buffer: the stream's own buffer passes any write
+// over 1 KiB straight to the kernel, one syscall per chunk.
 class OutputFile {
  public:
   explicit OutputFile(const std::string& path)
       : path_(path), out_(path, std::ios::binary | std::ios::trunc) {
     if (!out_) throw RepositoryError("cannot open " + path);
+    buffer_.reserve(kBufferBytes);
   }
 
   void write(std::span<const std::uint8_t> bytes) {
-    out_.write(reinterpret_cast<const char*>(bytes.data()),
-               static_cast<std::streamsize>(bytes.size()));
+    if (buffer_.size() + bytes.size() > kBufferBytes) flush_buffer();
+    if (bytes.size() >= kBufferBytes) {
+      put(bytes);
+    } else {
+      buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
+    }
   }
 
   [[nodiscard]] ChunkSink sink() {
@@ -103,13 +111,26 @@ class OutputFile {
   }
 
   void finish() {
+    flush_buffer();
     out_.flush();
     if (!out_) throw RepositoryError("short write to " + path_);
   }
 
  private:
+  static constexpr std::size_t kBufferBytes = std::size_t{1} << 20;
+
+  void put(std::span<const std::uint8_t> bytes) {
+    out_.write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+  }
+  void flush_buffer() {
+    put(buffer_);
+    buffer_.clear();
+  }
+
   std::string path_;
   std::ofstream out_;
+  std::vector<std::uint8_t> buffer_;
 };
 
 int usage() {
@@ -679,10 +700,10 @@ int run(const std::vector<std::string>& args, const Options& options) {
   // included — lands in one timeline.
   obs::Tracer tracer;
   if (!options.trace_out.empty()) repository->set_tracer(&tracer);
-  // Overlap container reads with chunk assembly on whole-version restores:
-  // a 2N-deep prefetch window with N overlapping container reads in flight.
+  // Whole-version restores fill each assembly area from N containers at
+  // once.
   if (const std::size_t threads = options.number("threads"); threads > 1) {
-    sys.set_read_ahead(2 * threads, threads);
+    sys.set_restore_workers(threads);
   }
   if (options.has("block-cache-mb") || options.no_partial_reads) {
     FileStoreTuning tuning;

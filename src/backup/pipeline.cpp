@@ -10,7 +10,6 @@
 #include "restore/chunk_index.h"
 #include "restore/faa.h"
 #include "restore/partial.h"
-#include "restore/read_ahead.h"
 
 namespace hds {
 
@@ -34,7 +33,7 @@ class StoreFetcher final : public ContainerFetcher {
 
  private:
   ContainerStore& store_;
-  const ContainerChunkIndex* needed_;  // const → shared with prefetch thread
+  const ContainerChunkIndex* needed_;  // const → shared by fill workers
 };
 }  // namespace
 
@@ -199,26 +198,14 @@ RestoreReport DedupPipeline::restore_range(VersionId version,
 
   // Built from the whole recipe (a byte-range restore may touch a subset;
   // requesting the stream's full per-container set is still never more than
-  // the whole container). Const once built: the read-ahead thread shares it.
+  // the whole container). Const once built: FAA's fill workers share it.
   const ContainerChunkIndex needed = build_container_chunk_index(stream);
-  StoreFetcher direct(*store_, &needed);
-  ContainerFetcher* fetcher = &direct;
+  StoreFetcher fetcher(*store_, &needed);
   const bool whole = offset == 0 && length == UINT64_MAX;
-  std::unique_ptr<ReadAheadFetcher> read_ahead;
-  // Partial restores walk a byte range of the stream; prefetching the whole
-  // recipe would read containers the range never touches.
-  if (read_ahead_depth_ > 0 && whole) {
-    ReadAheadConfig ra_config;
-    ra_config.depth = read_ahead_depth_;
-    read_ahead =
-        std::make_unique<ReadAheadFetcher>(direct, stream, ra_config);
-    fetcher = read_ahead.get();
-  }
   report.stats =
-      whole ? policy.restore(stream, *fetcher, sink)
-            : restore_byte_range(stream, offset, length, policy, *fetcher,
+      whole ? policy.restore(stream, fetcher, sink)
+            : restore_byte_range(stream, offset, length, policy, fetcher,
                                  sink);
-  if (read_ahead) read_ahead->stop();
   report.elapsed_ms = timer.elapsed_ms();
   return report;
 }

@@ -46,18 +46,6 @@ class DedupPipeline final : public BackupSystem {
   RestoreReport restore_with(VersionId version, RestorePolicy& policy,
                              const ChunkSink& sink);
 
-  // Enables restore read-ahead: a prefetch thread walks the recipe ahead of
-  // the policy and issues container reads into a bounded buffer of `depth`
-  // containers, overlapping I/O with chunk assembly (read_ahead.h). 0 (the
-  // default) restores on one thread. Policy accounting and reported
-  // container-read counts are identical either way.
-  void set_read_ahead(std::size_t depth) noexcept {
-    read_ahead_depth_ = depth;
-  }
-  [[nodiscard]] std::size_t read_ahead() const noexcept {
-    return read_ahead_depth_;
-  }
-
   // Partial restore of logical bytes [offset, offset+length).
   RestoreReport restore_range(VersionId version, std::uint64_t offset,
                               std::uint64_t length, RestorePolicy& policy,
@@ -93,7 +81,6 @@ class DedupPipeline final : public BackupSystem {
 
   RecipeStore recipes_;
   VersionId next_version_ = 1;
-  std::size_t read_ahead_depth_ = 0;
 
   Container open_;
   ContainerId open_id_ = 0;

@@ -31,7 +31,8 @@
 //   5     service::ServeServer sessions mu   (leaf)
 //   6     service::Tenant::op_mu             everything below (a whole
 //                                            backup/restore runs under it)
-//   10    ReadAheadFetcher::mu_              obs registry (60), tracer (70)
+//   10    FAA AreaFill::mu_                  profiler phases (no lock),
+//                                            tracer (70) via fill_wait spans
 //   20    ThreadPool::mu_                    (leaf)
 //   22    ShardRouter task-group latch       shard queues (23)
 //   23    per-shard worker/merge queues      tracer (70) via wait spans
@@ -116,7 +117,7 @@ inline constexpr int kUnranked = 0;  // order-exempt (still no re-entry)
 inline constexpr int kServiceRegistry = 4;   // ServeServer::tenants_mu_
 inline constexpr int kServiceSessions = 5;   // ServeServer active-fd set
 inline constexpr int kServiceTenant = 6;     // service::Tenant::op_mu
-inline constexpr int kRestorePrefetch = 10;  // ReadAheadFetcher::mu_
+inline constexpr int kRestoreFill = 10;      // FAA AreaFill::mu_
 inline constexpr int kPoolIdle = 20;         // ThreadPool::mu_
 inline constexpr int kShardExec = 22;        // ShardRouter task-group latch
 inline constexpr int kShardQueue = 23;       // per-shard worker/merge queues

@@ -38,6 +38,10 @@ class ActiveContainerPool {
   [[nodiscard]] const ContainerId* find(const Fingerprint& fp) const noexcept;
 
   // Fetches a container for a restore — counted as one container read.
+  // Safe for concurrent callers (FAA's fill workers) while nothing mutates
+  // the pool, i.e. while no backup, eviction, compaction or load runs: it
+  // is a map find plus atomic IoStats adds, and the returned container is
+  // only read.
   [[nodiscard]] std::shared_ptr<const Container> fetch(ContainerId cid);
 
   // Diagnostic access (fsck): same container, no I/O accounting.

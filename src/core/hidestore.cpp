@@ -13,7 +13,6 @@
 #include "restore/chunk_index.h"
 #include "restore/faa.h"
 #include "restore/partial.h"
-#include "restore/read_ahead.h"
 #include "verify/invariant.h"
 
 namespace hds {
@@ -23,8 +22,9 @@ namespace {
 // restore's per-container chunk index is attached, archival fetches go
 // through read_chunks() so the file-backed store can serve them with
 // footer-index partial reads; accounting is identical (one container read
-// of full logical size either way). The index is const — the read-ahead
-// prefetch thread shares the fetcher.
+// of full logical size either way). FAA's fill workers call fetch()
+// concurrently: the index is const, the counters atomic, and the store and
+// the pool allow concurrent readers.
 class HiDeStoreFetcher final : public ContainerFetcher {
  public:
   HiDeStoreFetcher(ContainerStore& archival, ActiveContainerPool& pool,
@@ -48,7 +48,7 @@ class HiDeStoreFetcher final : public ContainerFetcher {
   }
 
   // Exact per-stream accounting: every archival read this fetcher issued
-  // (consumer thread + prefetch workers), immune to other restore streams
+  // (on any fill worker), immune to other restore streams
   // sharing the store — global-counter deltas are not (they attribute a
   // concurrent stream's reads to whichever stream samples last).
   [[nodiscard]] const ReadMeter& meter() const noexcept { return meter_; }
@@ -120,8 +120,6 @@ void HiDeStore::register_metrics() {
         "restore_container_reads", "restore_cache_hits",
         "restore_cache_evictions", "restore_chain_hops",
         "restore_failed_chunks", "recipe_entries_flattened",
-        "restore_prefetch_issued", "restore_prefetch_hits",
-        "restore_prefetch_misses", "restore_prefetch_wasted",
         // Deletion (§4.5): delete_chunks_scanned stays 0 — no GC.
         "versions_deleted", "containers_erased", "bytes_reclaimed",
         "delete_chunks_scanned",
@@ -445,6 +443,7 @@ ChunkLoc HiDeStore::resolve(
 RestoreReport HiDeStore::restore(VersionId version, const ChunkSink& sink) {
   RestoreConfig cache_config;
   cache_config.container_size = config_.container_size;
+  cache_config.workers = restore_workers_;
   FaaRestore policy{cache_config};
   return restore_with(version, policy, sink);
 }
@@ -493,63 +492,41 @@ RestoreReport HiDeStore::restore_range(VersionId version,
   metrics_.counter("restore_chain_hops").inc(hops);
 
   // Per-container fingerprint sets of this restore, so archival fetches can
-  // use the store's partial-read fast path. Const once built — shared with
-  // the read-ahead thread.
+  // use the store's partial-read fast path. Const once built — shared by
+  // FAA's fill workers.
   const ContainerChunkIndex needed = build_container_chunk_index(stream);
-  HiDeStoreFetcher direct(*store_, pool_, &needed);
-  ContainerFetcher* fetcher = &direct;
-  const bool whole = offset == 0 && length == UINT64_MAX;
-  std::unique_ptr<ReadAheadFetcher> read_ahead;
-  if (read_ahead_depth_ > 0 && whole) {
-    ReadAheadConfig ra_config;
-    ra_config.depth = read_ahead_depth_;
-    ra_config.in_flight = read_ahead_in_flight_;
-    ra_config.metrics = &metrics_;
-    ra_config.tracer = tracer_;
-    // Flow ids are base + loc.key() (key's top bit is the 33-bit
-    // active|cid pair), so shifting a fresh tracer id past bit 33 keeps
-    // concurrent restores' flows disjoint.
-    ra_config.flow_id_base =
-        tracer_ != nullptr ? tracer_->next_id() << 33 : 0;
-    ra_config.profile = prof.get();
-    read_ahead =
-        std::make_unique<ReadAheadFetcher>(direct, stream, ra_config);
-    fetcher = read_ahead.get();
-  }
+  HiDeStoreFetcher fetcher(*store_, pool_, &needed);
   {
     obs::Span policy_span(tracer_, "policy_restore");
     auto policy_phase = prof->phase("policy_restore");
+    // The policy reports into this op only for the length of the call.
+    struct Observed {
+      RestorePolicy& policy;
+      ~Observed() { policy.observe(nullptr, nullptr); }
+    } observed{policy};
+    policy.observe(tracer_, prof.get());
+    const bool whole = offset == 0 && length == UINT64_MAX;
     report.stats =
-        whole ? policy.restore(stream, *fetcher, sink)
-              : restore_byte_range(stream, offset, length, policy, *fetcher,
+        whole ? policy.restore(stream, fetcher, sink)
+              : restore_byte_range(stream, offset, length, policy, fetcher,
                                    sink);
-  }
-  std::uint64_t wasted = 0;
-  if (read_ahead) {
-    read_ahead->stop();
-    wasted = read_ahead->wasted_reads();
-    metrics_.counter("restore_prefetch_wasted").inc(wasted);
   }
   // Policies count fetch() calls themselves; cross-check with THIS stream's
   // fetcher meter — not global store-counter deltas, which would attribute
   // a concurrent restore's reads (and physical bytes) to whoever samples
-  // last. Wasted prefetches (containers read ahead that the policy's own
-  // cache made unnecessary) are excluded so the reported count equals the
-  // serial run's — they are tracked by restore_prefetch_wasted instead.
-  const auto stream_reads =
-      direct.meter().container_reads.load(std::memory_order_relaxed) +
-      direct.pool_fetches();
-  report.stats.container_reads = stream_reads - wasted;
+  // last.
+  report.stats.container_reads =
+      fetcher.meter().container_reads.load(std::memory_order_relaxed) +
+      fetcher.pool_fetches();
   report.elapsed_ms = timer.elapsed_ms();
   prof->set_chunks(report.stats.restored_chunks);
   prof->add_bytes(
       report.stats.restored_bytes,
-      direct.meter().bytes_read_physical.load(std::memory_order_relaxed));
+      fetcher.meter().bytes_read_physical.load(std::memory_order_relaxed));
   prof->set_container_reads(report.stats.container_reads);
   // Restore cache economics: policy cache hits / fetches that reached a
-  // store / prefetches the policy's cache made unnecessary.
-  prof->set_cache(report.stats.cache_hits, report.stats.container_reads,
-                  wasted);
+  // store. Nothing is read that the policy did not ask for.
+  prof->set_cache(report.stats.cache_hits, report.stats.container_reads, 0);
   metrics_.counter("restores_completed").inc();
   metrics_.counter("restored_bytes").inc(report.stats.restored_bytes);
   metrics_.counter("restored_chunks").inc(report.stats.restored_chunks);
@@ -637,7 +614,27 @@ std::optional<StateHeader> peek_state_header(
   }
   return header;
 }
+
+// The commit epoch a state file carries: its header's, or 1 for a
+// pre-journal (format 2) snapshot, which adopts epoch 1 on load.
+std::optional<std::uint64_t> state_epoch(std::span<const std::uint8_t> bytes) {
+  if (const auto header = peek_state_header(bytes)) return header->epoch;
+  ByteReader reader(bytes);
+  std::uint32_t magic, format;
+  if (reader.u32(magic) && magic == kStateMagic && reader.u32(format) &&
+      format == kStateFormatLegacy) {
+    return 1;
+  }
+  return std::nullopt;
+}
 }  // namespace
+
+bool HiDeStore::is_committed_state(const CommitRecord& record,
+                                   std::span<const std::uint8_t> state) {
+  return state.size() == record.state_size &&
+         crc32(state.data(), state.size()) == record.state_crc &&
+         state_epoch(state) == record.epoch;
+}
 
 void HiDeStore::save(const std::filesystem::path& dir) {
   const CommitRecord record = stage_save(dir);
@@ -862,8 +859,7 @@ std::unique_ptr<HiDeStore> HiDeStore::open_impl(
 
   const auto matches = [](const std::optional<std::vector<std::uint8_t>>& b,
                           const CommitRecord& r) {
-    return b.has_value() && b->size() == r.state_size &&
-           crc32(b->data(), b->size()) == r.state_crc;
+    return b.has_value() && is_committed_state(r, *b);
   };
 
   // 3. Pick the snapshot to trust. The committed one is whichever file the

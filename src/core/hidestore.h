@@ -119,25 +119,19 @@ class HiDeStore final : public BackupSystem {
   // Runs Algorithm 1 offline; returns entries rewritten.
   std::size_t flatten_recipes();
 
-  // Enables restore read-ahead (read_ahead.h): `in_flight` prefetch workers
-  // issue archival-container reads ahead of the restore policy into a
-  // bounded buffer of `depth` containers, so up to min(in_flight, depth)
-  // container reads overlap with chunk assembly. Active-pool containers are
-  // never prefetched (the pool is consumer-thread-only). depth 0 disables.
-  // Reported container-read counts exclude wasted prefetches, so Fig 11
-  // numbers are unchanged; waste is exported as restore_prefetch_wasted.
-  // Not persisted by save() — a runtime tuning knob, not repository state.
-  void set_read_ahead(std::size_t depth, std::size_t in_flight = 1) noexcept {
-    read_ahead_depth_ = depth;
-    read_ahead_in_flight_ = in_flight == 0 ? 1 : in_flight;
-  }
-  [[nodiscard]] std::size_t read_ahead() const noexcept {
-    return read_ahead_depth_;
+  // Fill workers for restore(): each FAA assembly area is filled from up
+  // to `workers` containers at once, the calling thread included (faa.h).
+  // 0 and 1 both mean serial. Restored bytes and every RestoreStats field
+  // are identical at any count. restore_with()/restore_range() use the
+  // caller's policy as configured. Not persisted by save(): a runtime
+  // setting, not repository state.
+  void set_restore_workers(std::size_t workers) noexcept {
+    restore_workers_ = workers == 0 ? 1 : workers;
   }
 
   // Re-tunes the file-backed archival store's I/O fast path at runtime
   // (setup operation — not safe mid-restore). No effect on an in-memory
-  // repository. Not persisted, like set_read_ahead().
+  // repository. Not persisted, like set_restore_workers().
   void set_io_tuning(const FileStoreTuning& tuning);
 
   // --- Repository lifecycle ---
@@ -196,6 +190,13 @@ class HiDeStore final : public BackupSystem {
       const std::filesystem::path& dir,
       std::shared_ptr<ContainerStore> shared_store,
       RecoveryReport* report = nullptr);
+  // True when `state` is the state file `record` commits: its size and
+  // whole-file CRC match and its header carries the record's epoch. Size
+  // and CRC alone cannot tell two snapshots apart: a state file ends in its
+  // own CRC, so every one has the same whole-file CRC (the CRC-32 residue),
+  // and a save that changed nothing stages one of the same size.
+  [[nodiscard]] static bool is_committed_state(
+      const CommitRecord& record, std::span<const std::uint8_t> state);
   // Journal epoch of the last committed save (0 = never saved).
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
 
@@ -219,8 +220,8 @@ class HiDeStore final : public BackupSystem {
   // Attaches a phase tracer (nullptr detaches). While attached, every
   // backup/restore/delete records nested spans dumpable as Chrome
   // trace_event JSON; the archival store wraps its device reads in spans on
-  // whichever thread issues them, and restores with read-ahead emit
-  // cross-thread flow events (read_ahead.h).
+  // whichever thread issues them, and FAA's fill workers record faa_fill
+  // spans on restore_fill_<i> tracks (faa.h).
   void set_tracer(obs::Tracer* tracer) noexcept {
     tracer_ = tracer;
     store_->set_tracer(tracer);
@@ -324,8 +325,7 @@ class HiDeStore final : public BackupSystem {
   VersionId oldest_version_ = 1;
   // MANIFEST journal epoch of the last committed save (0 = never saved).
   std::uint64_t epoch_ = 0;
-  std::size_t read_ahead_depth_ = 0;
-  std::size_t read_ahead_in_flight_ = 1;
+  std::size_t restore_workers_ = 1;
   // Process-wide chunk-CRC failure count at construction/load time; the
   // io_crc_failures counter mirrors growth past this baseline.
   std::uint64_t crc_failures_baseline_ = 0;

@@ -762,8 +762,8 @@ std::unique_ptr<ShardRouter> ShardRouter::open_impl(
     const CommitRecord& pending = parsed->pending[i];
 
     // Roll-forward: the root commit landed but this shard's journal append
-    // did not. The staged state file must match the record the router
-    // vouches for byte-for-byte before the journal adopts it.
+    // did not. The staged state file must be the one the router's record
+    // commits (size, CRC and epoch) before the journal adopts it.
     Manifest shard_manifest;
     const bool committed =
         load_manifest(sdir, shard_manifest) == ManifestStatus::kOk &&
@@ -771,9 +771,8 @@ std::unique_ptr<ShardRouter> ShardRouter::open_impl(
         shard_manifest.head()->epoch >= pending.epoch;
     if (!committed) {
       const auto state_bytes = read_file_bytes(sdir / "state.hds");
-      if (state_bytes && state_bytes->size() == pending.state_size &&
-          crc32(state_bytes->data(), state_bytes->size()) ==
-              pending.state_crc) {
+      if (state_bytes &&
+          HiDeStore::is_committed_state(pending, *state_bytes)) {
         Manifest forward;
         if (load_manifest(sdir, forward) != ManifestStatus::kOk ||
             (forward.head() != nullptr &&
@@ -964,8 +963,12 @@ void ShardRouter::set_tracer(obs::Tracer* tracer) {
   }
 }
 
+void ShardRouter::set_restore_workers(std::size_t workers) {
+  for (const auto& shard : shards_) shard->set_restore_workers(workers);
+}
+
 void ShardRouter::set_read_ahead(std::size_t depth, std::size_t in_flight) {
-  for (const auto& shard : shards_) shard->set_read_ahead(depth, in_flight);
+  set_restore_workers(depth == 0 ? 1 : in_flight);
 }
 
 void ShardRouter::set_io_tuning(const FileStoreTuning& tuning) {

@@ -163,6 +163,10 @@ class ShardRouter {
     return shards_[0]->profiler();
   }
   void set_tracer(obs::Tracer* tracer);
+  // HiDeStore::set_restore_workers on every shard.
+  void set_restore_workers(std::size_t workers);
+  // The pre-FAA-fill spelling, kept for callers not yet migrated: `in_flight`
+  // is the worker count, depth 0 means serial.
   void set_read_ahead(std::size_t depth, std::size_t in_flight = 1);
   void set_io_tuning(const FileStoreTuning& tuning);
 

@@ -97,8 +97,12 @@ OpRecorder::Phase::Phase(OpRecorder* recorder, std::string_view name)
     : recorder_(recorder),
       wall0_ms(profiler_wall_ms()),
       cpu0_ms(profiler_cpu_ms()) {
-  index_ = recorder_->profile_.phases.size();
-  recorder_->profile_.phases.push_back(PhaseTiming{std::string(name)});
+  auto& phases = recorder_->profile_.phases;
+  const auto it =
+      std::find_if(phases.begin(), phases.end(),
+                   [&](const PhaseTiming& p) { return p.name == name; });
+  index_ = static_cast<std::size_t>(it - phases.begin());
+  if (it == phases.end()) phases.push_back(PhaseTiming{std::string(name)});
 }
 
 OpRecorder::Phase::Phase(Phase&& other) noexcept
@@ -122,8 +126,8 @@ void OpRecorder::Phase::end() noexcept {
   if (recorder_ == nullptr) return;
   OpRecorder* recorder = std::exchange(recorder_, nullptr);
   auto& timing = recorder->profile_.phases[index_];
-  timing.wall_ms = profiler_wall_ms() - wall0_ms;
-  timing.cpu_ms = profiler_cpu_ms() - cpu0_ms;
+  timing.wall_ms += profiler_wall_ms() - wall0_ms;
+  timing.cpu_ms += profiler_cpu_ms() - cpu0_ms;
 }
 
 // --- OpRecorder ---
@@ -144,7 +148,7 @@ OpRecorder::Phase OpRecorder::phase(std::string_view name) {
 void OpRecorder::sample_queue_depth(double depth) noexcept {
   const auto n = depth_count_.fetch_add(1, std::memory_order_relaxed);
   depth_ring_[static_cast<std::size_t>(n % kDepthSamples)] = depth;
-  // Relaxed max: only the sampling thread writes, so load+store suffices.
+  // Relaxed max: samplers are serialized, so load+store suffices.
   if (depth > depth_peak_.load(std::memory_order_relaxed)) {
     depth_peak_.store(depth, std::memory_order_relaxed);
   }

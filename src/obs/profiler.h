@@ -12,8 +12,8 @@
 // finished op to <repo>/profiles.jsonl).
 //
 // Threading: an OpRecorder is owned and finished by the operation's thread;
-// only sample_queue_depth() may be called concurrently (the restore
-// read-ahead thread samples its buffer depth through it). The OpProfiler
+// only sample_queue_depth() may be called from other threads (FAA's fill
+// workers sample the containers in flight through it). The OpProfiler
 // ring itself is mutex-guarded — begin()/commit()/recent() are thread-safe.
 #pragma once
 
@@ -59,7 +59,7 @@ struct OpProfile {
   std::uint64_t chunks = 0;
   std::uint64_t container_reads = 0;
   // Cache economics. Restore: policy cache hits / fetches that reached the
-  // store / wasted prefetches. Backup: dedup cache hits / unique chunks / 0.
+  // store / 0. Backup: dedup cache hits / unique chunks / 0.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_wasted = 0;
@@ -77,7 +77,8 @@ class OpProfiler;
 // destruction (or finish()). Obtain via OpProfiler::begin().
 class OpRecorder {
  public:
-  // RAII phase scope; measures wall + process-CPU time.
+  // RAII phase scope; measures wall + process-CPU time. Re-entering a name
+  // adds to that phase (FAA's many short fill waits are one phase).
   class Phase {
    public:
     Phase() = default;
@@ -120,10 +121,10 @@ class OpRecorder {
     profile_.cache_wasted = wasted;
   }
 
-  // Thread-safe depth sampling (called from the read-ahead prefetch thread
-  // while the consumer thread owns the rest of the recorder). Keeps the
-  // last kDepthSamples values; the consumer reads them only in finish(),
-  // after the sampling thread has been joined.
+  // Depth sampling from other threads while the op thread owns the rest of
+  // the recorder. Callers serialize their calls (FAA samples under its fill
+  // mutex). Keeps the last kDepthSamples values; the op thread reads them
+  // only in finish(), after the sampling threads have been joined.
   void sample_queue_depth(double depth) noexcept;
 
   // Commits the profile to the profiler; idempotent (the destructor calls
@@ -144,8 +145,8 @@ class OpRecorder {
   double cpu0_ms = 0.0;
   std::array<double, kDepthSamples> depth_ring_{};
   std::atomic<std::uint64_t> depth_count_{0};
-  // Monotone max, updated only by the sampling thread; see the threading
-  // note on sample_queue_depth().
+  // Monotone max, updated only under the samplers' serialization; see the
+  // threading note on sample_queue_depth().
   std::atomic<double> depth_peak_{0.0};
 };
 

@@ -132,33 +132,6 @@ void Tracer::record(TraceEvent event) {
   events_.push_back(std::move(event));
 }
 
-void Tracer::record_marker(std::string_view name, char ph, std::uint64_t id,
-                           std::string args) {
-  TraceEvent event;
-  event.name = std::string(name);
-  event.ts_us = now_us();
-  event.ph = ph;
-  event.id = id;
-  event.args = std::move(args);
-  record(std::move(event));
-}
-
-void Tracer::flow_begin(std::string_view name, std::uint64_t id) {
-  record_marker(name, 's', id, {});
-}
-
-void Tracer::flow_step(std::string_view name, std::uint64_t id) {
-  record_marker(name, 't', id, {});
-}
-
-void Tracer::flow_end(std::string_view name, std::uint64_t id) {
-  record_marker(name, 'f', id, {});
-}
-
-void Tracer::instant(std::string_view name) {
-  record_marker(name, 'i', 0, {});
-}
-
 void Tracer::set_thread_name(std::string_view name) {
   std::string args;
   append_arg(args, "name", name);
@@ -190,16 +163,6 @@ std::string Tracer::to_json() const {
            "\",\"cat\":\"hds\",\"ph\":\"" + e.ph +
            "\",\"ts\":" + format_us(e.ts_us);
     if (e.ph == 'X') out += ",\"dur\":" + format_us(e.dur_us);
-    // Flow ids render in hex so they read as opaque tokens, not counts.
-    if (e.ph == 's' || e.ph == 't' || e.ph == 'f') {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "0x%llx",
-                    static_cast<unsigned long long>(e.id));
-      out += ",\"id\":\"" + std::string(buf) + "\"";
-    }
-    // Bind the flow arrowhead to the enclosing slice, not the next one.
-    if (e.ph == 'f') out += ",\"bp\":\"e\"";
-    if (e.ph == 'i') out += ",\"s\":\"t\"";  // thread-scoped instant
     out += ",\"pid\":1,\"tid\":" + std::to_string(e.tid);
     if (!e.args.empty()) out += ",\"args\":{" + e.args + "}";
     out += "}";

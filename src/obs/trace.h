@@ -1,27 +1,22 @@
 // Phase tracer — RAII spans recording nested begin/end timestamps of the
 // backup/restore pipeline phases (dedup, cold-chunk eviction, recipe
-// update, recipe resolution, policy restore, ...), plus the cross-thread
-// machinery that makes a 4-thread restore readable as ONE timeline:
+// update, recipe resolution, policy restore, ...), so that a multi-thread
+// restore reads as ONE timeline:
 //
-//   * spans ("X" complete events) with optional key/value args;
-//   * flow events ("s"/"t"/"f") that visually connect a container's journey
-//     from the read-ahead prefetch thread through the block cache to the
-//     assembling restorer — same flow id on every hop;
-//   * instant events ("i") for point occurrences (cache hits);
-//   * thread-name metadata ("M") so the fetcher/restorer threads are
-//     labeled instead of numbered.
+//   * spans ("X" complete events) with optional key/value args, recorded
+//     on whichever thread ran them;
+//   * thread-name metadata ("M") so the restore_main / restore_fill_<i>
+//     threads are labeled instead of numbered.
 //
 // Spans are cheap when no tracer is attached: a Span constructed with a
 // null Tracer* is a no-op, so instrumented code can unconditionally open
 // spans and pay nothing unless tracing was requested (hds_tool
-// --trace-out=<file>). The same null-check contract applies to the flow /
-// instant / thread-name helpers.
+// --trace-out=<file>).
 //
 // The recorded timeline dumps as Chrome trace_event JSON loadable in
 // chrome://tracing or Perfetto.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -67,12 +62,8 @@ struct TraceEvent {
   double ts_us = 0.0;   // microseconds since the tracer's origin
   double dur_us = 0.0;  // duration in microseconds ("X" events only)
   std::uint64_t tid = 0;
-  // Chrome trace_event phase: 'X' complete, 's'/'t'/'f' flow start/step/
-  // finish, 'i' instant, 'M' metadata (thread names).
+  // Chrome trace_event phase: 'X' complete, 'M' metadata (thread names).
   char ph = 'X';
-  // Flow binding id ('s'/'t'/'f'): events sharing an id draw as one arrow
-  // chain across threads.
-  std::uint64_t id = 0;
   std::string args;  // pre-rendered JSON object body; empty = no args
 };
 
@@ -82,25 +73,9 @@ class Tracer {
 
   [[nodiscard]] Span span(std::string_view name) { return {this, name}; }
 
-  // Flow events — arrows across threads. A flow with id I starts at the
-  // 's' event, passes every 't', and terminates at the 'f' event; each
-  // event binds to the span enclosing it on its own thread. Use next_id()
-  // (or any scheme that never collides) to pick ids.
-  void flow_begin(std::string_view name, std::uint64_t id);
-  void flow_step(std::string_view name, std::uint64_t id);
-  void flow_end(std::string_view name, std::uint64_t id);
-
-  // Thread-scoped instant event (a point marker on this thread's track).
-  void instant(std::string_view name);
-
-  // Names the calling thread's track in the viewer ("restore_prefetch",
+  // Names the calling thread's track in the viewer ("restore_fill_0",
   // "restore_main", ...). Safe to call repeatedly; last call wins.
   void set_thread_name(std::string_view name);
-
-  // Process-unique id source for flows / operations.
-  [[nodiscard]] std::uint64_t next_id() noexcept {
-    return id_source_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
 
   // Microseconds since this tracer was constructed.
   [[nodiscard]] double now_us() const noexcept;
@@ -118,13 +93,9 @@ class Tracer {
   bool dump(const std::filesystem::path& path) const;
 
  private:
-  void record_marker(std::string_view name, char ph, std::uint64_t id,
-                     std::string args);
-
   std::chrono::steady_clock::time_point origin_;
-  std::atomic<std::uint64_t> id_source_{0};
   // Innermost lock in the tree: spans end (and record here) while queue /
-  // prefetch locks are held, so every other rank must be below kObsTracer.
+  // restore-fill locks are held, so every other rank must be below kObsTracer.
   mutable Mutex mu_{lockrank::kObsTracer};
   std::vector<TraceEvent> events_ HDS_GUARDED_BY(mu_);
 };

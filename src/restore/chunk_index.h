@@ -5,7 +5,7 @@
 // const pointer) to the fetchers so read_chunks() can ask the store for
 // exactly the needed chunks of a container instead of the whole thing —
 // the footer-index partial-read fast path (DESIGN.md §10). Const after
-// construction, so the ReadAheadFetcher's prefetch thread shares it safely.
+// construction, so FAA's fill workers share it safely.
 #pragma once
 
 #include <span>

@@ -18,6 +18,11 @@
 
 namespace hds {
 
+namespace obs {
+class OpRecorder;
+class Tracer;
+}  // namespace obs
+
 // One chunk of the restore stream, already resolved to its container.
 // `active` selects the container namespace: HiDeStore keeps hot chunks in
 // active containers whose IDs are disjoint from archival IDs.
@@ -36,7 +41,8 @@ struct ChunkLoc {
 
 // Fetches the container that holds `loc`. Implementations bridge to the
 // archival ContainerStore and (for HiDeStore) the active pool. Each call is
-// one container read; policies count calls.
+// one container read; policies count calls. FAA with more than one fill
+// worker (faa.h) calls fetch() from several threads at once.
 class ContainerFetcher {
  public:
   virtual ~ContainerFetcher() = default;
@@ -78,6 +84,12 @@ class RestorePolicy {
                                ContainerFetcher& fetcher,
                                const ChunkSink& sink) = 0;
 
+  // Where the next restore() calls record trace spans and profile phases
+  // (either may be null). Only FAA records any: its fill workers' faa_fill
+  // spans and the drain's fill_wait (faa.h).
+  virtual void observe(obs::Tracer* /*tracer*/,
+                       obs::OpRecorder* /*profile*/) {}
+
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 };
 
@@ -99,6 +111,9 @@ struct RestoreConfig {
   std::size_t container_size = 4 * 1024 * 1024;
   // Look-ahead window (in chunks) for recipe-aware policies (ALACC, FBW).
   std::size_t lookahead_chunks = 16 * 1024;
+  // FAA only: threads that fill each assembly area, the calling thread
+  // included (faa.h). 0 and 1 both mean the calling thread alone.
+  std::size_t workers = 1;
 };
 
 [[nodiscard]] std::unique_ptr<RestorePolicy> make_restore_policy(

@@ -1,8 +1,8 @@
 // BlockCache — sharded LRU of deserialized containers under a byte budget.
 //
 // One cache per FileContainerStore, shared by everything that reads through
-// it: the restore policies, the ReadAheadFetcher's prefetch thread, and
-// end-of-version compaction/eviction — so a container deserialized for one
+// it: the restore policies (on any FAA fill worker) and end-of-version
+// compaction/eviction — so a container deserialized for one
 // consumer is served from memory to the next instead of being re-slurped.
 //
 // Policy:

@@ -32,8 +32,8 @@
 
 namespace hds {
 
-// I/O counters shared between the consumer thread and the restore
-// read-ahead prefetcher: each field is a relaxed atomic (counts must not be
+// I/O counters shared by every thread that reads a store (FAA's fill
+// workers among them): each field is a relaxed atomic (counts must not be
 // lost; cross-field consistency is not needed). The metrics registry
 // exports them as counter views (attach_metrics), never as copies.
 //
@@ -69,7 +69,7 @@ struct IoStats {
 // stream B's reads). A caller that passes a ReadMeter gets the exact
 // logical/physical charge of its own calls, attributable to its own
 // OpProfile. Not thread-safe by itself — each stream owns its meter and the
-// stream's threads (consumer + its prefetch workers) add through relaxed
+// stream's threads (its FAA fill workers) add through relaxed
 // atomics.
 struct ReadMeter {
   std::atomic<std::uint64_t> container_reads{0};
@@ -138,8 +138,8 @@ struct FileStoreTuning {
 // threads concurrently — counters are atomic (metrics exporters read them
 // in place through counter views), ID reservation is atomic, and both
 // backends guard their container maps (and the file backend its caches)
-// with mutexes. This is what lets the restore read-ahead thread issue
-// reads while the consumer thread reads and the backup path writes.
+// with mutexes. This is what lets FAA's fill workers read concurrently
+// while the backup path writes.
 // NOT thread-safe: attach_metrics(), reset_stats(), restore_next_id(),
 // set_tuning() and construction/destruction, which must be serialized
 // externally (they are setup/teardown operations).

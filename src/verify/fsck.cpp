@@ -12,7 +12,6 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/crc32.h"
 #include "core/hidestore.h"
 #include "core/shard_router.h"
 #include "index/shard_space.h"
@@ -600,7 +599,8 @@ FsckCheck check_manifest_commit(const HiDeStore& sys,
                  std::to_string(head->oldest_version) +
                  " disagrees with the live system's " +
                  std::to_string(sys.oldest_version()));
-  // The committed state file the record stamps must exist byte-for-byte.
+  // The committed state file the record stamps must exist: same size, CRC
+  // and epoch.
   std::ifstream in(dir / "state.hds", std::ios::binary | std::ios::ate);
   if (!in) {
     out.expect(false, "state.hds", "committed state file is missing");
@@ -612,11 +612,9 @@ FsckCheck check_manifest_commit(const HiDeStore& sys,
           static_cast<std::streamsize>(bytes.size()));
   out.expect(static_cast<bool>(in) || bytes.empty(), "state.hds",
              "committed state file is unreadable");
-  out.expect(bytes.size() == head->state_size &&
-                 crc32(bytes.data(), bytes.size()) == head->state_crc,
-             "state.hds",
-             "committed state file does not match the journal's size/CRC "
-             "stamp");
+  out.expect(HiDeStore::is_committed_state(*head, bytes), "state.hds",
+             "committed state file does not match the journal's size/CRC/"
+             "epoch stamp");
   return out.take();
 }
 

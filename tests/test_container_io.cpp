@@ -2,8 +2,8 @@
 // read path under it (§13): the fd cache, the sharded block cache, the
 // FileContainerStore under concurrent readers, a writer and an eraser, the
 // pread loop's short-read/EINTR continuation and injected device failures,
-// and per-stream ReadMeter accounting under concurrent (prefetched) restore
-// streams (runs under TSan via the `concurrency` label).
+// and per-stream ReadMeter accounting under concurrent multi-worker FAA
+// restore streams (runs under TSan via the `concurrency` label).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "restore/read_ahead.h"
+#include "restore/faa.h"
 #include "storage/block_cache.h"
 #include "storage/container_store.h"
 #include "storage/durable.h"
@@ -447,9 +447,10 @@ TEST_F(ContainerReadPath, ConcurrentStreamsKeepPerStreamAccounting) {
   EXPECT_EQ(meters[0].bytes_read.load(), meters[1].bytes_read.load());
 }
 
-// Two ReadAheadFetcher streams with overlapping prefetch workers against
-// one store: the fetcher pipeline above the pread loop must stay
-// byte-correct and exactly-once under real thread interleavings.
+// Two FAA restore streams, each filling on three workers, against one
+// store: the fill above the pread loop must stay byte-correct and read each
+// container exactly once per stream under real thread interleavings, and
+// each stream's meter must charge it for its own reads only.
 TEST_F(ContainerReadPath, ConcurrentPrefetchedStreamsStayExactlyOnce) {
   struct StoreFetcher final : ContainerFetcher {
     StoreFetcher(FileContainerStore& s, ReadMeter& m) : store(s), meter(m) {}
@@ -467,51 +468,44 @@ TEST_F(ContainerReadPath, ConcurrentPrefetchedStreamsStayExactlyOnce) {
     for (const auto& [fp, bytes] : reference_[id]) {
       ChunkLoc loc;
       loc.fp = fp;
+      loc.size = static_cast<std::uint32_t>(bytes.size());
       loc.cid = id;
       locs.push_back(loc);
     }
   }
   ReadMeter meters[2];
   std::atomic<int> failures{0};
-  std::atomic<std::uint64_t> wasted_total{0};
   auto stream = [&](int which) {
     StoreFetcher base(store, meters[which]);
-    ReadAheadConfig config;
-    config.depth = 4;
-    config.in_flight = 3;
-    ReadAheadFetcher fetcher(base, locs, config);
-    // One fetch per container run, like a policy whose cache holds the
-    // current container across its chunks (the stream groups by cid).
-    std::shared_ptr<const Container> current;
-    ContainerId current_id = 0;
-    for (const auto& loc : locs) {
-      if (current == nullptr || loc.cid != current_id) {
-        current = fetcher.fetch(loc);
-        current_id = loc.cid;
-      }
-      if (current == nullptr || !current->contains(loc.fp)) {
-        failures.fetch_add(1);
-      }
-    }
-    fetcher.stop();
-    // This stream's meter charges it for exactly its consumed containers
-    // plus its own wasted prefetches — subtracting waste recovers the
-    // serial run's count, with no cross-pollution from the other stream.
-    EXPECT_EQ(fetcher.prefetch_hits() + fetcher.prefetch_misses(),
-              ids_.size());
-    EXPECT_EQ(meters[which].container_reads.load(),
-              ids_.size() + fetcher.wasted_reads());
-    wasted_total.fetch_add(fetcher.wasted_reads());
+    RestoreConfig config;
+    config.workers = 3;
+    FaaRestore policy(config);
+    std::size_t at = 0;
+    const auto stats = policy.restore(
+        locs, base,
+        [&](const ChunkLoc& loc, std::span<const std::uint8_t> bytes) {
+          const auto& want = reference_.at(loc.cid).at(loc.fp);
+          if (at++ >= locs.size() ||
+              !std::equal(bytes.begin(), bytes.end(), want.begin(),
+                          want.end())) {
+            failures.fetch_add(1);
+          }
+        });
+    // One area holds the whole stream: one fetch per container, and this
+    // stream's meter charges it for exactly those.
+    EXPECT_EQ(stats.container_reads, ids_.size());
+    EXPECT_EQ(stats.failed_chunks, 0u);
+    EXPECT_EQ(meters[which].container_reads.load(), ids_.size());
   };
   std::thread other(stream, 1);
   stream(0);
   other.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(store.stats().container_reads,
-            2 * ids_.size() + wasted_total.load());
+  EXPECT_EQ(store.stats().container_reads, 2 * ids_.size());
   EXPECT_EQ(meters[0].container_reads.load() +
                 meters[1].container_reads.load(),
             store.stats().container_reads);
+  EXPECT_EQ(meters[0].bytes_read.load(), meters[1].bytes_read.load());
 }
 
 }  // namespace

@@ -151,6 +151,67 @@ TEST(CrashMatrix, EveryWriteSiteRecoversToLastCommittedVersion) {
   }
 }
 
+// A save that changes nothing stages a state file of the committed one's
+// size, and every state file has the same whole-file CRC (it ends in its
+// own CRC), so only the epoch in its header tells the two apart. Crashed
+// anywhere before the MANIFEST rename, the save must roll back to the
+// committed epoch; crashed after it, the new epoch is committed.
+TEST(CrashMatrix, UnchangedSaveCrashedBeforeCommitRollsBack) {
+  const auto versions = generate(2, 120);
+  const auto run = [&](const fs::path& dir, std::uint64_t step) {
+    durable::CrashInjector::arm(step, durable::FaultMode::kThrow);
+    std::uint64_t first_save_sites = 0;
+    try {
+      HiDeStore sys(repo_config(dir));
+      for (const auto& vs : versions) (void)sys.backup(vs);
+      sys.save(dir);
+      first_save_sites = durable::CrashInjector::steps();
+      sys.save(dir);  // nothing changed since the first save
+    } catch (const durable::InjectedCrash&) {
+    }
+    durable::CrashInjector::disarm();
+    return first_save_sites;
+  };
+
+  std::uint64_t first = 0;
+  std::uint64_t total = 0;
+  {
+    TempDir dir("hds_crash_unchanged_dry");
+    first = run(dir.path, std::numeric_limits<std::uint64_t>::max());
+    total = durable::CrashInjector::steps();
+  }
+  ASSERT_GT(total, first);
+
+  std::size_t rolled_back = 0;
+  for (std::uint64_t step = first + 1; step <= total; ++step) {
+    TempDir dir("hds_crash_unchanged");
+    (void)run(dir.path, step);
+    Manifest manifest;
+    ASSERT_EQ(load_manifest(dir.path, manifest), ManifestStatus::kOk);
+    ASSERT_NE(manifest.head(), nullptr);
+    const std::uint64_t committed = manifest.head()->epoch;
+
+    RecoveryReport report;
+    auto sys = HiDeStore::open(dir.path, &report);
+    ASSERT_NE(sys, nullptr) << "step " << step;
+    EXPECT_EQ(sys->epoch(), committed) << "step " << step << "\n"
+                                       << report.to_text();
+    if (committed == 1) ++rolled_back;
+    EXPECT_EQ(sys->latest_version(), versions.size()) << "step " << step;
+    expect_exact_restore(*sys, sys->latest_version(), versions.back());
+    const auto fsck = verify::run_fsck(*sys);
+    EXPECT_TRUE(fsck.clean()) << "step " << step << "\n" << fsck.to_text();
+
+    RecoveryReport second;
+    auto again = HiDeStore::open(dir.path, &second);
+    ASSERT_NE(again, nullptr) << "step " << step;
+    EXPECT_FALSE(second.performed) << "step " << step << "\n"
+                                   << second.to_text();
+    EXPECT_EQ(again->epoch(), committed) << "step " << step;
+  }
+  EXPECT_GT(rolled_back, 0u);  // some crash landed before the commit point
+}
+
 // --- Full-disk simulation (persistent write failure, process survives) ---
 
 TEST(FullDisk, FailedSaveIsReportedAndRetrySucceeds) {
