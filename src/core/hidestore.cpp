@@ -1,7 +1,6 @@
 #include "core/hidestore.h"
 
 #include <algorithm>
-#include <fstream>
 #include <optional>
 #include <stdexcept>
 
@@ -9,7 +8,7 @@
 #include "common/crc32.h"
 #include "obs/log.h"
 #include "storage/durable.h"
-#include "storage/manifest.h"
+#include "storage/journal.h"
 #include "restore/chunk_index.h"
 #include "restore/faa.h"
 #include "restore/partial.h"
@@ -566,43 +565,30 @@ constexpr std::uint32_t kStateMagic = 0x48445353;  // "HDSS"
 // column) files are still accepted and adopt epoch 1 on load.
 constexpr std::uint32_t kStateFormat = 3;
 constexpr std::uint32_t kStateFormatLegacy = 2;
-constexpr const char* kStateFile = "state.hds";
-// Rename-aside copy of the committed state, alive only inside a save():
-// present on open() => a save crashed, and the journal decides which of
-// the two snapshots is the committed one.
-constexpr const char* kStatePrevFile = "state.prev.hds";
+// Archival placement byte: containers are files under <dir>/archival, or
+// live in a shared store the service layer owns. Value 1 (containers
+// serialized inside the state file) was the in-memory save layout.
+constexpr std::uint8_t kPlacementFiles = 0;
+constexpr std::uint8_t kPlacementInline = 1;
+constexpr std::uint8_t kPlacementShared = 2;
 
-std::optional<std::vector<std::uint8_t>> read_file_bytes(
-    const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return std::nullopt;
-  const auto end = in.tellg();
-  // tellg() returns -1 on failure; casting that to size_t would request an
-  // absurd allocation. Treat it as the read failure it is.
-  if (end < 0) return std::nullopt;
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(end));
-  in.seekg(0);
-  in.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  if (!in && !bytes.empty()) return std::nullopt;
-  return bytes;
-}
-
-// Reads just enough of a (possibly uncommitted) format-3 snapshot to say
-// which versions rolling it back discards. Tolerates a bad CRC trailer —
-// the prefix is all that is needed.
-struct StateHeader {
-  std::uint64_t epoch = 0;
-  VersionId next_version = 0;
-};
-std::optional<StateHeader> peek_state_header(
+// Reads just enough of a (possibly uncommitted or torn) snapshot for the
+// journal to judge it: the epoch it was staged at (1 for a pre-journal
+// format-2 file) and the version watermark it would commit. Tolerates a
+// bad CRC trailer — the prefix is all that is needed.
+std::optional<journal::FileHeader> peek_state_header(
     std::span<const std::uint8_t> bytes) {
   ByteReader reader(bytes);
   std::uint32_t magic, format;
-  if (!reader.u32(magic) || magic != kStateMagic) return std::nullopt;
-  if (!reader.u32(format) || format != kStateFormat) return std::nullopt;
-  StateHeader header;
-  if (!reader.u64(header.epoch)) return std::nullopt;
+  if (!reader.u32(magic) || magic != kStateMagic || !reader.u32(format)) {
+    return std::nullopt;
+  }
+  journal::FileHeader header;
+  if (format == kStateFormatLegacy) {
+    header.epoch = 1;
+  } else if (format != kStateFormat || !reader.u64(header.epoch)) {
+    return std::nullopt;
+  }
   std::uint64_t u64v;
   double f64v;
   std::uint32_t u32v;
@@ -614,26 +600,21 @@ std::optional<StateHeader> peek_state_header(
   }
   return header;
 }
-
-// The commit epoch a state file carries: its header's, or 1 for a
-// pre-journal (format 2) snapshot, which adopts epoch 1 on load.
-std::optional<std::uint64_t> state_epoch(std::span<const std::uint8_t> bytes) {
-  if (const auto header = peek_state_header(bytes)) return header->epoch;
-  ByteReader reader(bytes);
-  std::uint32_t magic, format;
-  if (reader.u32(magic) && magic == kStateMagic && reader.u32(format) &&
-      format == kStateFormatLegacy) {
-    return 1;
-  }
-  return std::nullopt;
-}
 }  // namespace
 
-bool HiDeStore::is_committed_state(const CommitRecord& record,
-                                   std::span<const std::uint8_t> state) {
-  return state.size() == record.state_size &&
-         crc32(state.data(), state.size()) == record.state_crc &&
-         state_epoch(state) == record.epoch;
+bool HiDeStore::holds_committed_state(const std::filesystem::path& dir,
+                                      const CommitRecord& record) {
+  return journal::holds_committed(dir, journal::kStateStem, record,
+                                  &peek_state_header);
+}
+
+CommitRecord HiDeStore::commit_record(std::uint64_t epoch) const {
+  CommitRecord record;
+  record.epoch = epoch;
+  record.next_version = next_version_;
+  record.oldest_version = oldest_version_;
+  record.store_next = store_->next_id();
+  return record;
 }
 
 void HiDeStore::save(const std::filesystem::path& dir) {
@@ -643,40 +624,39 @@ void HiDeStore::save(const std::filesystem::path& dir) {
   } catch (const durable::InjectedCrash&) {
     throw;  // simulated crash: leave the directory exactly as a crash would
   } catch (...) {
-    // Real write failure (disk full, permissions): roll the directory back
-    // so the previously committed version is the visible one again. The
+    // Real write failure (disk full, permissions): drop the staged file so
+    // the previously committed version is the only one on disk. The
     // in-memory system (and epoch_) is untouched; the caller may retry.
-    abort_staged_save(dir);
+    abort_staged_save(dir, record);
     throw;
   }
 }
 
 CommitRecord HiDeStore::stage_save(const std::filesystem::path& dir) {
-  // Shared-store tenants never inline containers (they belong to every
-  // tenant); their storage_dir is the tenant state directory.
-  const bool inline_archival = !shared_store_ && config_.storage_dir.empty();
-  if (!config_.storage_dir.empty() &&
-      std::filesystem::weakly_canonical(dir) !=
-          std::filesystem::weakly_canonical(config_.storage_dir)) {
+  if (config_.storage_dir.empty()) {
+    throw std::invalid_argument(
+        "HiDeStore::save: an in-memory store cannot save; give it a "
+        "storage_dir");
+  }
+  if (std::filesystem::weakly_canonical(dir) !=
+      std::filesystem::weakly_canonical(config_.storage_dir)) {
     throw std::invalid_argument(
         "HiDeStore::save: a file-backed repository must be saved into its "
         "own storage_dir");
   }
   std::filesystem::create_directories(dir);
 
-  const std::uint64_t epoch = epoch_ + 1;
+  const CommitRecord record = commit_record(epoch_ + 1);
   ByteWriter writer;
   writer.u32(kStateMagic);
   writer.u32(kStateFormat);
-  writer.u64(epoch);
+  writer.u64(record.epoch);
   writer.u64(config_.container_size);
   writer.f64(config_.compaction_threshold);
   writer.u32(static_cast<std::uint32_t>(config_.cache_window));
   writer.u8(config_.materialize_contents ? 1 : 0);
   writer.u8(config_.flatten_before_restore ? 1 : 0);
-  // Archival placement: 0 = file-backed in <dir>/archival, 1 = serialized
-  // inline below, 2 = shared store owned by the service layer.
-  writer.u8(shared_store_ ? 2 : (inline_archival ? 1 : 0));
+  writer.u8(shared_store_ ? kPlacementShared : kPlacementFiles);
   writer.u32(next_version_);
   writer.u32(oldest_version_);
   writer.u64(total_logical_bytes_);
@@ -696,17 +676,8 @@ CommitRecord HiDeStore::stage_save(const std::filesystem::path& dir) {
     writer.blob(recipes_.get(v)->serialize());
   }
 
-  // Active pool + archival containers (inline only for in-memory stores;
-  // a file-backed repository already has them as individual files).
+  // Active pool; archival containers are already files (or shared).
   writer.blob(pool_.serialize_state());
-  if (inline_archival) {
-    auto ids = store_->ids();
-    std::sort(ids.begin(), ids.end());
-    writer.u32(static_cast<std::uint32_t>(ids.size()));
-    for (const ContainerId cid : ids) {
-      writer.blob(store_->read(cid)->serialize());
-    }
-  }
   writer.u32(static_cast<std::uint32_t>(store_->next_id()));
 
   auto bytes = writer.take();
@@ -714,101 +685,38 @@ CommitRecord HiDeStore::stage_save(const std::filesystem::path& dir) {
   ByteWriter trailer;
   trailer.u32(crc);
   bytes.insert(bytes.end(), trailer.bytes().begin(), trailer.bytes().end());
-  // The journal vouches for the published file byte-for-byte, so its CRC
-  // covers the trailer too (unlike `crc`, which the trailer itself stores).
-  const std::uint32_t file_crc = crc32(bytes.data(), bytes.size());
-
-  const auto state_path = dir / kStateFile;
-  const auto prev_path = dir / kStatePrevFile;
-
-  // Staging half of the commit protocol: (1) move the committed state
-  // aside, (2) write the new state atomically. The MANIFEST append in
-  // commit_staged_save() — its rename — is the commit point; a crash at
-  // any step leaves either the old or the new version fully recoverable
-  // by open().
-  bool wrote = false;
-  try {
-    if (std::filesystem::exists(state_path)) {
-      durable::atomic_rename(state_path, prev_path);
-    }
-    durable::atomic_write_file(state_path, bytes);
-    wrote = true;
-  } catch (const durable::InjectedCrash&) {
-    throw;  // simulated crash: leave the directory exactly as a crash would
-  } catch (...) {
-    // Real write failure during staging: roll the directory back. Only
-    // remove state.hds if this stage actually wrote it — the failure may
-    // have struck before or during the aside rename, while state.hds was
-    // still the committed copy.
-    std::error_code ec;
-    if (wrote) std::filesystem::remove(state_path, ec);
-    if (std::filesystem::exists(prev_path, ec) &&
-        !std::filesystem::exists(state_path, ec)) {
-      std::filesystem::rename(prev_path, state_path, ec);
-    }
-    throw;
-  }
-
-  CommitRecord record;
-  record.epoch = epoch;
-  record.next_version = next_version_;
-  record.oldest_version = oldest_version_;
-  record.store_next = store_->next_id();
-  record.state_size = bytes.size();
-  record.state_crc = file_crc;
-  return record;
+  return journal::stage(dir, journal::kStateStem, record, bytes);
 }
 
 void HiDeStore::commit_staged_save(const std::filesystem::path& dir,
                                    const CommitRecord& record) {
-  Manifest manifest;
-  if (load_manifest(dir, manifest) != ManifestStatus::kOk ||
-      (manifest.head() != nullptr &&
-       manifest.head()->epoch >= record.epoch)) {
-    // Foreign, corrupt or future-dated journal: restart it rather than
-    // publish a record the existing history contradicts.
-    manifest.records.clear();
-  }
-  manifest.append(record);
-  store_manifest(dir, manifest);  // the commit point
+  journal::commit(dir, journal::kStateStem, record);
   epoch_ = record.epoch;
-  std::error_code ec;
-  std::filesystem::remove(dir / kStatePrevFile, ec);  // open() also cleans
 }
 
-void HiDeStore::abort_staged_save(const std::filesystem::path& dir) {
-  // The staged state.hds is uncommitted; restore the aside copy (absent on
-  // a first save, in which case removing the staged file restores the
-  // pre-save emptiness).
-  const auto state_path = dir / kStateFile;
-  const auto prev_path = dir / kStatePrevFile;
-  std::error_code ec;
-  std::filesystem::remove(state_path, ec);
-  if (std::filesystem::exists(prev_path, ec)) {
-    std::filesystem::rename(prev_path, state_path, ec);
-  }
-}
-
-std::unique_ptr<HiDeStore> HiDeStore::load(
-    const std::filesystem::path& dir) {
-  return open(dir, nullptr);
+void HiDeStore::abort_staged_save(const std::filesystem::path& dir,
+                                  const CommitRecord& record) {
+  journal::abort(dir, journal::kStateStem, record);
 }
 
 std::unique_ptr<HiDeStore> HiDeStore::open(const std::filesystem::path& dir,
-                                           RecoveryReport* report) {
-  return open_impl(dir, nullptr, report);
+                                           RecoveryReport* report,
+                                           const CommitRecord* roll_forward) {
+  return open_impl(dir, nullptr, report, roll_forward);
 }
 
 std::unique_ptr<HiDeStore> HiDeStore::open_shared(
     const std::filesystem::path& dir,
-    std::shared_ptr<ContainerStore> shared_store, RecoveryReport* report) {
+    std::shared_ptr<ContainerStore> shared_store, RecoveryReport* report,
+    const CommitRecord* roll_forward) {
   if (shared_store == nullptr) return nullptr;
-  return open_impl(dir, std::move(shared_store), report);
+  return open_impl(dir, std::move(shared_store), report, roll_forward);
 }
 
 std::unique_ptr<HiDeStore> HiDeStore::open_impl(
     const std::filesystem::path& dir,
-    std::shared_ptr<ContainerStore> shared, RecoveryReport* report_out) {
+    std::shared_ptr<ContainerStore> shared, RecoveryReport* report_out,
+    const CommitRecord* roll_forward) {
   RecoveryReport local;
   RecoveryReport& report = report_out != nullptr ? *report_out : local;
   report = RecoveryReport{};
@@ -816,140 +724,22 @@ std::unique_ptr<HiDeStore> HiDeStore::open_impl(
   std::error_code ec;
   if (!std::filesystem::is_directory(dir, ec)) return nullptr;
 
-  // 1. Sweep atomic-writer debris: a *.tmp file is by construction an
-  // unpublished partial write from a crashed process.
-  std::size_t swept = 0;
-  for (const char* sub : {".", "archival"}) {
-    const auto subdir = dir / sub;
-    if (!std::filesystem::is_directory(subdir, ec)) continue;
-    std::vector<std::filesystem::path> debris;
-    for (const auto& entry :
-         std::filesystem::directory_iterator(subdir, ec)) {
-      if (entry.is_regular_file() && entry.path().extension() == ".tmp") {
-        debris.push_back(entry.path());
-      }
-    }
-    for (const auto& path : debris) {
-      quarantine_file(dir, path, report);
-      ++swept;
-    }
-  }
-  if (swept > 0) {
-    report.notes.push_back("swept " + std::to_string(swept) +
-                           " partial write(s) (*.tmp)");
-  }
+  // 1. Atomic-writer debris.
+  sweep_partial_writes(dir, {dir, dir / "archival"}, report);
 
-  // 2. The journal names the newest committed version.
-  Manifest manifest;
-  const ManifestStatus status = load_manifest(dir, manifest);
-  if (status == ManifestStatus::kCorrupt) {
-    quarantine_file(dir, dir / Manifest::kFileName, report);
-    report.notes.push_back("MANIFEST unreadable; quarantined (rebuilding)");
-  } else if (status == ManifestStatus::kIoError) {
-    // The bytes may still be fine on disk — don't quarantine over a
-    // transient read failure; just recover without the journal.
-    report.notes.push_back("MANIFEST read failed (I/O); ignoring journal");
-  }
-  const CommitRecord* head = manifest.head();
-
-  const auto state_path = dir / kStateFile;
-  const auto prev_path = dir / kStatePrevFile;
-  auto state_bytes = read_file_bytes(state_path);
-  auto prev_bytes = read_file_bytes(prev_path);
-
-  const auto matches = [](const std::optional<std::vector<std::uint8_t>>& b,
-                          const CommitRecord& r) {
-    return b.has_value() && is_committed_state(r, *b);
-  };
-
-  // 3. Pick the snapshot to trust. The committed one is whichever file the
-  // journal head vouches for byte-for-byte; with no usable journal, fall
-  // back to the newest parseable candidate and rebuild the journal from it.
+  // 2. The journal picks the committed snapshot (journal.h).
   std::unique_ptr<HiDeStore> sys;
-  const std::vector<std::uint8_t>* committed_bytes = nullptr;
-  bool manifest_trusted = false;
+  const auto committed = journal::open(
+      dir, journal::kStateStem, &peek_state_header,
+      [&](std::span<const std::uint8_t> bytes) -> std::optional<CommitRecord> {
+        sys = parse_state(dir, bytes, shared, report);
+        if (sys == nullptr) return std::nullopt;
+        return sys->commit_record(sys->epoch_);
+      },
+      report, roll_forward);
+  if (!committed) return nullptr;
 
-  if (head != nullptr && matches(state_bytes, *head)) {
-    sys = parse_state(dir, *state_bytes, shared);
-    if (sys != nullptr) {
-      committed_bytes = &*state_bytes;
-      manifest_trusted = true;
-      if (prev_bytes.has_value()) {
-        // Crash after the commit point but before cleanup: the aside copy
-        // of the prior version is committed debris.
-        std::filesystem::remove(prev_path, ec);
-        report.performed = true;
-        report.notes.push_back(
-            "removed leftover state.prev.hds (crash after commit)");
-      }
-    }
-  }
-  if (sys == nullptr && head != nullptr && matches(prev_bytes, *head)) {
-    sys = parse_state(dir, *prev_bytes, shared);
-    if (sys != nullptr) {
-      // Crash between the state rename and the journal commit: state.hds
-      // (if present) is an uncommitted version. Quarantine it, promote the
-      // aside copy back.
-      if (state_bytes.has_value()) {
-        if (const auto hdr = peek_state_header(*state_bytes);
-            hdr.has_value() && hdr->next_version > head->next_version) {
-          report.rolled_back_versions =
-              hdr->next_version - head->next_version;
-        }
-        quarantine_file(dir, state_path, report);
-      }
-      std::filesystem::rename(prev_path, state_path, ec);
-      committed_bytes = &*prev_bytes;
-      manifest_trusted = true;
-      report.performed = true;
-      report.notes.push_back("rolled back to committed epoch " +
-                             std::to_string(head->epoch));
-    }
-  }
-  if (sys == nullptr) {
-    if (head != nullptr) {
-      report.performed = true;
-      report.notes.push_back(
-          "no state file matches the MANIFEST head; best-effort open");
-    }
-    if (state_bytes.has_value()) {
-      sys = parse_state(dir, *state_bytes, shared);
-      if (sys != nullptr) {
-        committed_bytes = &*state_bytes;
-        if (prev_bytes.has_value()) {
-          // state.hds is the newest parseable snapshot; the aside copy is
-          // an older one whose committal we can no longer judge. Keep it
-          // out of the way but recoverable.
-          quarantine_file(dir, prev_path, report);
-        }
-      } else {
-        quarantine_file(dir, state_path, report);
-        report.notes.push_back("state.hds unreadable; quarantined");
-      }
-    }
-    if (sys == nullptr && prev_bytes.has_value()) {
-      sys = parse_state(dir, *prev_bytes, shared);
-      if (sys != nullptr) {
-        std::filesystem::rename(prev_path, state_path, ec);
-        committed_bytes = &*prev_bytes;
-        report.performed = true;
-        report.notes.push_back("promoted state.prev.hds to state.hds");
-      } else {
-        quarantine_file(dir, prev_path, report);
-        report.notes.push_back("state.prev.hds unreadable; quarantined");
-      }
-    }
-  }
-  if (sys == nullptr) {
-    // Nothing committed is recoverable. Report what the journal knows.
-    if (head != nullptr) {
-      report.committed_epoch = head->epoch;
-      report.committed_version = head->next_version - 1;
-    }
-    return nullptr;
-  }
-
-  // 4. Reconcile the container directory with the committed deletion tags.
+  // 3. Reconcile the container directory with the committed deletion tags.
   // Skipped for a shared store: one tenant's tags cover only its own
   // containers, so "untagged" does not mean "orphan" — the service layer
   // reconciles against the union of every tenant's tags instead.
@@ -980,41 +770,14 @@ std::unique_ptr<HiDeStore> HiDeStore::open_impl(
     }
   }
 
-  // 5. With no trustworthy journal, rebuild it from the snapshot we loaded
-  // so the next open() (and fsck) has a commit record to check against.
-  if (!manifest_trusted) {
-    if (sys->epoch_ == 0) sys->epoch_ = 1;
-    Manifest rebuilt;
-    CommitRecord record;
-    record.epoch = sys->epoch_;
-    record.next_version = sys->next_version_;
-    record.oldest_version = sys->oldest_version_;
-    record.store_next = sys->store_->next_id();
-    record.state_size = committed_bytes->size();
-    record.state_crc = crc32(committed_bytes->data(),
-                             committed_bytes->size());
-    rebuilt.append(record);
-    try {
-      store_manifest(dir, rebuilt);
-      report.performed = true;
-      report.notes.push_back("rebuilt MANIFEST at epoch " +
-                             std::to_string(record.epoch));
-    } catch (const durable::WriteError& e) {
-      report.notes.push_back(std::string("could not rebuild MANIFEST: ") +
-                             e.what());
-    }
-  }
-
   report.opened = true;
-  report.committed_epoch = sys->epoch_;
-  report.committed_version = sys->latest_version();
   sys->refresh_gauges();
   return sys;
 }
 
 std::unique_ptr<HiDeStore> HiDeStore::parse_state(
     const std::filesystem::path& dir, std::span<const std::uint8_t> bytes,
-    std::shared_ptr<ContainerStore> shared) {
+    std::shared_ptr<ContainerStore> shared, RecoveryReport& report) {
   if (bytes.size() < 12) return nullptr;
 
   // CRC trailer over the whole body.
@@ -1033,17 +796,18 @@ std::unique_ptr<HiDeStore> HiDeStore::parse_state(
     return nullptr;
   }
   std::uint64_t epoch = 1;  // pre-journal snapshots adopt epoch 1
-  if (format == kStateFormat && !reader.u64(epoch)) return nullptr;
-  if (format == kStateFormat && epoch == 0) return nullptr;
+  if (format == kStateFormat && (!reader.u64(epoch) || epoch == 0)) {
+    return nullptr;
+  }
 
   HiDeStoreConfig config;
   std::uint64_t container_size;
   std::uint32_t window;
-  std::uint8_t materialize, flatten, inline_archival;
+  std::uint8_t materialize, flatten, placement;
   if (!reader.u64(container_size) ||
       !reader.f64(config.compaction_threshold) || !reader.u32(window) ||
       !reader.u8(materialize) || !reader.u8(flatten) ||
-      !reader.u8(inline_archival)) {
+      !reader.u8(placement)) {
     return nullptr;
   }
   config.container_size = container_size;
@@ -1051,21 +815,28 @@ std::unique_ptr<HiDeStore> HiDeStore::parse_state(
   config.materialize_contents = materialize != 0;
   config.flatten_before_restore = flatten != 0;
   if (config.cache_window != 1 && config.cache_window != 2) return nullptr;
-  // inline_archival: 0 = file-backed archival under `dir`, 1 = containers
-  // serialized inline (in-memory repo), 2 = shared store owned by a
-  // service. A snapshot written in one mode cannot be opened in the other
-  // — a tenant dir opened as a standalone repo (or vice versa) would wire
-  // the wrong store underneath the deletion tags.
-  if (inline_archival > 2) return nullptr;
-  if ((inline_archival == 2) != (shared != nullptr)) return nullptr;
-  if (inline_archival != 1) config.storage_dir = dir;
+  // A snapshot written in one placement cannot be opened in the other — a
+  // tenant dir opened as a standalone repo (or vice versa) would wire the
+  // wrong store underneath the deletion tags.
+  if (placement == kPlacementInline) {
+    report.notes.push_back(
+        "state file keeps archival containers inline (the in-memory save "
+        "layout, no longer read); back the sources up into a new "
+        "repository");
+    return nullptr;
+  }
+  if (placement != (shared != nullptr ? kPlacementShared : kPlacementFiles)) {
+    return nullptr;
+  }
+  config.storage_dir = dir;
 
+  // A standalone store reopens the on-disk container files and resumes the
+  // ID counter.
   auto sys = shared != nullptr
                  ? std::make_unique<HiDeStore>(config, shared)
                  : std::make_unique<HiDeStore>(config);
   sys->epoch_ = epoch;
-  if (inline_archival == 0) {
-    // Reopen the on-disk container files and resume the ID counter.
+  if (shared == nullptr) {
     sys->store_ = make_archival_store(config, /*index_existing=*/true);
     sys->store_->attach_metrics(sys->metrics_);
   }
@@ -1098,17 +869,6 @@ std::unique_ptr<HiDeStore> HiDeStore::parse_state(
     return nullptr;
   }
 
-  if (inline_archival == 1) {
-    std::uint32_t archival_count;
-    if (!reader.u32(archival_count)) return nullptr;
-    for (std::uint32_t i = 0; i < archival_count; ++i) {
-      std::vector<std::uint8_t> blob;
-      if (!reader.blob(blob)) return nullptr;
-      auto container = Container::deserialize(blob);
-      if (!container) return nullptr;
-      sys->store_->put(std::move(*container));
-    }
-  }
   std::uint32_t store_next;
   if (!reader.u32(store_next) || !reader.exhausted()) return nullptr;
   if (shared != nullptr) {

@@ -26,12 +26,12 @@
 #include "core/active_pool.h"
 #include "core/double_cache.h"
 #include "core/recipe_chain.h"
-#include "core/recovery.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "storage/container_store.h"
 #include "storage/manifest.h"
+#include "storage/recovery.h"
 
 namespace hds {
 
@@ -48,9 +48,9 @@ struct HiDeStoreConfig {
   bool flatten_before_restore = false;
   // Non-empty: a persistent repository rooted here. Archival containers are
   // written as individual files under <storage_dir>/archival as they seal,
-  // and save()/load() keep the manifest in the same directory (save() to a
-  // different directory is rejected). Empty: everything stays in memory and
-  // save() serializes archival containers inline.
+  // and save()/open() keep the state file and the MANIFEST in the same
+  // directory (save() to a different directory is rejected). Empty:
+  // everything stays in memory and the store cannot save().
   std::filesystem::path storage_dir;
   // Container I/O fast-path tuning (DESIGN.md §10): fd cache, block cache
   // and footer-index partial reads of the file-backed archival store. Only
@@ -91,9 +91,9 @@ class HiDeStore final : public BackupSystem {
   // tenants. All per-tenant state (double cache, active pool, recipes,
   // deletion tags) stays private to this instance; the shared store is only
   // ever touched through its thread-safe surface (reserve_id/put/read/
-  // erase). config.storage_dir should name the tenant's own state
-  // directory (save()/open_shared() keep state.hds + MANIFEST there);
-  // save() never serializes shared containers inline. The §4.5 deletion
+  // erase). config.storage_dir names the tenant's own state directory
+  // (save()/open_shared() keep the state file and MANIFEST there). The
+  // §4.5 deletion
   // tags double as the tenant's ownership set: delete_versions_up_to()
   // erases only containers this tenant tagged, so tenants cannot reclaim
   // each other's data.
@@ -136,48 +136,47 @@ class HiDeStore final : public BackupSystem {
 
   // --- Repository lifecycle ---
   // Persists the complete system state (config, recipes, active pool,
-  // archival containers, deletion tags) into `dir` as a single CRC-guarded
-  // state file, then commits it by appending to the MANIFEST journal
-  // (DESIGN.md §9). The whole sequence is crash-atomic: every file goes
-  // through the atomic writer (temp + fsync + rename), the previous state
-  // is kept aside until the journal rename — the commit point — lands, and
-  // a crash at any step leaves either the old or the new version fully
-  // recoverable by open(). On a non-crash write failure (e.g. disk full)
-  // save() throws durable::WriteError after rolling the directory back to
-  // the previously committed version; the in-memory system is unaffected.
-  // The fingerprint cache is NOT stored: on load it is rebuilt by
-  // prefetching the newest recipes through the active pool, exactly the
-  // paper's §4.1 prefetch path.
+  // deletion tags; archival containers are already files) into `dir`, the
+  // store's own storage_dir, as one CRC-guarded `state.<epoch>.hds` file,
+  // then commits it by appending to the MANIFEST journal (journal.h,
+  // DESIGN.md §9). Every file goes through the atomic writer and the
+  // committed file is never touched, so a crash at any step leaves either
+  // the old or the new version fully recoverable by open(). On a non-crash
+  // write failure (e.g. disk full) save() removes what it staged and
+  // throws durable::WriteError; the in-memory system is unaffected. Throws
+  // std::invalid_argument for an in-memory store (empty storage_dir) or a
+  // foreign `dir`. The fingerprint cache is NOT stored: on load it is
+  // rebuilt by prefetching the newest recipes through the active pool,
+  // exactly the paper's §4.1 prefetch path.
   void save(const std::filesystem::path& dir);
-  // Two-phase commit decomposition of save(), used by ShardRouter to make
-  // one commit atomic across N shard journals (DESIGN.md §16):
-  //   * stage_save() publishes the new state file (the previously committed
-  //     one is kept aside as state.prev.hds) and returns the CommitRecord
-  //     that, once appended to this directory's MANIFEST, commits it. On a
-  //     non-crash write failure the directory is rolled back before the
-  //     exception propagates — nothing stays staged.
+  // The journal's stage/commit/abort, exposed so ShardRouter can make one
+  // commit atomic across N shard journals (DESIGN.md §16):
+  //   * stage_save() publishes `state.<epoch+1>.hds` beside the committed
+  //     file and returns the CommitRecord that commits it. On a non-crash
+  //     write failure nothing stays staged.
   //   * commit_staged_save() appends the record to the MANIFEST (the commit
-  //     point), adopts the record's epoch and drops the aside copy.
-  //   * abort_staged_save() rolls the directory back to the previously
-  //     committed state. Only legal between a successful stage_save() and
-  //     commit_staged_save().
+  //     point), adopts the record's epoch and removes the superseded file.
+  //   * abort_staged_save() removes the staged file. Only legal between a
+  //     successful stage_save() and commit_staged_save().
   // save() == stage_save() + commit_staged_save(), with abort on a
   // non-crash commit failure; the split changes no on-disk byte.
   CommitRecord stage_save(const std::filesystem::path& dir);
   void commit_staged_save(const std::filesystem::path& dir,
                           const CommitRecord& record);
-  void abort_staged_save(const std::filesystem::path& dir);
+  void abort_staged_save(const std::filesystem::path& dir,
+                         const CommitRecord& record);
   // Reconstructs a system from a save() directory, running crash recovery
-  // first: rolls back to the newest version the MANIFEST vouches for,
-  // quarantines anything an aborted commit left behind (uncommitted state,
-  // orphan containers, temp files) and reports what it did through
-  // `report` (optional). nullptr if nothing committed is recoverable — the
-  // report still describes what was found.
-  static std::unique_ptr<HiDeStore> open(const std::filesystem::path& dir,
-                                         RecoveryReport* report = nullptr);
-  // Equivalent to open(dir) discarding the report; kept as the historical
-  // entry point.
-  static std::unique_ptr<HiDeStore> load(const std::filesystem::path& dir);
+  // first: the journal adopts the newest state file the MANIFEST vouches
+  // for, quarantines anything an aborted commit left behind (uncommitted
+  // state, orphan containers, temp files), migrates a pre-epoch
+  // `state.hds` layout, and reports what it did through `report`
+  // (optional). nullptr if nothing committed is recoverable — the report
+  // still describes what was found. `roll_forward` is the record a sharded
+  // root committed for this shard (journal::open): a shard whose own
+  // MANIFEST append was lost adopts it.
+  static std::unique_ptr<HiDeStore> open(
+      const std::filesystem::path& dir, RecoveryReport* report = nullptr,
+      const CommitRecord* roll_forward = nullptr);
   // open() for a tenant saved in shared-store mode: per-tenant state is
   // recovered from `dir` exactly like open(), but archival containers
   // resolve against `shared_store` (which must already index them). The
@@ -189,14 +188,13 @@ class HiDeStore final : public BackupSystem {
   static std::unique_ptr<HiDeStore> open_shared(
       const std::filesystem::path& dir,
       std::shared_ptr<ContainerStore> shared_store,
-      RecoveryReport* report = nullptr);
-  // True when `state` is the state file `record` commits: its size and
-  // whole-file CRC match and its header carries the record's epoch. Size
-  // and CRC alone cannot tell two snapshots apart: a state file ends in its
-  // own CRC, so every one has the same whole-file CRC (the CRC-32 residue),
-  // and a save that changed nothing stages one of the same size.
-  [[nodiscard]] static bool is_committed_state(
-      const CommitRecord& record, std::span<const std::uint8_t> state);
+      RecoveryReport* report = nullptr,
+      const CommitRecord* roll_forward = nullptr);
+  // True when `dir` holds the state file `record` commits: same size and
+  // whole-file CRC, and its header carries the record's epoch
+  // (journal::holds_committed).
+  [[nodiscard]] static bool holds_committed_state(
+      const std::filesystem::path& dir, const CommitRecord& record);
   // Journal epoch of the last committed save (0 = never saved).
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
 
@@ -279,16 +277,21 @@ class HiDeStore final : public BackupSystem {
  private:
   // Deserializes one state snapshot into a fresh system; nullptr on any
   // corruption or format mismatch (including a shared-mode snapshot with no
-  // `shared` store supplied, and vice versa). open()/open_shared() pick
-  // which snapshot to trust.
+  // `shared` store supplied, and vice versa; a refusal worth explaining
+  // gets a note in `report`). The journal picks which snapshot to trust.
   static std::unique_ptr<HiDeStore> parse_state(
       const std::filesystem::path& dir, std::span<const std::uint8_t> bytes,
-      std::shared_ptr<ContainerStore> shared);
+      std::shared_ptr<ContainerStore> shared, RecoveryReport& report);
+
+  // The record that commits this system's state at `epoch` (size and CRC
+  // are the journal's to fill).
+  [[nodiscard]] CommitRecord commit_record(std::uint64_t epoch) const;
 
   // Common recovery walk behind open() and open_shared().
   static std::unique_ptr<HiDeStore> open_impl(
       const std::filesystem::path& dir,
-      std::shared_ptr<ContainerStore> shared, RecoveryReport* report);
+      std::shared_ptr<ContainerStore> shared, RecoveryReport* report,
+      const CommitRecord* roll_forward);
 
   // Pre-registers every metric name so exporters always show the complete
   // set (in particular `index_disk_lookups` at 0 — the §4.1 claim).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <span>
 #include <thread>
@@ -14,7 +13,7 @@
 #include "common/thread_annotations.h"
 #include "parallel/mpmc_queue.h"
 #include "storage/durable.h"
-#include "storage/manifest.h"
+#include "storage/journal.h"
 
 namespace hds {
 
@@ -23,30 +22,19 @@ namespace {
 constexpr std::uint32_t kRouterMagic = 0x48445352;  // "HDSR"
 constexpr std::uint32_t kRouterFormat = 1;
 
-// The router state is epoch-stamped instead of rename-aside (state.hds
-// style): the committed file survives a crashed save untouched, and the
-// root MANIFEST names which epoch is the committed one.
-std::string router_state_name(std::uint64_t epoch) {
-  return "router." + std::to_string(epoch) + ".hds";
-}
-
-bool is_router_state_name(const std::string& name) {
-  return name.rfind("router.", 0) == 0 && name.size() > 11 &&
-         name.compare(name.size() - 4, 4, ".hds") == 0;
-}
-
-std::optional<std::vector<std::uint8_t>> read_file_bytes(
-    const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return std::nullopt;
-  const auto end = in.tellg();
-  if (end < 0) return std::nullopt;
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(end));
-  in.seekg(0);
-  in.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  if (!in && !bytes.empty()) return std::nullopt;
-  return bytes;
+// The router state's header, for the journal (journal.h): the epoch it was
+// staged at and the version watermark it would commit.
+std::optional<journal::FileHeader> peek_router_header(
+    std::span<const std::uint8_t> bytes) {
+  ByteReader reader(bytes);
+  std::uint32_t magic = 0, format = 0, shard_count = 0;
+  journal::FileHeader header;
+  if (!reader.u32(magic) || magic != kRouterMagic || !reader.u32(format) ||
+      format != kRouterFormat || !reader.u64(header.epoch) ||
+      !reader.u32(shard_count) || !reader.u32(header.next_version)) {
+    return std::nullopt;
+  }
+  return header;
 }
 
 struct ParsedRouterState {
@@ -57,6 +45,16 @@ struct ParsedRouterState {
   std::unordered_map<VersionId, std::vector<ShardRouter::InterleaveRun>>
       interleaves;
   std::vector<CommitRecord> pending;  // one per shard, staged at this epoch
+
+  // The root MANIFEST record that commits this state.
+  [[nodiscard]] CommitRecord root_record() const {
+    CommitRecord record;
+    record.epoch = epoch;
+    record.next_version = next_version;
+    record.oldest_version = oldest_version;
+    record.store_next = 0;  // no root-level container store
+    return record;
+  }
 };
 
 std::optional<ParsedRouterState> parse_router_state(
@@ -557,40 +555,27 @@ void ShardRouter::save(const std::filesystem::path& dir) {
   // per-shard work happened in backup().
   std::vector<CommitRecord> records(shards);
   std::size_t staged = 0;
+  CommitRecord root;
+  root.epoch = epoch;
+  root.next_version = shards_[0]->latest_version() + 1;
+  root.oldest_version = shards_[0]->oldest_version();
   try {
     for (; staged < shards; ++staged) {
       records[staged] = shards_[staged]->stage_save(shard_dir(root_, staged));
     }
 
-    // Phase 2: publish the router state naming every staged record, then
-    // append the root MANIFEST — its rename is the cross-shard commit point.
-    const auto bytes = serialize_router_state(epoch, records);
-    const std::uint32_t file_crc = crc32(bytes.data(), bytes.size());
-    durable::atomic_write_file(dir / router_state_name(epoch), bytes);
-
-    Manifest manifest;
-    if (load_manifest(dir, manifest) != ManifestStatus::kOk ||
-        (manifest.head() != nullptr && manifest.head()->epoch >= epoch)) {
-      manifest.records.clear();
-    }
-    CommitRecord root;
-    root.epoch = epoch;
-    root.next_version = shards_[0]->latest_version() + 1;
-    root.oldest_version = shards_[0]->oldest_version();
-    root.store_next = 0;  // no root-level container store
-    root.state_size = bytes.size();
-    root.state_crc = file_crc;
-    manifest.append(root);
-    store_manifest(dir, manifest);  // the cross-shard commit point
+    // Phase 2: stage the router state naming every staged record, then
+    // commit it to the root MANIFEST — the cross-shard commit point.
+    root = journal::stage(dir, journal::kRouterStem, root,
+                          serialize_router_state(epoch, records));
+    journal::commit(dir, journal::kRouterStem, root);
   } catch (const durable::InjectedCrash&) {
     throw;  // simulated crash: leave everything exactly as a crash would
   } catch (...) {
-    // Nothing committed: roll every staged shard back and drop the
-    // uncommitted router state.
-    std::error_code ec;
-    std::filesystem::remove(dir / router_state_name(epoch), ec);
+    // Nothing committed: drop every staged file.
+    journal::abort(dir, journal::kRouterStem, root);
     for (std::size_t i = 0; i < staged; ++i) {
-      shards_[i]->abort_staged_save(shard_dir(root_, i));
+      shards_[i]->abort_staged_save(shard_dir(root_, i), records[i]);
     }
     throw;
   }
@@ -602,38 +587,19 @@ void ShardRouter::save(const std::filesystem::path& dir) {
   for (std::size_t i = 0; i < shards; ++i) {
     shards_[i]->commit_staged_save(shard_dir(root_, i), records[i]);
   }
-
-  // Superseded router state files; best-effort (open() sweeps them too).
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (is_router_state_name(name) && name != router_state_name(epoch)) {
-      std::error_code remove_ec;
-      std::filesystem::remove(entry.path(), remove_ec);
-    }
-  }
 }
 
 std::size_t ShardRouter::detect_shards(const std::filesystem::path& dir) {
-  std::error_code ec;
-  if (std::filesystem::exists(dir / "state.hds", ec) ||
-      std::filesystem::exists(dir / "state.prev.hds", ec)) {
-    return 1;  // legacy single-shard layout
-  }
-  std::uint64_t best_epoch = 0;
-  std::size_t best_count = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (!is_router_state_name(entry.path().filename().string())) continue;
-    const auto bytes = read_file_bytes(entry.path());
+  if (journal::holds_single_store_state(dir)) return 1;
+  const auto files = journal::files(dir, journal::kRouterStem);
+  for (auto it = files.rbegin(); it != files.rend(); ++it) {
+    const auto bytes = durable::read_file(it->second);
     if (!bytes) continue;
-    const auto parsed = parse_router_state(*bytes);
-    if (!parsed) continue;
-    if (parsed->epoch >= best_epoch) {
-      best_epoch = parsed->epoch;
-      best_count = parsed->shard_count;
+    if (const auto parsed = parse_router_state(*bytes)) {
+      return parsed->shard_count;
     }
   }
-  return best_count;
+  return 0;
 }
 
 std::unique_ptr<ShardRouter> ShardRouter::open(
@@ -659,22 +625,23 @@ std::unique_ptr<ShardRouter> ShardRouter::open_impl(
   RecoveryReport& rep = report != nullptr ? *report : local;
   // Shard i opens over stores[i] in service mode, over its own directory
   // store otherwise.
+  // A shard rolls forward to `pending`, the record the root committed for
+  // it, when its own MANIFEST append was lost.
   const auto open_shard = [&stores](const std::filesystem::path& sdir,
-                                    std::size_t i, RecoveryReport* r) {
-    return stores.empty() ? HiDeStore::open(sdir, r)
-                          : HiDeStore::open_shared(sdir, stores[i], r);
+                                    std::size_t i, RecoveryReport* r,
+                                    const CommitRecord* pending) {
+    return stores.empty()
+               ? HiDeStore::open(sdir, r, pending)
+               : HiDeStore::open_shared(sdir, stores[i], r, pending);
   };
 
-  std::error_code ec;
-  const bool legacy = std::filesystem::exists(dir / "state.hds", ec) ||
-                      std::filesystem::exists(dir / "state.prev.hds", ec);
-  if (legacy) {
+  if (journal::holds_single_store_state(dir)) {
     if (expected_shards > 1) {
       throw ShardMismatchError(
           "repository records 1 shard; requested --shards=" +
           std::to_string(expected_shards));
     }
-    auto sys = open_shard(dir, 0, report);
+    auto sys = open_shard(dir, 0, report, nullptr);
     if (sys == nullptr) return nullptr;
     auto router = std::unique_ptr<ShardRouter>(new ShardRouter());
     router->root_ = dir;
@@ -682,128 +649,50 @@ std::unique_ptr<ShardRouter> ShardRouter::open_impl(
     return router;
   }
 
-  // Sharded layout. Pick the committed router state: the newest root
-  // MANIFEST record whose epoch-stamped file verifies byte-for-byte;
-  // fall back to the newest internally-consistent file with a journal
-  // rebuild when the journal itself is gone.
-  Manifest manifest;
-  const ManifestStatus status = load_manifest(dir, manifest);
+  // Sharded layout: the journal picks the committed router state.
   std::optional<ParsedRouterState> parsed;
-  if (status == ManifestStatus::kOk) {
-    for (auto it = manifest.records.rbegin(); it != manifest.records.rend();
-         ++it) {
-      const auto bytes = read_file_bytes(dir / router_state_name(it->epoch));
-      if (!bytes || bytes->size() != it->state_size ||
-          crc32(bytes->data(), bytes->size()) != it->state_crc) {
-        continue;
-      }
-      parsed = parse_router_state(*bytes);
-      if (parsed.has_value()) {
-        if (it != manifest.records.rbegin()) {
-          rep.performed = true;
-          rep.notes.push_back("router: journal head unusable; fell back to "
-                              "epoch " +
-                              std::to_string(it->epoch));
+  const auto committed = journal::open(
+      dir, journal::kRouterStem, &peek_router_header,
+      [&](std::span<const std::uint8_t> bytes) -> std::optional<CommitRecord> {
+        parsed = parse_router_state(bytes);
+        if (!parsed) return std::nullopt;
+        // Checked before the journal repairs anything: a mismatched open
+        // leaves the directory byte-unchanged.
+        if (expected_shards != 0 && expected_shards != parsed->shard_count) {
+          throw ShardMismatchError(
+              "repository records " + std::to_string(parsed->shard_count) +
+              " shards; requested --shards=" +
+              std::to_string(expected_shards));
         }
-        break;
-      }
-    }
+        return parsed->root_record();
+      },
+      rep);
+  if (!committed) {
+    rep.notes.push_back("router: no recoverable router state");
+    return nullptr;  // not a repository (or nothing committed survives)
   }
-  std::vector<std::uint8_t> rebuild_bytes;
-  if (!parsed.has_value()) {
-    // Best effort: newest parseable router state; rebuild the journal.
-    std::uint64_t best_epoch = 0;
-    for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-      if (!is_router_state_name(entry.path().filename().string())) continue;
-      const auto bytes = read_file_bytes(entry.path());
-      if (!bytes) continue;
-      const auto candidate = parse_router_state(*bytes);
-      if (candidate.has_value() && candidate->epoch >= best_epoch) {
-        best_epoch = candidate->epoch;
-        rebuild_bytes = *bytes;
-        parsed = candidate;
-      }
-    }
-    if (!parsed.has_value()) {
-      rep.notes.push_back("router: no recoverable router state");
-      return nullptr;  // not a repository (or nothing committed survives)
-    }
-  }
-
-  // Checked before any repair writes: a mismatched open leaves the
-  // directory byte-unchanged.
-  if (expected_shards != 0 && expected_shards != parsed->shard_count) {
-    throw ShardMismatchError(
-        "repository records " + std::to_string(parsed->shard_count) +
-        " shards; requested --shards=" + std::to_string(expected_shards));
-  }
-
-  if (!rebuild_bytes.empty()) {
-    Manifest rebuilt;
-    CommitRecord root;
-    root.epoch = parsed->epoch;
-    root.next_version = parsed->next_version;
-    root.oldest_version = parsed->oldest_version;
-    root.store_next = 0;
-    root.state_size = rebuild_bytes.size();
-    root.state_crc = crc32(rebuild_bytes.data(), rebuild_bytes.size());
-    rebuilt.append(root);
-    store_manifest(dir, rebuilt);
-    rep.performed = true;
-    rep.notes.push_back("router: rebuilt root MANIFEST at epoch " +
-                        std::to_string(parsed->epoch));
-  }
+  // A repository: its root's *.tmp files are a crashed save's partial
+  // writes (router state, root MANIFEST, catalog).
+  sweep_partial_writes(dir, {dir}, rep);
 
   auto router = std::unique_ptr<ShardRouter>(new ShardRouter());
   router->root_ = dir;
   router->epoch_ = parsed->epoch;
+  const auto append = [](auto& to, const auto& from) {
+    to.insert(to.end(), from.begin(), from.end());
+  };
   for (std::size_t i = 0; i < parsed->shard_count; ++i) {
-    const auto sdir = shard_dir(dir, i);
-    const CommitRecord& pending = parsed->pending[i];
-
-    // Roll-forward: the root commit landed but this shard's journal append
-    // did not. The staged state file must be the one the router's record
-    // commits (size, CRC and epoch) before the journal adopts it.
-    Manifest shard_manifest;
-    const bool committed =
-        load_manifest(sdir, shard_manifest) == ManifestStatus::kOk &&
-        shard_manifest.head() != nullptr &&
-        shard_manifest.head()->epoch >= pending.epoch;
-    if (!committed) {
-      const auto state_bytes = read_file_bytes(sdir / "state.hds");
-      if (state_bytes &&
-          HiDeStore::is_committed_state(pending, *state_bytes)) {
-        Manifest forward;
-        if (load_manifest(sdir, forward) != ManifestStatus::kOk ||
-            (forward.head() != nullptr &&
-             forward.head()->epoch >= pending.epoch)) {
-          forward.records.clear();
-        }
-        forward.append(pending);
-        store_manifest(sdir, forward);
-        std::filesystem::remove(sdir / "state.prev.hds", ec);
-        rep.performed = true;
-        rep.notes.push_back("shard_" + std::to_string(i) +
-                            ": rolled forward to epoch " +
-                            std::to_string(pending.epoch));
-      }
-      // Otherwise the shard's own recovery rolls back below; the version
-      // alignment check catches any divergence.
-    }
-
     RecoveryReport shard_report;
-    auto sys = open_shard(sdir, i, &shard_report);
+    auto sys = open_shard(shard_dir(dir, i), i, &shard_report,
+                          &parsed->pending[i]);
     rep.performed = rep.performed || shard_report.performed;
-    rep.rolled_back_versions += shard_report.rolled_back_versions;
-    for (const auto& path : shard_report.quarantined) {
-      rep.quarantined.push_back(path);
-    }
-    for (const ContainerId id : shard_report.orphan_containers) {
-      rep.orphan_containers.push_back(id);
-    }
-    for (const ContainerId id : shard_report.missing_containers) {
-      rep.missing_containers.push_back(id);
-    }
+    // Every shard holds the same versions: a rolled-back version counts
+    // once, however many shards it touched.
+    rep.rolled_back_versions =
+        std::max(rep.rolled_back_versions, shard_report.rolled_back_versions);
+    append(rep.quarantined, shard_report.quarantined);
+    append(rep.orphan_containers, shard_report.orphan_containers);
+    append(rep.missing_containers, shard_report.missing_containers);
     for (const auto& note : shard_report.notes) {
       rep.notes.push_back("shard_" + std::to_string(i) + ": " + note);
     }
@@ -832,18 +721,6 @@ std::unique_ptr<ShardRouter> ShardRouter::open_impl(
   router->interleaves_ = std::move(parsed->interleaves);
   router->start_workers();
   rep.opened = true;
-  rep.committed_epoch = parsed->epoch;
-  rep.committed_version = parsed->next_version - 1;
-
-  // Sweep superseded or uncommitted router state files.
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (is_router_state_name(name) &&
-        name != router_state_name(parsed->epoch)) {
-      std::error_code remove_ec;
-      std::filesystem::remove(entry.path(), remove_ec);
-    }
-  }
   return router;
 }
 

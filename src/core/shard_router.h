@@ -14,17 +14,18 @@
 //     chunk order) and merges per-shard restore streams back into exactly
 //     that order through per-shard bounded queues;
 //   * commits saves atomically across all N shard journals with a
-//     two-phase protocol: every shard stages (HiDeStore::stage_save), the
-//     router state (`router.<epoch>.hds`) is published, the root MANIFEST
-//     append commits, then every shard journal is finished. A crash before
-//     the root commit rolls every shard back through its own PR-4
-//     recovery; a crash after it rolls stragglers forward from the
-//     CommitRecords embedded in the router state.
+//     two-phase protocol over the one commit journal (storage/journal.h):
+//     every shard stages its `state.<epoch>.hds`, the router stages
+//     `router.<epoch>.hds` and commits it to the root MANIFEST — the
+//     commit point — then every shard journal is finished. A crash before
+//     the root commit rolls every shard back through its own recovery; a
+//     crash after it rolls stragglers forward from the CommitRecords
+//     embedded in the router state.
 //
 // Shard 1 of 1 is pure delegation: no worker threads, no router state
 // file, no id-namespace partitioning — the on-disk layout and observable
-// behavior are bit-identical to a plain HiDeStore, and existing
-// single-shard repositories open unchanged.
+// behavior are bit-identical to a plain HiDeStore (pre-epoch single-shard
+// repositories migrate on open, journal.h).
 #pragma once
 
 #include <cstdint>
@@ -104,9 +105,9 @@ class ShardRouter {
       const std::filesystem::path& dir,
       std::vector<std::shared_ptr<ContainerStore>> stores,
       RecoveryReport* report = nullptr);
-  // Shard count a repository directory records: 1 for a legacy layout
-  // (state.hds at the root), the router state's count for a sharded
-  // layout, 0 when the directory is not a repository.
+  // Shard count a repository directory records: 1 for a single-store
+  // layout (journal::holds_single_store_state), the router state's count
+  // for a sharded layout, 0 when the directory is not a repository.
   static std::size_t detect_shards(const std::filesystem::path& dir);
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
 

@@ -1,7 +1,6 @@
 #include "service/repository.h"
 
 #include <algorithm>
-#include <fstream>
 
 #include "chunking/chunk_stream.h"
 #include "chunking/parallel_chunk.h"
@@ -19,16 +18,9 @@ namespace {
 constexpr const char* kCatalogFile = "catalog.hds";
 
 std::vector<std::uint8_t> read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    throw RepositoryError("cannot open " + path.string() + " for reading");
-  }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(in.tellg()));
-  in.seekg(0);
-  in.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  if (!in) throw RepositoryError("short read on " + path.string());
-  return bytes;
+  auto bytes = durable::read_file(path);
+  if (!bytes) throw RepositoryError("cannot read " + path.string());
+  return std::move(*bytes);
 }
 
 }  // namespace

@@ -11,8 +11,9 @@
 #include <exception>
 #include <iterator>
 
-#include "core/recovery.h"
 #include "obs/log.h"
+#include "storage/journal.h"
+#include "storage/recovery.h"
 #include "verify/fsck.h"
 
 namespace hds::service {
@@ -32,13 +33,13 @@ bool ServeServer::start(std::string* error) {
   };
   if (running()) return true;
 
-  // A single-tenant repository keeps state.hds at its root; serving on top
-  // of one would wire its containers into a foreign namespace. Refuse —
-  // serve repositories are their own layout.
+  // A single-tenant repository keeps its state file at its root; serving
+  // on top of one would wire its containers into a foreign namespace.
+  // Refuse — serve repositories are their own layout.
   std::error_code ec;
-  if (std::filesystem::exists(config_.repo / "state.hds", ec)) {
-    return fail("refusing to serve a single-tenant repository (state.hds "
-                "at the root): " +
+  if (journal::holds_single_store_state(config_.repo)) {
+    return fail("refusing to serve a single-tenant repository (its state "
+                "file is at the root): " +
                 config_.repo.string());
   }
   if (config_.shards == 0 || config_.shards > kMaxShards) {

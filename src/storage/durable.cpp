@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <mutex>
 #include <string>
 
@@ -186,15 +187,31 @@ void atomic_write_file(const std::filesystem::path& path,
 
 void atomic_rename(const std::filesystem::path& from,
                    const std::filesystem::path& to) {
-  CrashInjector::crash_point("aside-rename");
+  CrashInjector::crash_point("atomic-rename");
   std::error_code ec;
   std::filesystem::rename(from, to, ec);
   if (ec) {
     throw WriteError("atomic_rename: " + from.string() + " -> " +
                      to.string() + ": " + ec.message());
   }
-  CrashInjector::crash_point("aside-dirsync");
+  CrashInjector::crash_point("atomic-rename-dirsync");
   fsync_directory(to.parent_path());
+}
+
+std::optional<std::vector<std::uint8_t>> read_file(
+    const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return std::nullopt;
+  const auto end = in.tellg();
+  // tellg() returns -1 on failure; casting that to size_t would request an
+  // absurd allocation. Treat it as the read failure it is.
+  if (end < 0) return std::nullopt;
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(end));
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(bytes.data()),
+          static_cast<std::streamsize>(bytes.size()));
+  if (!in && !bytes.empty()) return std::nullopt;
+  return bytes;
 }
 
 void fsync_directory(const std::filesystem::path& dir) {

@@ -18,9 +18,11 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string_view>
+#include <vector>
 
 namespace hds::durable {
 
@@ -114,9 +116,15 @@ void atomic_write_file(const std::filesystem::path& path,
                        std::string_view text);
 
 // Durable rename: rename + fsync of the parent directory, with crash
-// points. Used to set the current state file aside before a new commit.
+// points. Used to move a pre-epoch state file to its epoch-stamped name
+// (journal.h).
 void atomic_rename(const std::filesystem::path& from,
                    const std::filesystem::path& to);
+
+// Reads a whole file. nullopt when it cannot be opened, sized or read —
+// never a partial buffer.
+std::optional<std::vector<std::uint8_t>> read_file(
+    const std::filesystem::path& path);
 
 // fsyncs a directory so a just-renamed entry survives power loss. Throws
 // WriteError.

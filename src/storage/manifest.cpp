@@ -1,6 +1,5 @@
 #include "storage/manifest.h"
 
-#include <fstream>
 #include <system_error>
 
 #include "common/byte_io.h"
@@ -90,16 +89,9 @@ ManifestStatus load_manifest(const std::filesystem::path& dir,
   std::error_code ec;
   const bool exists = std::filesystem::exists(path, ec);
   if (!ec && !exists) return ManifestStatus::kMissing;
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return ManifestStatus::kIoError;
-  const auto end = in.tellg();
-  if (end < 0) return ManifestStatus::kIoError;
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(end));
-  in.seekg(0);
-  in.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  if (!in && !bytes.empty()) return ManifestStatus::kIoError;
-  auto manifest = Manifest::deserialize(bytes);
+  const auto bytes = durable::read_file(path);
+  if (!bytes) return ManifestStatus::kIoError;
+  auto manifest = Manifest::deserialize(*bytes);
   if (!manifest) return ManifestStatus::kCorrupt;
   out = std::move(*manifest);
   return ManifestStatus::kOk;

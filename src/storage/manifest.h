@@ -1,12 +1,14 @@
-// MANIFEST — the repository's version-commit journal (DESIGN.md §9).
+// MANIFEST — the record format of a repository directory's commit journal
+// (DESIGN.md §9).
 //
-// Every HiDeStore::save() appends one CommitRecord and rewrites the
-// MANIFEST through the atomic writer as the LAST step of the commit
-// protocol: the rename that publishes the new MANIFEST is the commit
-// point. Anything on disk that a committed record does not vouch for —
-// a state snapshot with a newer epoch, archival containers past the
-// committed ID watermark, stray temp files — is an aborted transaction
-// that recovery quarantines on open.
+// The protocol over it lives in journal.h: stage() writes the new
+// epoch-stamped file, commit() appends its CommitRecord and rewrites the
+// MANIFEST through the atomic writer — the rename that publishes the new
+// MANIFEST is the commit point — and abort() drops the staged file.
+// Anything on disk that a committed record does not vouch for — a state
+// file with a newer epoch, archival containers past the committed ID
+// watermark, stray temp files — is an aborted transaction that recovery
+// quarantines on open.
 //
 // Records are kept newest-last and capped, so the journal stays a few
 // hundred bytes while still recording recent commit history for
@@ -25,9 +27,10 @@
 namespace hds {
 
 // One committed repository version. `epoch` increases by exactly one per
-// commit; `store_next` is the archival container ID watermark (every
-// committed container has a smaller ID); `state_size`/`state_crc` identify
-// the committed state snapshot byte-for-byte.
+// commit and names the committed file (`<stem>.<epoch>.hds`); `store_next`
+// is the archival container ID watermark (every committed container has a
+// smaller ID); `state_size`/`state_crc` identify the committed file
+// byte-for-byte.
 struct CommitRecord {
   std::uint64_t epoch = 0;
   VersionId next_version = 1;

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -15,7 +14,8 @@
 #include "core/hidestore.h"
 #include "core/shard_router.h"
 #include "index/shard_space.h"
-#include "storage/manifest.h"
+#include "storage/durable.h"
+#include "storage/journal.h"
 
 namespace hds::verify {
 
@@ -573,12 +573,11 @@ FsckCheck check_manifest_commit(const HiDeStore& sys,
   Manifest manifest;
   const ManifestStatus status = load_manifest(dir, manifest);
   if (status == ManifestStatus::kMissing) return out.take();
-  if (status == ManifestStatus::kIoError) {
-    out.expect(false, "MANIFEST", "journal unreadable (I/O failure)");
-    return out.take();
-  }
-  if (status == ManifestStatus::kCorrupt) {
-    out.expect(false, "MANIFEST", "journal unreadable (CRC/format failure)");
+  if (status != ManifestStatus::kOk) {
+    out.expect(false, "MANIFEST",
+               status == ManifestStatus::kIoError
+                   ? "journal unreadable (I/O failure)"
+                   : "journal unreadable (CRC/format failure)");
     return out.take();
   }
   const CommitRecord* head = manifest.head();
@@ -599,22 +598,12 @@ FsckCheck check_manifest_commit(const HiDeStore& sys,
                  std::to_string(head->oldest_version) +
                  " disagrees with the live system's " +
                  std::to_string(sys.oldest_version()));
-  // The committed state file the record stamps must exist: same size, CRC
+  // The committed state file the record names must exist: same size, CRC
   // and epoch.
-  std::ifstream in(dir / "state.hds", std::ios::binary | std::ios::ate);
-  if (!in) {
-    out.expect(false, "state.hds", "committed state file is missing");
-    return out.take();
-  }
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(in.tellg()));
-  in.seekg(0);
-  in.read(reinterpret_cast<char*>(bytes.data()),
-          static_cast<std::streamsize>(bytes.size()));
-  out.expect(static_cast<bool>(in) || bytes.empty(), "state.hds",
-             "committed state file is unreadable");
-  out.expect(HiDeStore::is_committed_state(*head, bytes), "state.hds",
-             "committed state file does not match the journal's size/CRC/"
-             "epoch stamp");
+  out.expect(HiDeStore::holds_committed_state(dir, *head),
+             journal::file_name(journal::kStateStem, head->epoch),
+             "committed state file is missing, unreadable, or does not "
+             "match the journal's size/CRC/epoch stamp");
   return out.take();
 }
 
@@ -696,20 +685,12 @@ FsckCheck check_footer_index(const HiDeStore& sys, const StoreView& view,
     if (view.unreadable.contains(id)) continue;  // framing already reported
     out.object();
     const std::string name = path.filename().string();
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    const auto size = in ? in.tellg() : std::streampos(-1);
-    if (size < 0) {
+    const auto read = durable::read_file(path);
+    if (!read) {
       out.fail(name, "container file unreadable");
       continue;
     }
-    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-    in.seekg(0);
-    in.read(reinterpret_cast<char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-    if (!in && !bytes.empty()) {
-      out.fail(name, "container file unreadable");
-      continue;
-    }
+    const auto& bytes = *read;
     const auto header = Container::parse_header(bytes);
     if (!header) continue;     // unparseable → framing's finding, not ours
     if (!header->footer_indexed) continue;  // format 2: no footer index

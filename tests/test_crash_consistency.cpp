@@ -108,8 +108,8 @@ TEST(CrashMatrix, EveryWriteSiteRecoversToLastCommittedVersion) {
     ASSERT_EQ(all, versions.size());
     total_sites = durable::CrashInjector::steps();
   }
-  // 5 sites per atomic file (state, MANIFEST, each sealed container) plus
-  // the aside renames: a non-trivial matrix or the harness is broken.
+  // 5 sites per atomic file (state, MANIFEST, each sealed container): a
+  // non-trivial matrix or the harness is broken.
   ASSERT_GT(total_sites, 50u);
 
   for (std::uint64_t step = 1; step <= total_sites; ++step) {

@@ -228,19 +228,19 @@ TEST(TornFiles, TruncatedStateAtAnyOffsetIsCountedNeverFatal) {
   const auto pristine = hds::testutil::unique_path("hds_torn_pristine");
   fs::remove_all(pristine);
   build_repo(pristine);
-  const auto full_size = fs::file_size(pristine / "state.hds");
+  const auto full_size = fs::file_size(pristine / "state.3.hds");
 
   for (const double frac : {0.0, 0.1, 0.5, 0.95}) {
     const auto dir = hds::testutil::unique_path("hds_torn_state");
     fs::remove_all(dir);
     fs::copy(pristine, dir, fs::copy_options::recursive);
-    fs::resize_file(dir / "state.hds",
+    fs::resize_file(dir / "state.3.hds",
                     static_cast<std::uintmax_t>(
                         frac * static_cast<double>(full_size)));
 
     RecoveryReport report;
     const auto sys = HiDeStore::open(dir, &report);
-    // The only committed snapshot is torn and there is no aside copy:
+    // The only committed snapshot is torn and there is no older copy:
     // recovery must report (quarantine) rather than crash or fabricate.
     EXPECT_EQ(sys, nullptr) << "frac " << frac;
     EXPECT_FALSE(report.opened) << "frac " << frac;
@@ -256,10 +256,10 @@ TEST(TornFiles, TornStateWithAsideCopyRollsBack) {
   fs::remove_all(dir);
   build_repo(dir);
 
-  // Simulate a crash between the state publish and the journal commit:
-  // the committed snapshot sits in state.prev.hds while state.hds is not
-  // what the MANIFEST vouches for.
-  fs::rename(dir / "state.hds", dir / "state.prev.hds");
+  // Simulate a pre-epoch layout crashed between the state publish and the
+  // journal commit: the committed snapshot sits in state.prev.hds while
+  // state.hds is not what the MANIFEST vouches for.
+  fs::rename(dir / "state.3.hds", dir / "state.prev.hds");
   std::ofstream(dir / "state.hds", std::ios::binary | std::ios::trunc)
       << "uncommitted garbage";
 

@@ -231,7 +231,7 @@ TEST(Fsck, CleanFileBackedStoreAfterReload) {
     ingest(sys, 8);
     sys.save(dir.path);
   }
-  auto sys = HiDeStore::load(dir.path);
+  auto sys = HiDeStore::open(dir.path);
   ASSERT_NE(sys, nullptr);
   const auto report = verify::run_fsck(*sys);
   EXPECT_TRUE(report.clean()) << report.to_text();

@@ -1,0 +1,406 @@
+// The commit journal (src/storage/journal.h, DESIGN.md §9): the strict
+// `<stem>.<epoch>.hds` name, recovery over the epoch-stamped layout (an
+// uncommitted newer file is quarantined and its versions reported as
+// rolled back, a superseded older one is swept, or kept in quarantine when
+// no journal vouches for the adopted file, a sharded root's partial writes
+// are swept, and recovery converges), and the one-way migration of
+// pre-epoch `state.hds` repositories: flat, sharded, a shard killed after
+// its root's commit, and on storage that refuses the rename.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <vector>
+
+#include "common/crc32.h"
+#include "core/shard_router.h"
+#include "storage/durable.h"
+#include "storage/journal.h"
+#include "verify/fsck.h"
+#include "workload/generator.h"
+
+#include "util/temp_dir.h"
+
+namespace hds {
+namespace {
+
+namespace fs = std::filesystem;
+
+using testutil::TempDir;
+
+std::vector<VersionStream> generate(std::uint32_t versions) {
+  auto p = WorkloadProfile::kernel();
+  p.versions = versions;
+  p.chunks_per_version = 120;
+  VersionChainGenerator gen(p);
+  std::vector<VersionStream> out;
+  for (std::uint32_t v = 0; v < versions; ++v) {
+    out.push_back(gen.next_version());
+  }
+  return out;
+}
+
+HiDeStoreConfig repo_config(const fs::path& dir) {
+  HiDeStoreConfig config;
+  config.container_size = 128 * 1024;
+  config.storage_dir = dir;
+  return config;
+}
+
+// Files directly in `dir` whose name starts with `prefix`.
+std::vector<std::string> names_with(const fs::path& dir,
+                                    const std::string& prefix) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const auto name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0) names.push_back(name);
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+void expect_clean_reopen(const fs::path& dir) {
+  RecoveryReport second;
+  auto again = ShardRouter::open(dir, 0, &second);
+  ASSERT_NE(again, nullptr);
+  EXPECT_FALSE(second.performed) << second.to_text();
+}
+
+TEST(Journal, FileNamesParseStrictly) {
+  EXPECT_EQ(journal::file_name(journal::kStateStem, 7), "state.7.hds");
+  EXPECT_EQ(journal::parse_file_name(journal::kStateStem, "state.7.hds"), 7u);
+  EXPECT_EQ(journal::parse_file_name(journal::kRouterStem,
+                                     "router.18446744073709551615.hds"),
+            18446744073709551615ull);
+  for (const char* bad :
+       {"state.hds", "state.prev.hds", "state..hds", "state.0.hds",
+        "state.07.hds", "state.+7.hds", "state.-7.hds", "state.7a.hds",
+        "state.7.hds.tmp", "state.7.hdsx", "states.7.hds", "router.7.hds",
+        "state.18446744073709551616.hds"}) {
+    EXPECT_FALSE(journal::parse_file_name(journal::kStateStem, bad)) << bad;
+  }
+}
+
+// (a) A committed state.<e>.hds beside a torn state.<e+1>.hds — a save that
+// staged version 4 and died before its commit — opens at e.
+TEST(JournalRecovery, TornNewerStateIsQuarantinedAndRolledBack) {
+  TempDir dir("hds_journal_newer");
+  const auto versions = generate(4);
+  {
+    HiDeStore sys(repo_config(dir.path));
+    for (std::size_t v = 0; v < 3; ++v) {
+      (void)sys.backup(versions[v]);
+      sys.save(dir.path);
+    }
+    (void)sys.backup(versions[3]);
+    (void)sys.stage_save(dir.path);  // never committed
+  }
+  const auto staged = dir.path / "state.4.hds";
+  ASSERT_TRUE(fs::exists(staged));
+  fs::resize_file(staged, fs::file_size(staged) / 2);
+
+  RecoveryReport report;
+  auto sys = HiDeStore::open(dir.path, &report);
+  ASSERT_NE(sys, nullptr) << report.to_text();
+  EXPECT_EQ(sys->epoch(), 3u);
+  EXPECT_EQ(sys->latest_version(), 3u);
+  EXPECT_TRUE(report.performed);
+  EXPECT_EQ(report.rolled_back_versions, 1u) << report.to_text();
+  EXPECT_FALSE(fs::exists(staged));
+  EXPECT_TRUE(fs::exists(dir.path / "quarantine" / "state.4.hds"));
+  EXPECT_EQ(names_with(dir.path, "state."),
+            std::vector<std::string>{"state.3.hds"});
+  EXPECT_TRUE(verify::run_fsck(*sys).clean());
+
+  RecoveryReport second;
+  auto again = HiDeStore::open(dir.path, &second);
+  ASSERT_NE(again, nullptr);
+  EXPECT_FALSE(second.performed) << second.to_text();
+}
+
+// (b) A superseded state.<e-1>.hds left beside the committed file (a crash
+// after the commit point, before the sweep) is removed.
+TEST(JournalRecovery, LeftoverOlderStateIsSwept) {
+  TempDir dir("hds_journal_older");
+  TempDir aside("hds_journal_older_aside");
+  fs::create_directories(aside.path);
+  const auto versions = generate(2);
+  {
+    HiDeStore sys(repo_config(dir.path));
+    (void)sys.backup(versions[0]);
+    sys.save(dir.path);
+    fs::copy_file(dir.path / "state.1.hds", aside.path / "state.1.hds");
+    (void)sys.backup(versions[1]);
+    sys.save(dir.path);
+  }
+  ASSERT_FALSE(fs::exists(dir.path / "state.1.hds"));  // commit swept it
+  fs::copy_file(aside.path / "state.1.hds", dir.path / "state.1.hds");
+
+  RecoveryReport report;
+  auto sys = HiDeStore::open(dir.path, &report);
+  ASSERT_NE(sys, nullptr);
+  EXPECT_EQ(sys->latest_version(), 2u);
+  EXPECT_TRUE(report.performed);
+  EXPECT_EQ(report.rolled_back_versions, 0u);
+  EXPECT_TRUE(report.quarantined.empty()) << report.to_text();
+  EXPECT_EQ(names_with(dir.path, "state."),
+            std::vector<std::string>{"state.2.hds"});
+
+  RecoveryReport second;
+  ASSERT_NE(HiDeStore::open(dir.path, &second), nullptr);
+  EXPECT_FALSE(second.performed) << second.to_text();
+}
+
+// Without a journal nothing vouches for the newest parseable file, which may
+// be an uncommitted save: the older file it supersedes, possibly the
+// committed one, is kept in quarantine rather than deleted.
+TEST(JournalRecovery, NoJournalQuarantinesSupersededState) {
+  TempDir dir("hds_journal_no_manifest");
+  const auto versions = generate(3);
+  {
+    HiDeStore sys(repo_config(dir.path));
+    for (std::size_t v = 0; v < 2; ++v) {
+      (void)sys.backup(versions[v]);
+      sys.save(dir.path);
+    }
+    (void)sys.backup(versions[2]);
+    (void)sys.stage_save(dir.path);  // never committed
+  }
+  ASSERT_TRUE(fs::exists(dir.path / "state.2.hds"));
+  ASSERT_TRUE(fs::exists(dir.path / "state.3.hds"));
+  fs::remove(dir.path / "MANIFEST");
+
+  RecoveryReport report;
+  auto sys = HiDeStore::open(dir.path, &report);
+  ASSERT_NE(sys, nullptr) << report.to_text();
+  EXPECT_EQ(sys->epoch(), 3u);
+  EXPECT_TRUE(fs::exists(dir.path / "quarantine" / "state.2.hds"))
+      << report.to_text();
+  EXPECT_EQ(names_with(dir.path, "state."),
+            std::vector<std::string>{"state.3.hds"});
+
+  RecoveryReport second;
+  ASSERT_NE(HiDeStore::open(dir.path, &second), nullptr);
+  EXPECT_FALSE(second.performed) << second.to_text();
+}
+
+// A save killed while writing the router state or the root MANIFEST leaves
+// their partial writes at a sharded repository's root; recovery sweeps
+// them like a shard's.
+TEST(JournalRecovery, ShardedRootPartialWritesAreSwept) {
+  TempDir dir("hds_journal_root_tmp");
+  ShardRouterConfig config;
+  config.shards = 2;
+  config.base = repo_config(dir.path);
+  {
+    ShardRouter sys(config);
+    (void)sys.backup(generate(1)[0]);
+    sys.save(dir.path);
+  }
+  for (const char* debris : {"router.2.hds.tmp", "MANIFEST.tmp"}) {
+    durable::atomic_write_file(dir.path / debris, std::string_view("torn"));
+  }
+
+  RecoveryReport report;
+  auto sys = ShardRouter::open(dir.path, 2, &report);
+  ASSERT_NE(sys, nullptr) << report.to_text();
+  EXPECT_TRUE(report.performed);
+  EXPECT_EQ(report.quarantined.size(), 2u) << report.to_text();
+  EXPECT_FALSE(fs::exists(dir.path / "router.2.hds.tmp"));
+  EXPECT_FALSE(fs::exists(dir.path / "MANIFEST.tmp"));
+  sys.reset();
+  expect_clean_reopen(dir.path);
+}
+
+// A state file in the removed in-memory save layout (archival containers
+// serialized inline, placement byte 1) is refused with a note, never
+// misread as a file-backed store.
+TEST(JournalRecovery, InlinePlacementIsRefusedWithANote) {
+  TempDir dir("hds_journal_inline");
+  {
+    HiDeStore sys(repo_config(dir.path));
+    (void)sys.backup(generate(1)[0]);
+    sys.save(dir.path);
+  }
+  const auto path = dir.path / "state.1.hds";
+  auto bytes = *durable::read_file(path);
+  // magic, format, epoch, container size, threshold, window, materialize,
+  // flatten: the placement byte follows at offset 38.
+  constexpr std::size_t kPlacement = 4 + 4 + 8 + 8 + 8 + 4 + 1 + 1;
+  ASSERT_EQ(bytes[kPlacement], 0);
+  bytes[kPlacement] = 1;
+  const std::uint32_t crc = crc32(bytes.data(), bytes.size() - 4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[bytes.size() - 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+  durable::atomic_write_file(path, bytes);
+
+  RecoveryReport report;
+  EXPECT_EQ(HiDeStore::open(dir.path, &report), nullptr);
+  EXPECT_FALSE(report.opened);
+  bool noted = false;
+  for (const auto& note : report.notes) {
+    noted |= note.find("inline") != std::string::npos;
+  }
+  EXPECT_TRUE(noted) << report.to_text();
+}
+
+// (c) Pre-epoch layouts: the state file bytes are unchanged, so renaming
+// the committed file back to its old name rebuilds exactly what an older
+// build left on disk.
+TEST(JournalMigration, CleanLegacyStateOpensAtOneShard) {
+  TempDir dir("hds_journal_legacy");
+  const auto versions = generate(3);
+  {
+    HiDeStore sys(repo_config(dir.path));
+    for (const auto& vs : versions) {
+      (void)sys.backup(vs);
+      sys.save(dir.path);
+    }
+  }
+  fs::rename(dir.path / "state.3.hds", dir.path / "state.hds");
+  EXPECT_EQ(ShardRouter::detect_shards(dir.path), 1u);
+
+  RecoveryReport report;
+  auto sys = ShardRouter::open(dir.path, 1, &report);
+  ASSERT_NE(sys, nullptr) << report.to_text();
+  EXPECT_TRUE(report.performed);
+  EXPECT_TRUE(report.quarantined.empty()) << report.to_text();
+  EXPECT_EQ(sys->latest_version(), 3u);
+  EXPECT_EQ(sys->shard(0).epoch(), 3u);
+  EXPECT_EQ(names_with(dir.path, "state."),
+            std::vector<std::string>{"state.3.hds"});
+  std::size_t chunks = 0;
+  (void)sys->restore(3, [&](const ChunkLoc&, std::span<const std::uint8_t>) {
+    ++chunks;
+  });
+  EXPECT_EQ(chunks, versions[2].chunks.size());
+  EXPECT_TRUE(verify::run_fsck(*sys).clean());
+  sys.reset();
+  expect_clean_reopen(dir.path);
+}
+
+TEST(JournalMigration, ShardedLegacyShardStateMigrates) {
+  TempDir dir("hds_journal_legacy_sharded");
+  const auto versions = generate(2);
+  ShardRouterConfig config;
+  config.shards = 2;
+  config.base = repo_config(dir.path);
+  {
+    ShardRouter sys(config);
+    for (const auto& vs : versions) {
+      (void)sys.backup(vs);
+      sys.save(dir.path);
+    }
+  }
+  for (const char* shard : {"shard_0", "shard_1"}) {
+    fs::rename(dir.path / shard / "state.2.hds",
+               dir.path / shard / "state.hds");
+  }
+
+  RecoveryReport report;
+  auto sys = ShardRouter::open(dir.path, 2, &report);
+  ASSERT_NE(sys, nullptr) << report.to_text();
+  EXPECT_TRUE(report.performed);
+  EXPECT_EQ(sys->latest_version(), 2u);
+  for (const char* shard : {"shard_0", "shard_1"}) {
+    EXPECT_EQ(names_with(dir.path / shard, "state."),
+              std::vector<std::string>{"state.2.hds"});
+  }
+  EXPECT_TRUE(verify::run_fsck(*sys).clean());
+  sys.reset();
+  expect_clean_reopen(dir.path);
+}
+
+// An older build killed after the root commit, before shard_0's MANIFEST
+// append, left shard_0 with its committed file moved aside to
+// `state.prev.hds`, the staged file as `state.hds` and a journal one record
+// behind the root. Open rolls shard_0 forward to the root's epoch.
+TEST(JournalMigration, ShardedLegacyPostCommitCrashRollsForward) {
+  TempDir dir("hds_journal_legacy_rollforward");
+  TempDir aside("hds_journal_legacy_rollforward_aside");
+  fs::create_directories(aside.path);
+  const auto versions = generate(2);
+  ShardRouterConfig config;
+  config.shards = 2;
+  config.base = repo_config(dir.path);
+  const auto shard0 = dir.path / "shard_0";
+  {
+    ShardRouter sys(config);
+    (void)sys.backup(versions[0]);
+    sys.save(dir.path);
+    for (const char* file : {"state.1.hds", "MANIFEST"}) {
+      fs::copy_file(shard0 / file, aside.path / file);
+    }
+    (void)sys.backup(versions[1]);
+    sys.save(dir.path);
+  }
+  fs::rename(shard0 / "state.2.hds", shard0 / "state.hds");
+  fs::copy_file(aside.path / "state.1.hds", shard0 / "state.prev.hds");
+  fs::copy_file(aside.path / "MANIFEST", shard0 / "MANIFEST",
+                fs::copy_options::overwrite_existing);
+  fs::rename(dir.path / "shard_1" / "state.2.hds",
+             dir.path / "shard_1" / "state.hds");
+
+  RecoveryReport report;
+  auto sys = ShardRouter::open(dir.path, 2, &report);
+  ASSERT_NE(sys, nullptr) << report.to_text();
+  EXPECT_TRUE(report.performed);
+  EXPECT_TRUE(report.quarantined.empty()) << report.to_text();
+  EXPECT_EQ(sys->latest_version(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(sys->shard(i).epoch(), 2u) << report.to_text();
+    EXPECT_EQ(names_with(dir.path / ("shard_" + std::to_string(i)), "state."),
+              std::vector<std::string>{"state.2.hds"});
+  }
+  EXPECT_TRUE(verify::run_fsck(*sys).clean());
+  sys.reset();
+  expect_clean_reopen(dir.path);
+}
+
+// A pre-epoch repository on storage that refuses the migrating rename (a
+// read-only snapshot mounted for restore) opens with its state file where
+// it lies; the next writable open migrates it.
+TEST(JournalMigration, LegacyStateOpensInPlaceWhenRenameFails) {
+  TempDir dir("hds_journal_legacy_readonly");
+  const auto versions = generate(2);
+  {
+    HiDeStore sys(repo_config(dir.path));
+    for (const auto& vs : versions) {
+      (void)sys.backup(vs);
+      sys.save(dir.path);
+    }
+  }
+  fs::rename(dir.path / "state.2.hds", dir.path / "state.hds");
+
+  durable::CrashInjector::arm(1, durable::FaultMode::kFail);
+  RecoveryReport report;
+  auto sys = ShardRouter::open(dir.path, 1, &report);
+  durable::CrashInjector::disarm();
+  ASSERT_NE(sys, nullptr) << report.to_text();
+  EXPECT_EQ(sys->latest_version(), 2u);
+  EXPECT_EQ(names_with(dir.path, "state."),
+            std::vector<std::string>{"state.hds"});
+  bool noted = false;
+  for (const auto& note : report.notes) {
+    noted |= note.find("opened in place") != std::string::npos;
+  }
+  EXPECT_TRUE(noted) << report.to_text();
+  std::size_t chunks = 0;
+  (void)sys->restore(2, [&](const ChunkLoc&, std::span<const std::uint8_t>) {
+    ++chunks;
+  });
+  EXPECT_EQ(chunks, versions[1].chunks.size());
+  EXPECT_TRUE(verify::run_fsck(*sys).clean());
+  sys.reset();
+
+  RecoveryReport writable;
+  ASSERT_NE(ShardRouter::open(dir.path, 1, &writable), nullptr);
+  EXPECT_TRUE(writable.performed);
+  EXPECT_EQ(names_with(dir.path, "state."),
+            std::vector<std::string>{"state.2.hds"});
+  expect_clean_reopen(dir.path);
+}
+
+}  // namespace
+}  // namespace hds

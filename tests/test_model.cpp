@@ -1,5 +1,5 @@
 // Model-based fuzz test: random interleavings of every public operation —
-// backup, restore, flatten, expiry, save/load — are checked against a
+// backup, restore, flatten, expiry, save/open — are checked against a
 // trivially correct reference model (the retained version streams held in
 // memory). Parameterized over RNG seeds and cache windows; any divergence
 // in chunk sequence or content is a real bug.
@@ -36,20 +36,21 @@ TEST_P(ModelFuzzTest, RandomOperationSequencesMatchTheModel) {
   profile.seed = seed * 7919;
   VersionChainGenerator gen(profile);
 
+  const auto dir =
+      hds::testutil::unique_path("hds_model_fuzz_" + std::to_string(seed) +
+                                 "_" + std::to_string(window));
+  fs::remove_all(dir);
+
   HiDeStoreConfig config;
   config.cache_window = window;
   config.compaction_threshold = 0.25 + rng.next_double() * 0.5;
+  config.storage_dir = dir;
   auto sys = std::make_unique<HiDeStore>(config);
 
   // The reference model: every retained version's exact chunk stream.
   std::map<VersionId, VersionStream> model;
   VersionId next_version = 1;
   VersionId oldest_alive = 1;
-
-  const auto dir =
-      hds::testutil::unique_path("hds_model_fuzz_" + std::to_string(seed) +
-                                 "_" + std::to_string(window));
-  fs::remove_all(dir);
 
   const int steps = 60;
   for (int step = 0; step < steps; ++step) {
@@ -101,9 +102,9 @@ TEST_P(ModelFuzzTest, RandomOperationSequencesMatchTheModel) {
         oldest_alive = std::max(oldest_alive, upto + 1);
       }
     } else {
-      // --- save + load round trip ---
+      // --- save + open round trip ---
       sys->save(dir);
-      auto reloaded = HiDeStore::load(dir);
+      auto reloaded = HiDeStore::open(dir);
       ASSERT_NE(reloaded, nullptr) << "seed " << seed << " step " << step;
       sys = std::move(reloaded);
     }

@@ -1,4 +1,4 @@
-// Tests for HiDeStore save/load: full state round trip, continued backups
+// Tests for HiDeStore save/open: full state round trip, continued backups
 // after reload (the rebuilt fingerprint cache must dedup exactly as if the
 // process had never exited), corruption rejection, and window-2 reloads.
 #include <gtest/gtest.h>
@@ -26,6 +26,12 @@ std::vector<VersionStream> generate(WorkloadProfile p) {
     out.push_back(gen.next_version());
   }
   return out;
+}
+
+// A file-backed store rooted at `dir`: only those can save().
+HiDeStoreConfig file_config(const fs::path& dir, HiDeStoreConfig config = {}) {
+  config.storage_dir = dir;
+  return config;
 }
 
 WorkloadProfile small_kernel(std::uint32_t versions = 8) {
@@ -60,11 +66,11 @@ TEST(Persistence, SaveLoadRoundTripRestoresEveryVersion) {
   TempDir dir("hds_persist_roundtrip");
   const auto versions = generate(small_kernel());
   {
-    HiDeStore sys;
+    HiDeStore sys(file_config(dir.path));
     for (const auto& vs : versions) (void)sys.backup(vs);
     sys.save(dir.path);
   }
-  auto sys = HiDeStore::load(dir.path);
+  auto sys = HiDeStore::open(dir.path);
   ASSERT_NE(sys, nullptr);
   EXPECT_EQ(sys->latest_version(), versions.size());
   for (std::size_t v = 0; v < versions.size(); ++v) {
@@ -85,11 +91,11 @@ TEST(Persistence, BackupsContinueSeamlesslyAfterReload) {
 
   // Experiment: save after 6 versions, reload, back up the rest.
   {
-    HiDeStore sys;
+    HiDeStore sys(file_config(dir.path));
     for (int v = 0; v < 6; ++v) (void)sys.backup(versions[v]);
     sys.save(dir.path);
   }
-  auto sys = HiDeStore::load(dir.path);
+  auto sys = HiDeStore::open(dir.path);
   ASSERT_NE(sys, nullptr);
   for (int v = 6; v < 12; ++v) (void)sys->backup(versions[v]);
 
@@ -115,11 +121,11 @@ TEST(Persistence, WindowTwoReloadPreservesSkipChunks) {
   for (const auto& vs : versions) (void)control.backup(vs);
 
   {
-    HiDeStore sys(config);
+    HiDeStore sys(file_config(dir.path, config));
     for (int v = 0; v < 5; ++v) (void)sys.backup(versions[v]);
     sys.save(dir.path);
   }
-  auto sys = HiDeStore::load(dir.path);
+  auto sys = HiDeStore::open(dir.path);
   ASSERT_NE(sys, nullptr);
   for (std::size_t v = 5; v < versions.size(); ++v) {
     (void)sys->backup(versions[v]);
@@ -134,11 +140,11 @@ TEST(Persistence, DeletionStateSurvivesReload) {
   TempDir dir("hds_persist_delete");
   const auto versions = generate(small_kernel(10));
   {
-    HiDeStore sys;
+    HiDeStore sys(file_config(dir.path));
     for (const auto& vs : versions) (void)sys.backup(vs);
     sys.save(dir.path);
   }
-  auto sys = HiDeStore::load(dir.path);
+  auto sys = HiDeStore::open(dir.path);
   ASSERT_NE(sys, nullptr);
   const auto report = sys->delete_versions_up_to(4);
   EXPECT_EQ(report.versions_deleted, 4u);
@@ -152,37 +158,45 @@ TEST(Persistence, LoadRejectsCorruptState) {
   TempDir dir("hds_persist_corrupt");
   const auto versions = generate(small_kernel(3));
   {
-    HiDeStore sys;
+    HiDeStore sys(file_config(dir.path));
     for (const auto& vs : versions) (void)sys.backup(vs);
     sys.save(dir.path);
   }
-  const auto file = dir.path / "state.hds";
+  const auto file = dir.path / "state.1.hds";
   {
     std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
     f.seekp(64);
     f.write("\xAB", 1);
   }
-  EXPECT_EQ(HiDeStore::load(dir.path), nullptr);
+  EXPECT_EQ(HiDeStore::open(dir.path), nullptr);
 }
 
 TEST(Persistence, LoadRejectsMissingAndEmptyState) {
   TempDir dir("hds_persist_missing");
-  EXPECT_EQ(HiDeStore::load(dir.path), nullptr);
+  EXPECT_EQ(HiDeStore::open(dir.path), nullptr);
   fs::create_directories(dir.path);
-  std::ofstream(dir.path / "state.hds").close();
-  EXPECT_EQ(HiDeStore::load(dir.path), nullptr);
+  std::ofstream(dir.path / "state.1.hds").close();
+  EXPECT_EQ(HiDeStore::open(dir.path), nullptr);
 }
 
 TEST(Persistence, SaveIsIdempotent) {
   TempDir dir("hds_persist_idempotent");
   const auto versions = generate(small_kernel(4));
-  HiDeStore sys;
+  HiDeStore sys(file_config(dir.path));
   for (const auto& vs : versions) (void)sys.backup(vs);
   sys.save(dir.path);
-  sys.save(dir.path);  // overwrite in place
-  auto loaded = HiDeStore::load(dir.path);
+  sys.save(dir.path);  // commits the same state again, at the next epoch
+  auto loaded = HiDeStore::open(dir.path);
   ASSERT_NE(loaded, nullptr);
   EXPECT_EQ(loaded->total_stored_bytes(), sys.total_stored_bytes());
+}
+
+TEST(Persistence, InMemoryStoreCannotSave) {
+  TempDir dir("hds_persist_in_memory");
+  HiDeStore sys;
+  (void)sys.backup(generate(small_kernel(1))[0]);
+  EXPECT_THROW(sys.save(dir.path), std::invalid_argument);
+  EXPECT_FALSE(fs::exists(dir.path));
 }
 
 // --- ByteWriter/ByteReader unit coverage ---

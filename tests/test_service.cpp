@@ -562,7 +562,7 @@ TEST(ServeServer, ListRoundTripsSkipDelayedAck) {
 
 TEST(ServeServer, RefusesSingleTenantRepository) {
   TempDir dir("svc_refuse");
-  // A single-tenant repository keeps state.hds at its root.
+  // A single-tenant repository keeps its state file at its root.
   HiDeStoreConfig solo_config;
   solo_config.storage_dir = dir.path;
   HiDeStore solo(solo_config);

@@ -148,7 +148,7 @@ TEST(ShardRouter, SingleShardIsBitIdenticalLegacyLayout) {
   }
   // Legacy on-disk shape: state at the root, no router state file, and a
   // plain HiDeStore opens it without knowing shards exist.
-  EXPECT_TRUE(fs::exists(dir.path / "state.hds"));
+  EXPECT_TRUE(fs::exists(dir.path / "state.3.hds"));
   bool router_file = false;
   for (const auto& entry : fs::directory_iterator(dir.path)) {
     router_file |=
@@ -348,6 +348,38 @@ TEST(ShardRouter, SaveReopenRestoreAndDeleteSurvive) {
   }
   const auto fsck2 = verify::run_fsck(*again);
   EXPECT_TRUE(fsck2.clean()) << fsck2.to_text();
+}
+
+// A save that changes nothing stages a router state of the committed one's
+// size, and every router state has the same whole-file CRC (it ends in its
+// own CRC): only the epoch in its header tells two of them apart. An older
+// epoch's file under the committed epoch's name must not be adopted as
+// that epoch.
+TEST(ShardRouter, RouterStateOfAnotherEpochIsNotAdopted) {
+  TempDir dir("hds_shard_router_epoch");
+  TempDir aside("hds_shard_router_epoch_aside");
+  fs::create_directories(aside.path);
+  {
+    ShardRouter sys(router_config(2, dir.path));
+    (void)sys.backup(generate(1, 64)[0]);
+    sys.save(dir.path);
+    fs::copy_file(dir.path / "router.1.hds", aside.path / "router.1.hds");
+    sys.save(dir.path);  // nothing changed since the first save
+  }
+  ASSERT_EQ(fs::file_size(dir.path / "router.2.hds"),
+            fs::file_size(aside.path / "router.1.hds"));
+  fs::copy_file(aside.path / "router.1.hds", dir.path / "router.2.hds",
+                fs::copy_options::overwrite_existing);
+
+  RecoveryReport report;
+  auto sys = ShardRouter::open(dir.path, 0, &report);
+  if (sys != nullptr) {
+    EXPECT_NE(sys->epoch(), 1u) << report.to_text();
+    EXPECT_TRUE(report.performed) << report.to_text();
+  } else {
+    EXPECT_FALSE(report.opened);
+    EXPECT_FALSE(report.quarantined.empty()) << report.to_text();
+  }
 }
 
 // --- The two-phase-commit crash matrix ---

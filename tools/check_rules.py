@@ -25,6 +25,13 @@ Rules (see README "Static analysis" and DESIGN.md §14):
                  name argument contains `+` or std::to_string. Per-shard or
                  per-tenant splits are labels the exporter adds
                  (DESIGN.md §12), not name prefixes.
+  state-file-name
+                 No string literal naming a committed file — "state.hds",
+                 "state.prev.hds", or any literal starting with "state." or
+                 "router." — in src/ or examples/ outside the journal module
+                 (src/storage/journal.{h,cpp}). Naming, staging and picking
+                 the committed file is the journal's decision alone
+                 (DESIGN.md §9).
   bench-date     Every bench/baselines/*.json must parse and carry a
                  non-empty context.date — an undated baseline cannot be
                  judged stale.
@@ -55,15 +62,22 @@ SMART_OWNER_RE = re.compile(r"unique_ptr\s*<|shared_ptr\s*<|make_unique|make_sha
 METRIC_CALL_RE = re.compile(r"\b(?:counter|counter_view|gauge|histogram)\s*\(")
 BUILT_NAME_RE = re.compile(r"\+|\bto_string\b")
 
+STATE_FILE_RE = re.compile(r"(?:state|router)\.")
+
 RAW_WRITE_ALLOWED = {Path("src/storage/durable.cpp")}
 RAW_MUTEX_ALLOWED = {Path("src/common/thread_annotations.h")}
+STATE_FILE_ALLOWED = {Path("src/storage/journal.h"), Path("src/storage/journal.cpp")}
 
 
-def strip_comments_and_strings(text: str) -> str:
+def strip_comments_and_strings(
+    text: str, literals: list[tuple[int, str]] | None = None
+) -> str:
     """Blank out comments and string/char literals, preserving line numbers.
 
     Good enough for token rules: raw strings and escapes are handled, line
     counts survive because newlines are kept even inside blanked regions.
+    With `literals`, every ordinary "..." literal outside a comment is
+    appended to it as (offset, contents).
     """
     out = []
     i, n = 0, len(text)
@@ -93,6 +107,8 @@ def strip_comments_and_strings(text: str) -> str:
             while j < n and text[j] != ch:
                 j += 2 if text[j] == "\\" else 1
             j = min(j + 1, n)
+            if ch == '"' and literals is not None:
+                literals.append((i, text[i + 1 : j - 1]))
             out.append(ch)
             out.extend(c if c == "\n" else " " for c in text[i + 1 : j])
             i = j
@@ -190,7 +206,19 @@ def check_tree(root: Path) -> list[dict]:
             )
 
     for path in iter_cxx_files(root, ["src", "examples"]):
-        text = strip_comments_and_strings(path.read_text(errors="replace"))
+        source = path.read_text(errors="replace")
+        literals: list[tuple[int, str]] = []
+        text = strip_comments_and_strings(source, literals)
+        if path.relative_to(root) not in STATE_FILE_ALLOWED:
+            for pos, contents in literals:  # offsets into `source`
+                if STATE_FILE_RE.match(contents):
+                    add(
+                        path,
+                        line_of(source, pos),
+                        "state-file-name",
+                        f"state file name literal \"{contents}\" — ask the "
+                        "commit journal (src/storage/journal.h) instead",
+                    )
         for m in METRIC_CALL_RE.finditer(text):
             if BUILT_NAME_RE.search(first_argument(text, m.end() - 1)):
                 add(

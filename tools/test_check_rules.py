@@ -158,6 +158,44 @@ class CheckRulesTest(unittest.TestCase):
         )
         self.assertEqual(self.tree.findings(), [])
 
+    def test_state_file_name_flagged_outside_journal(self):
+        self.tree.write(
+            "src/core/leak.cpp",
+            'auto a = dir / "state.hds";  // a comment shortens no line\n'
+            'auto b = dir / "state.prev.hds";\n'
+            'auto c = "state." + std::to_string(e) + ".hds";\n'
+            'auto d = std::string("router.") + tail;\n',
+        )
+        self.tree.write(
+            "examples/leak.cpp", 'bool f() { return exists("state.hds"); }\n'
+        )
+        finds = [
+            f for f in self.tree.findings() if f["rule"] == "state-file-name"
+        ]
+        self.assertEqual(
+            sorted((f["path"], f["line"]) for f in finds),
+            [("examples/leak.cpp", 1), ("src/core/leak.cpp", 1),
+             ("src/core/leak.cpp", 2), ("src/core/leak.cpp", 3),
+             ("src/core/leak.cpp", 4)],
+        )
+
+    def test_state_file_name_allowed_in_journal_comments_and_tests(self):
+        for rel in ("src/storage/journal.h", "src/storage/journal.cpp"):
+            self.tree.write(
+                rel, 'constexpr const char* kOld[] = {"state.hds", "router."};\n'
+            )
+        self.tree.write(
+            "src/core/ok.cpp",
+            "// the committed state.hds moved to state.<epoch>.hds\n"
+            "/* router.<epoch>.hds */\n"
+            'const char* kMsg = "refusing: its state file is at the root";\n'
+            "const char kDot = '.';\n",
+        )
+        self.tree.write(
+            "tests/test_x.cpp", 'auto p = dir / "state.prev.hds";\n'
+        )
+        self.assertEqual(self.tree.findings(), [])
+
     def test_bench_baseline_date(self):
         self.tree.write(
             "bench/baselines/BENCH_ok.json",
