@@ -1,9 +1,11 @@
 // Micro-benchmarks: chunking and hashing throughput (google-benchmark).
 // These are the per-byte costs of the backup pipeline's front end. SHA-1
 // runs on whichever block function Sha1 dispatches to (common/sha1_blocks.h).
+// CRC-32 is the integrity kernel every container and state load runs.
 #include <benchmark/benchmark.h>
 
 #include "chunking/chunker.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/sha1.h"
 
@@ -27,6 +29,16 @@ void BM_Sha1(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Sha1)->Arg(4 * 1024)->Arg(64 * 1024)->Arg(1024 * 1024);
+
+void BM_Crc32(benchmark::State& state) {
+  const auto data = random_buffer(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(4 * 1024)->Arg(64 * 1024)->Arg(1024 * 1024);
 
 template <ChunkerKind Kind>
 void BM_Chunker(benchmark::State& state) {

@@ -1,6 +1,7 @@
 // Micro-benchmarks for the container I/O fast path (DESIGN.md §10): slurp
 // vs footer-index partial reads, fd-cache descriptor reuse, block-cache
-// hits, and the CRC-carrying staged copy batched compaction/eviction uses.
+// hits, serving chunks from a loaded container, and the CRC-carrying
+// staged copy batched compaction/eviction uses.
 // CI runs this with --benchmark_out=BENCH_io.json (artifact "BENCH_io").
 #include <benchmark/benchmark.h>
 
@@ -110,6 +111,21 @@ void BM_FileReadBlockCacheHit(benchmark::State& state) {
                           static_cast<std::int64_t>(kChunks * kChunkBytes));
 }
 BENCHMARK(BM_FileReadBlockCacheHit);
+
+// Every chunk of a loaded ~4 MiB container, as a restore serves them. Each
+// payload was CRC-checked once when the container loaded, so a read is a
+// table lookup; a read-time CRC would pin this to BM_Crc32's rate.
+void BM_ContainerRead(benchmark::State& state) {
+  const auto loaded = Container::deserialize(filled_container().serialize());
+  for (auto _ : state) {
+    for (const auto& [fp, entry] : loaded->entries()) {
+      benchmark::DoNotOptimize(loaded->read(fp));
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kChunks * kChunkBytes));
+}
+BENCHMARK(BM_ContainerRead);
 
 // Batched eviction/compaction staging: copying chunks between containers
 // with the already-verified CRC carried over (add_with_crc) vs recomputing

@@ -70,12 +70,8 @@ std::vector<std::uint8_t> ActiveContainerPool::extract(const Fingerprint& fp) {
     throw std::logic_error("active pool: extract of unknown chunk");
   }
   auto& container = *containers_.at(idx->second);
-  const auto bytes = container.read(fp);
-  if (!bytes) {
-    // contains() but unreadable ⇒ the payload failed its per-chunk CRC.
-    throw std::runtime_error("active pool: chunk payload corrupt");
-  }
-  std::vector<std::uint8_t> out(bytes->begin(), bytes->end());
+  const auto bytes = container.read(fp).value();
+  std::vector<std::uint8_t> out(bytes.begin(), bytes.end());
   container.remove(fp);
   index_.erase(idx);
   HDS_INVARIANT(!index_.contains(fp));
@@ -171,13 +167,10 @@ std::unordered_map<Fingerprint, ContainerId> ActiveContainerPool::compact(
 
     for (const auto& [offset, fp] : order) {
       (void)offset;
-      // read() CRC-verifies the payload once; the stored entry CRC is then
-      // reused so the merge is one memcpy per chunk, no re-checksum.
-      const auto read = src->read(fp);
-      if (!read) {
-        throw std::runtime_error("active pool: chunk payload corrupt");
-      }
-      const auto bytes = *read;
+      // The payload was CRC-checked when it was added or loaded; its entry
+      // CRC moves with it, so the merge is one memcpy per chunk and no
+      // checksum at all.
+      const auto bytes = src->read(fp).value();
       const auto entry = src->find(fp);
       auto& dst = open_container(bytes.size());
       // Metadata-only pools stay metadata-only through compaction; never

@@ -366,11 +366,11 @@ void HiDeStore::evict_cold(DoubleHashFingerprintCache::Table cold,
                        src_container->find(b)->offset;
               });
     // Batched move: each chunk is staged straight from the source
-    // container's data region into the archival container (one copy, CRC
-    // carried over from the entry table) and then discarded from the pool —
-    // extract()'s intermediate vector is gone. Spans stay valid across
-    // discard() because Container::remove never touches the data region.
-    // The archival container is written once, sequentially, when it fills.
+    // container's data region into the archival container (one copy and no
+    // checksum: the CRC is carried over from the entry table) and then
+    // discarded from the pool. Spans stay valid across discard() because
+    // Container::remove never touches the data region. The archival
+    // container is written once, sequentially, when it fills.
     for (const auto& fp : fps) {
       const auto entry = src_container->find(fp);
       if (!archival.fits(entry->size)) flush();
@@ -378,11 +378,8 @@ void HiDeStore::evict_cold(DoubleHashFingerprintCache::Table cold,
         // Metadata-only chunk (materialize_contents == false).
         archival.add_meta(fp, entry->size);
       } else {
-        const auto bytes = src_container->read(fp);  // CRC-verified span
-        if (!bytes) {
-          throw std::runtime_error("active pool: chunk payload corrupt");
-        }
-        archival.add_with_crc(fp, *bytes, entry->crc);
+        archival.add_with_crc(fp, src_container->read(fp).value(),
+                              entry->crc);
       }
       pool_.discard(fp);
       cold_map[fp] = archival.id();

@@ -551,8 +551,9 @@ void ShardRouter::save(const std::filesystem::path& dir) {
   const std::size_t shards = shards_.size();
 
   // Phase 1: stage every shard. Sequential (shard 0..N-1) so HDS_CRASH_STEP
-  // hits a deterministic site; staging is metadata-sized I/O, the heavy
-  // per-shard work happened in backup().
+  // hits a deterministic site. Staging is not small: each shard's state file
+  // carries its serialized active pool (~9 MB per shard on perfbench's
+  // `tenants`), and this loop is most of a sharded backup's wall time.
   std::vector<CommitRecord> records(shards);
   std::size_t staged = 0;
   CommitRecord root;

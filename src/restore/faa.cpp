@@ -181,8 +181,8 @@ class AreaFill {
   }
 
   // One fetch, then every slot the container serves. Slots it cannot
-  // serve (unfetchable container, missing or CRC-failed chunk) read as
-  // zeros and count as failed.
+  // serve (unfetchable container, or a chunk it lacks, e.g. one a partial
+  // read dropped for a CRC mismatch) read as zeros and count as failed.
   void fill(Group& group) {
     const ChunkLoc& first = stream_[group.slots.front()];
     obs::Span span(tracer_, "faa_fill");
@@ -195,7 +195,7 @@ class AreaFill {
       std::uint8_t* dst = area_.get() + offsets_[s];
       std::size_t copied = 0;
       const auto chunk = container != nullptr
-                             ? container->read(loc.fp)  // CRC-checked
+                             ? container->read(loc.fp)
                              : std::nullopt;
       if (chunk) {
         copied = std::min<std::size_t>(chunk->size(), loc.size);

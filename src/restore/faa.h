@@ -7,17 +7,17 @@
 // are spread across more than one area.
 //
 // Parallel fill (RestoreConfig::workers = N). The area's slots are grouped
-// by container key in first-appearance order. A group is one fetch(), then
-// a CRC-checked Container::read plus memcpy into each of the group's
-// disjoint slots. N fill workers claim groups in that order: N-1 helper
-// threads and the calling thread. The calling thread also drains slots to
-// the sink in stream order as soon as each slot's group is done, so the
-// sink overlaps the fill; while the slot it needs is not ready it fills the
-// next unclaimed group itself. N = 1 is this same loop with no helpers:
-// the caller claims every group, in the serial read order, before it
-// drains, so a sink that blocks cannot hold up the fill. The groups are the
-// reads a serial pass makes, so every RestoreStats field is identical at
-// any N.
+// by container key in first-appearance order. A group is one fetch(), then a
+// Container::read (no CRC: the container was checked as it loaded) plus
+// memcpy into each of the group's disjoint slots. N fill workers claim
+// groups in that order: N-1 helper threads and the calling thread. The
+// calling thread also drains slots to the sink in stream order as soon as
+// each slot's group is done, so the sink overlaps the fill; while the slot
+// it needs is not ready it fills the next unclaimed group itself. N = 1 is
+// this same loop with no helpers: the caller claims every group, in the
+// serial read order, before it drains, so a sink that blocks cannot hold up
+// the fill. The groups are the reads a serial pass makes, so every
+// RestoreStats field is identical at any N.
 //
 // With N > 1 the fetcher is called from N threads at once and must allow
 // it (ContainerStore reads and ActiveContainerPool::fetch do, while no

@@ -288,6 +288,8 @@ Response ServeServer::do_restore(Tenant& tenant, const Request& req) {
     resp.message = "no such version: " + std::to_string(version);
     return resp;
   }
+  // One allocation for the whole response instead of repeated regrowth.
+  resp.data.reserve(tenant.repo->router().version_logical_bytes(version));
   const RestoreReport report = tenant.repo->restore(
       version, [&resp](const ChunkLoc&, std::span<const std::uint8_t> bytes) {
         resp.data.insert(resp.data.end(), bytes.begin(), bytes.end());

@@ -90,10 +90,8 @@ std::optional<std::span<const std::uint8_t>> Container::read(
     return zero_page(it->second.size);
   }
   const std::span payload(data_.data() + it->second.offset, it->second.size);
-  if (crc32(payload) != it->second.crc) {
-    g_chunk_crc_failures.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
+  HDS_CHECK(crc32(payload) == it->second.crc,
+            "loaded payload no longer matches its chunk CRC");
   return payload;
 }
 
@@ -231,12 +229,17 @@ Container::parse_footer(std::span<const std::uint8_t> header_bytes,
 }
 
 std::optional<Container> Container::deserialize(
-    std::span<const std::uint8_t> bytes) {
+    std::span<const std::uint8_t> bytes, LoadCheck check) {
   if (bytes.size() < kHeaderSize + 4) return std::nullopt;
-  const std::uint32_t stored_crc = get_u32(bytes.data() + bytes.size() - 4);
-  if (crc32(bytes.data(), bytes.size() - 4) != stored_crc) return std::nullopt;
   const auto header = parse_header(bytes);
   if (!header) return std::nullopt;
+  const bool whole_file = check == LoadCheck::kWholeFile ||
+                          !header->footer_indexed;
+  if (whole_file &&
+      crc32(bytes.data(), bytes.size() - 4) !=
+          get_u32(bytes.data() + bytes.size() - 4)) {
+    return std::nullopt;
+  }
 
   const std::size_t table_bytes = std::size_t{header->count} * kEntrySize;
   const std::uint8_t* table = nullptr;
@@ -245,8 +248,8 @@ std::optional<Container> Container::deserialize(
     if (bytes.size() != header->expected_file_size()) return std::nullopt;
     data = bytes.data() + kHeaderSize;
     table = data + header->data_size;
-    // The footer CRC is redundant under a valid file CRC but checked anyway
-    // so the two can never silently disagree.
+    // The footer CRC vouches for header + table; under kWholeFile it is
+    // redundant but checked anyway so the two can never silently disagree.
     const std::uint32_t footer_crc = get_u32(table + table_bytes);
     if (crc32(table, table_bytes, crc32(bytes.data(), kHeaderSize)) !=
         footer_crc) {
@@ -272,6 +275,12 @@ std::optional<Container> Container::deserialize(
     if (entry.offset == kVirtualOffset) {
       c.virtual_bytes_ += entry.size;
     } else if (std::size_t{entry.offset} + entry.size > c.data_.size()) {
+      return std::nullopt;
+    } else if (!whole_file &&
+               crc32(c.data_.data() + entry.offset, entry.size) !=
+                   entry.crc) {
+      // The one check this payload gets while it stays loaded.
+      g_chunk_crc_failures.fetch_add(1, std::memory_order_relaxed);
       return std::nullopt;
     }
     c.entries_.emplace(fp, entry);

@@ -30,15 +30,16 @@ inline constexpr ContainerId kCidActive = 0;
 struct ContainerEntry {
   std::uint32_t offset = 0;
   std::uint32_t size = 0;
-  // CRC-32 of the chunk payload, computed at add() time and re-checked on
-  // every read() — corruption is caught at chunk granularity, not only when
-  // a whole serialized container fails its trailer CRC. 0 for
-  // metadata-only (virtual) chunks, which carry no payload.
+  // CRC-32 of the chunk payload, computed at add() time and checked once
+  // whenever the payload comes off the medium (deserialize(), or
+  // add_verified() on a partial read) — corruption is caught at chunk
+  // granularity, before the container is served. 0 for metadata-only
+  // (virtual) chunks, which carry no payload.
   std::uint32_t crc = 0;
 };
 
-// Process-wide count of chunk reads whose payload CRC did not match the
-// recorded one (mirrored into each system's metrics registry as
+// Process-wide count of chunk payloads that failed their recorded CRC as
+// they came off the medium (mirrored into each system's metrics registry as
 // `io_crc_failures`). Monotonic; never reset.
 [[nodiscard]] std::uint64_t chunk_crc_failures() noexcept;
 
@@ -86,8 +87,10 @@ class Container {
     return entries_.contains(fp);
   }
 
-  // Returns the chunk bytes, or nullopt if absent OR if the payload fails
-  // its per-chunk CRC (the failure is counted in chunk_crc_failures()).
+  // Returns the chunk bytes, or nullopt if absent. No CRC: every payload
+  // was checked when it was loaded (deserialize() / add_verified()) or
+  // checksummed from the bytes it was added with. -DHDS_VERIFY builds
+  // re-check it here as an invariant, so in-memory damage still trips.
   [[nodiscard]] std::optional<std::span<const std::uint8_t>> read(
       const Fingerprint& fp) const noexcept;
 
@@ -134,12 +137,12 @@ class Container {
   // moved behind the data region so that header + table — the *footer
   // index* — can be fetched with two small preads and the needed chunk
   // extents read individually, instead of slurping the whole file. The
-  // footer CRC covers header + table, so a partial read validates every
-  // byte it touches (per-chunk payload CRCs cover the extents) without
-  // reading the data region; the trailing file CRC covers the whole image
-  // for the slurp path. Format 2 ("HDSE": table before data, single
-  // trailing CRC) is still accepted by deserialize() and served by the
-  // slurp path.
+  // footer CRC covers header + table and the per-chunk CRCs cover every
+  // live payload, so any load — partial or whole — checks each byte it
+  // serves exactly once. The trailing file CRC also covers holes and is
+  // what fsck's verified read checks (LoadCheck::kWholeFile). Format 2
+  // ("HDSE": table before data, single trailing CRC) is still accepted by
+  // deserialize() and served by the slurp path.
   static constexpr std::size_t kHeaderSize = 20;
   static constexpr std::size_t kEntrySize = 32;
   // Footer CRC + file CRC behind the entry table (format 3 only).
@@ -188,8 +191,23 @@ class Container {
   // Format-2 image (entry table before the data, no footer index) — kept so
   // compatibility tests can produce legacy containers.
   [[nodiscard]] std::vector<std::uint8_t> serialize_legacy() const;
+
+  // Which CRC vouches for the bytes deserialize() loads (format 3; a
+  // format-2 image is always checked against its whole-file CRC).
+  enum class LoadCheck : std::uint8_t {
+    // Footer CRC plus each live payload's chunk CRC. A payload mismatch is
+    // counted in chunk_crc_failures() and rejects the container. Every
+    // load that serves data uses this.
+    kPayloads,
+    // Footer CRC plus the trailing whole-file CRC; payloads are not
+    // checked, so fsck can classify payload damage per chunk
+    // (corrupt_chunks()) apart from framing damage.
+    kWholeFile,
+  };
+  // Parses a serialized image; nullopt on any framing or CRC failure.
   static std::optional<Container> deserialize(
-      std::span<const std::uint8_t> bytes);
+      std::span<const std::uint8_t> bytes,
+      LoadCheck check = LoadCheck::kPayloads);
 
  private:
   ContainerId id_;

@@ -327,6 +327,8 @@ ContainerStore::ReadResult FileContainerStore::slurp(ContainerId id) {
   const std::uint64_t physical =
       read_extents(handle.fd(), id, std::span(&whole, 1));
   io_span.end();
+  // Footer + per-chunk CRCs: each payload is checked here, once, and never
+  // again while this image is cached.
   auto container = Container::deserialize(bytes);
   // Corrupt (CRC/framing) is not an I/O error: nullptr, nothing cached.
   if (!container) return {};
@@ -367,8 +369,7 @@ std::optional<ContainerStore::ReadResult> FileContainerStore::try_partial_read(
       read_extents(handle.fd(), id, std::span(&header_read, 1));
   const auto info = Container::parse_header(header);
   // Legacy format, unknown magic, or a size that does not match the header
-  // (truncation, header damage): let the slurp path render the verdict
-  // against the whole-file CRC.
+  // (truncation, header damage): let the slurp path render the verdict.
   if (!info || !info->footer_indexed) return std::nullopt;
   if (info->expected_file_size() != handle.size()) return std::nullopt;
 
@@ -456,8 +457,8 @@ std::optional<ContainerStore::ReadResult> FileContainerStore::try_partial_read(
       const std::span<const std::uint8_t> payload(
           arena.data() + run.arena + (entry.offset - run.begin), entry.size);
       // A CRC mismatch drops just this chunk (counted in
-      // chunk_crc_failures); the restore fails that chunk and no other —
-      // same bounded-damage contract as a full read with a bad payload.
+      // chunk_crc_failures); the restore fails that chunk and no other. A
+      // slurp of the same file rejects the whole container instead.
       (void)out.add_verified(fp, entry, payload);
     }
   }
@@ -511,7 +512,11 @@ ContainerStore::ReadResult FileContainerStore::do_read_verified(
     std::vector<std::uint8_t> bytes(static_cast<std::size_t>(st.st_size));
     pread_exact(fd, bytes.data(), bytes.size(), 0, id);
     ::close(fd);
-    auto container = Container::deserialize(bytes);
+    // The whole-file CRC, not the per-chunk ones: a payload that fails its
+    // chunk CRC still loads, so fsck reports it as chunk_crc damage rather
+    // than as an unreadable container.
+    auto container =
+        Container::deserialize(bytes, Container::LoadCheck::kWholeFile);
     if (!container) return {};
     const std::uint64_t data_size = container->data_size();
     return {std::make_shared<const Container>(std::move(*container)),

@@ -49,15 +49,14 @@ std::optional<Recipe> Recipe::deserialize(std::span<const std::uint8_t> b) {
     return std::nullopt;
   }
   Recipe r(version);
+  r.entries_.reserve(count);
   const std::uint8_t* p = b.data() + 12;
   for (std::uint32_t i = 0; i < count; ++i) {
-    RecipeEntry e;
-    std::memcpy(e.fp.bytes.data(), p, kFingerprintSize);
-    p += kFingerprintSize;
-    e.cid = static_cast<ContainerId>(get_u32(p));
-    e.size = get_u32(p + 4);
-    p += 8;
-    r.entries_.push_back(e);
+    Fingerprint fp;
+    std::memcpy(fp.bytes.data(), p, kFingerprintSize);
+    r.add(fp, static_cast<ContainerId>(get_u32(p + kFingerprintSize)),
+          get_u32(p + kFingerprintSize + 4));
+    p += kRecipeEntrySize;
   }
   return r;
 }

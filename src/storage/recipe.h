@@ -36,11 +36,13 @@ class Recipe {
 
   void add(const Fingerprint& fp, ContainerId cid, std::uint32_t size) {
     entries_.push_back({fp, cid, size});
+    logical_bytes_ += size;
   }
 
-  [[nodiscard]] std::vector<RecipeEntry>& entries() noexcept {
-    return entries_;
-  }
+  // Mutable view for the cid rewrites (§4.3 recipe chain, gc remap).
+  // Entries cannot be added or removed through it, and sizes are fixed
+  // once added, so logical_bytes() stays the sum of entry sizes.
+  [[nodiscard]] std::span<RecipeEntry> entries() noexcept { return entries_; }
   [[nodiscard]] const std::vector<RecipeEntry>& entries() const noexcept {
     return entries_;
   }
@@ -48,10 +50,9 @@ class Recipe {
   [[nodiscard]] std::size_t chunk_count() const noexcept {
     return entries_.size();
   }
+  // O(1): kept as a running total by add() and deserialize().
   [[nodiscard]] std::uint64_t logical_bytes() const noexcept {
-    std::uint64_t total = 0;
-    for (const auto& e : entries_) total += e.size;
-    return total;
+    return logical_bytes_;
   }
   // On-disk footprint: 28 bytes per entry (paper §2.1).
   [[nodiscard]] std::uint64_t byte_size() const noexcept {
@@ -64,6 +65,7 @@ class Recipe {
  private:
   VersionId version_ = 0;
   std::vector<RecipeEntry> entries_;
+  std::uint64_t logical_bytes_ = 0;
 };
 
 // RecipeStore: in-memory catalog of recipes keyed by version. Recipes are

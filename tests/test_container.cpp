@@ -3,6 +3,7 @@
 // utilization accounting, and serialization with corruption detection.
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "storage/container.h"
 
@@ -14,6 +15,15 @@ std::vector<std::uint8_t> bytes_of(std::uint64_t seed, std::size_t n) {
   Xoshiro256ss rng(seed);
   for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
   return out;
+}
+
+// Recomputes a format-3 image's trailing whole-file CRC, so that only the
+// check under test can notice a flipped byte.
+void repair_file_crc(std::vector<std::uint8_t>& blob) {
+  const std::uint32_t crc = crc32(blob.data(), blob.size() - 4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    blob[blob.size() - 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
 }
 
 TEST(Container, AddAndReadBack) {
@@ -274,6 +284,46 @@ TEST(Container, LegacyFormat2StillDeserializes) {
     EXPECT_TRUE(std::equal(read->begin(), read->end(), expect.begin()));
   }
   EXPECT_EQ(back->read(Fingerprint::from_seed(50))->size(), 2000u);
+}
+
+TEST(Container, LoadChecksEveryLivePayloadOnce) {
+  Container c(7, 64 * 1024);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(c.add(Fingerprint::from_seed(i), bytes_of(i, 1000)));
+  }
+  ASSERT_TRUE(c.remove(Fingerprint::from_seed(1)));  // hole at [1000, 2000)
+  const auto blob = c.serialize();
+  constexpr std::size_t kData = Container::kHeaderSize;
+
+  // A flipped live payload byte under a repaired file CRC: the load rejects
+  // the container and counts the mismatch. fsck's whole-file check accepts
+  // the image and leaves the damage to corrupt_chunks().
+  auto bad_payload = blob;
+  bad_payload[kData + 2000 + 10] ^= 0x01;  // chunk 2
+  repair_file_crc(bad_payload);
+  const std::uint64_t before = chunk_crc_failures();
+  EXPECT_FALSE(Container::deserialize(bad_payload).has_value());
+  EXPECT_EQ(chunk_crc_failures(), before + 1);
+  const auto whole =
+      Container::deserialize(bad_payload, Container::LoadCheck::kWholeFile);
+  ASSERT_TRUE(whole.has_value());
+  EXPECT_EQ(whole->corrupt_chunks(),
+            std::vector<Fingerprint>{Fingerprint::from_seed(2)});
+
+  // Bytes that no live chunk covers (the hole, the file CRC itself) are
+  // never served, so the load does not check them; the whole-file check
+  // does.
+  auto bad_hole = blob;
+  bad_hole[kData + 1500] ^= 0x01;
+  auto bad_trailer = blob;
+  bad_trailer.back() ^= 0x01;
+  for (const auto* image : {&bad_hole, &bad_trailer}) {
+    EXPECT_TRUE(Container::deserialize(*image).has_value());
+    EXPECT_FALSE(
+        Container::deserialize(*image, Container::LoadCheck::kWholeFile)
+            .has_value());
+  }
+  EXPECT_EQ(chunk_crc_failures(), before + 1);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // invariant that owns it (cascade suppression keeps the others quiet).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -62,8 +63,9 @@ void expect_only(const FsckReport& report, Invariant expected) {
   }
 }
 
-// --- On-disk corruption helpers (container file format, see container.cpp:
-// 20-byte header | count * 32-byte entry table | data | 4-byte CRC) ---
+// --- On-disk corruption helpers (container format 3, see container.h:
+// 20-byte header | data | count * 32-byte entry table | footer CRC |
+// file CRC) ---
 
 struct ContainerFile {
   fs::path path;
@@ -362,12 +364,19 @@ TEST(Fsck, DetectsFingerprintInBothContainerClasses) {
   expect_only(verify::run_fsck(sys), Invariant::kClassExclusivity);
 }
 
-// --- Read-path CRC verification ---
+// --- Integrity rule: a payload is CRC-checked once, as it loads ---
 
-TEST(Fsck, ReadPathCrcFailureSurfacesInMetrics) {
-  TempDir dir("hds_fsck_readpath");
+// Restores every version of a store whose one container file carries a
+// flipped payload byte under a repaired file CRC. With partial reads the
+// extent check drops the damaged chunk; on the slurp path the load's
+// per-chunk check rejects the container. Either way chunks fail, the
+// mismatch is counted, and fsck still blames the chunk, not the framing.
+void expect_flipped_payload_fails_restore(const char* name,
+                                          bool partial_reads) {
+  TempDir dir(name);
   HiDeStoreConfig config;
   config.storage_dir = dir.path;
+  config.io_tuning.partial_reads = partial_reads;
   HiDeStore sys(config);
   ingest(sys, 6);
 
@@ -388,6 +397,79 @@ TEST(Fsck, ReadPathCrcFailureSurfacesInMetrics) {
   const auto* counter = sys.metrics().find_counter("io_crc_failures");
   ASSERT_NE(counter, nullptr);
   EXPECT_GT(counter->value(), 0u);
+
+  expect_only(verify::run_fsck(sys), Invariant::kChunkCrc);
+}
+
+TEST(Fsck, ReadPathCrcFailureSurfacesInMetrics) {
+  expect_flipped_payload_fails_restore("hds_fsck_readpath", true);
+}
+
+TEST(Fsck, SlurpPathCrcFailureSurfacesInMetrics) {
+  expect_flipped_payload_fails_restore("hds_fsck_slurppath", false);
+}
+
+// An active container lives inside the state file, so open is its load.
+// A payload that fails its chunk CRC must keep the state from being
+// adopted even when every outer CRC (the container's file CRC, the state
+// trailer, and so the journal record's residue) has been repaired.
+TEST(Fsck, StateWithActivePayloadFailingItsChunkCrcIsNotAdopted) {
+  TempDir dir("hds_fsck_active_payload");
+  HiDeStoreConfig config;
+  config.storage_dir = dir.path;
+  std::vector<std::uint8_t> image;
+  std::uint32_t payload_offset = 0;
+  {
+    HiDeStore sys(config);
+    ingest(sys, 3);
+    sys.save(dir.path);
+    // The state file holds each active container's serialize() verbatim.
+    for (const ContainerId cid : sys.active_pool().container_ids_sorted()) {
+      const auto container = sys.active_pool().peek(cid);
+      for (const auto& [fp, entry] : container->entries()) {
+        if (entry.offset == Container::kVirtualOffset || entry.size == 0) {
+          continue;
+        }
+        image = container->serialize();
+        payload_offset = entry.offset;
+        break;
+      }
+      if (!image.empty()) break;
+    }
+  }
+  ASSERT_FALSE(image.empty()) << "no active chunk with a payload";
+
+  fs::path state_path;
+  for (const auto& entry : fs::directory_iterator(dir.path)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("state.") && name.ends_with(".hds")) {
+      ASSERT_TRUE(state_path.empty()) << "more than one state file";
+      state_path = entry.path();
+    }
+  }
+  ASSERT_FALSE(state_path.empty());
+  auto state = slurp(state_path);
+  const auto at = std::search(state.begin(), state.end(), image.begin(),
+                              image.end());
+  ASSERT_NE(at, state.end());
+
+  auto damaged = image;
+  damaged[Container::kHeaderSize + payload_offset] ^= 0xff;
+  write_u32_at(damaged, damaged.size() - 4,
+               crc32(damaged.data(), damaged.size() - 4));
+  // Only the per-chunk CRC can object now.
+  ASSERT_TRUE(
+      Container::deserialize(damaged, Container::LoadCheck::kWholeFile));
+  std::copy(damaged.begin(), damaged.end(), at);
+  write_u32_at(state, state.size() - 4,
+               crc32(state.data(), state.size() - 4));
+  spit(state_path, state);
+
+  const std::uint64_t before = chunk_crc_failures();
+  RecoveryReport report;
+  EXPECT_EQ(HiDeStore::open(dir.path, &report), nullptr);
+  EXPECT_FALSE(report.opened);
+  EXPECT_GT(chunk_crc_failures(), before);
 }
 
 // --- HDS_INVARIANT / HDS_CHECK macro layer ---
@@ -417,6 +499,35 @@ TEST(InvariantMacros, CompiledInOnlyUnderHdsVerify) {
   EXPECT_EQ(RecordedFailure::exprs.front(), "false");
 #else
   EXPECT_EQ(verify::invariants_checked(), before);
+  EXPECT_TRUE(RecordedFailure::exprs.empty());
+#endif
+}
+
+TEST(InvariantMacros, ReadOfPayloadDamagedAfterLoadTrips) {
+  Container original(3, 64 * 1024);
+  const Fingerprint fp = Fingerprint::from_seed(9);
+  ASSERT_TRUE(original.add(fp, std::vector<std::uint8_t>(700, 0x5a)));
+  auto image = original.serialize();
+  image[Container::kHeaderSize + 100] ^= 0x01;
+  write_u32_at(image, image.size() - 4,
+               crc32(image.data(), image.size() - 4));
+  // The whole-file load checks no payload, so this container stands in
+  // for one whose bytes were damaged in memory after a verified load.
+  const auto loaded =
+      Container::deserialize(image, Container::LoadCheck::kWholeFile);
+  ASSERT_TRUE(loaded.has_value());
+
+  RecordedFailure::exprs.clear();
+  const auto previous =
+      verify::set_invariant_handler(&RecordedFailure::handler);
+  const auto bytes = loaded->read(fp);
+  verify::set_invariant_handler(previous);
+
+  ASSERT_TRUE(bytes.has_value());
+  EXPECT_EQ(bytes->size(), 700u);
+#if defined(HDS_VERIFY)
+  EXPECT_EQ(RecordedFailure::exprs.size(), 1u);
+#else
   EXPECT_TRUE(RecordedFailure::exprs.empty());
 #endif
 }

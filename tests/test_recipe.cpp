@@ -2,7 +2,10 @@
 // footprint (paper §2.1), serialization round trips, corruption detection.
 #include <gtest/gtest.h>
 
+#include "backup/gc.h"
+#include "core/recipe_chain.h"
 #include "storage/recipe.h"
+#include "workload/generator.h"
 
 namespace hds {
 namespace {
@@ -15,6 +18,12 @@ Recipe make_recipe(VersionId version, std::size_t entries) {
           1024 + static_cast<std::uint32_t>(i));
   }
   return r;
+}
+
+std::uint64_t entry_size_sum(const Recipe& r) {
+  std::uint64_t total = 0;
+  for (const auto& e : r.entries()) total += e.size;
+  return total;
 }
 
 TEST(Recipe, AccountingMatchesEntries) {
@@ -94,6 +103,48 @@ TEST(RecipeStore, MutableAccessUpdatesInPlace) {
   store.put(make_recipe(1, 3));
   store.get(1)->entries()[0].cid = 42;
   EXPECT_EQ(store.get(1)->entries()[0].cid, 42);
+}
+
+// logical_bytes() is a running total, not a walk over the entries. Every
+// path that builds or rewrites a recipe must leave it equal to the sum.
+TEST(Recipe, LogicalBytesTotalSurvivesEveryRewrite) {
+  // add() and deserialize().
+  const auto built = make_recipe(4, 50);
+  EXPECT_EQ(built.logical_bytes(), entry_size_sum(built));
+  const auto loaded = Recipe::deserialize(built.serialize());
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->logical_bytes(), built.logical_bytes());
+
+  // The §4.3 recipe-chain update rewrites cids in place.
+  Recipe prev(3);
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    prev.add(Fingerprint::from_seed(i), kCidActive,
+             4096 + static_cast<std::uint32_t>(i));
+  }
+  const std::uint64_t before = prev.logical_bytes();
+  ColdMap cold;
+  for (std::uint64_t i = 0; i < 20; i += 2) {
+    cold.emplace(Fingerprint::from_seed(i), 17);
+  }
+  EXPECT_EQ(update_previous_recipe(prev, cold, 4, nullptr), 20u);
+  EXPECT_EQ(prev.logical_bytes(), before);
+  EXPECT_EQ(prev.logical_bytes(), entry_size_sum(prev));
+
+  // gc's remap rewrites the cids of every surviving recipe.
+  auto profile = WorkloadProfile::kernel();
+  profile.versions = 12;
+  profile.chunks_per_version = 400;
+  VersionChainGenerator gen(profile);
+  auto sys = make_baseline(BaselineKind::kDdfs);
+  for (std::uint32_t v = 0; v < profile.versions; ++v) {
+    (void)sys->backup(gen.next_version());
+  }
+  const auto report = collect_garbage(*sys, 6);
+  ASSERT_GT(report.recipe_entries_remapped, 0u);
+  for (const VersionId v : sys->recipes().versions()) {
+    const Recipe* r = sys->recipes().get(v);
+    EXPECT_EQ(r->logical_bytes(), entry_size_sum(*r)) << "version " << v;
+  }
 }
 
 }  // namespace
