@@ -1,7 +1,7 @@
-// Micro-benchmarks for the container I/O fast path (DESIGN.md §10): slurp
-// vs footer-index partial reads, fd-cache descriptor reuse, block-cache
-// hits, serving chunks from a loaded container, and the CRC-carrying
-// staged copy batched compaction/eviction uses.
+// Micro-benchmarks for the container read path (DESIGN.md §10): a cold
+// whole-file read, a block-cache hit, serving chunks from a loaded
+// container, and the CRC-carrying staged copy batched compaction/eviction
+// uses.
 // CI runs this with --benchmark_out=BENCH_io.json (artifact "BENCH_io").
 #include <benchmark/benchmark.h>
 
@@ -29,16 +29,16 @@ Container filled_container() {
   return c;
 }
 
-// One ~4 MiB container in a scratch directory, tuned per benchmark.
+// One ~4 MiB container in a scratch directory.
 struct StoreFixture {
   std::filesystem::path dir;
   std::unique_ptr<FileContainerStore> store;
   ContainerId id = 0;
 
-  StoreFixture(const char* name, const FileStoreTuning& tuning)
+  explicit StoreFixture(const char* name)
       : dir(std::filesystem::temp_directory_path() / name) {
     std::filesystem::remove_all(dir);
-    store = std::make_unique<FileContainerStore>(dir, false, tuning);
+    store = std::make_unique<FileContainerStore>(dir);
     id = store->write(filled_container());
   }
   ~StoreFixture() {
@@ -47,22 +47,15 @@ struct StoreFixture {
   }
 };
 
-// Every `n` requested fingerprints spread evenly across the container.
-std::vector<Fingerprint> spread_fps(std::size_t n) {
-  std::vector<Fingerprint> fps;
-  for (std::size_t i = 0; i < n; ++i) {
-    fps.push_back(Fingerprint::from_seed(i * (kChunks / n)));
-  }
-  return fps;
-}
-
-// Baseline: whole-file slurp (caches off) — what every read cost before
-// the footer index existed.
+// Cold read: each iteration reads through a freshly opened store (opened
+// outside the timed region), so the whole file comes off the page cache,
+// is parsed and has every payload CRC-checked.
 void BM_FileReadSlurp(benchmark::State& state) {
-  FileStoreTuning tuning;
-  tuning.block_cache_bytes = 0;
-  StoreFixture fx("hds_micro_io_slurp", tuning);
+  StoreFixture fx("hds_micro_io_slurp");
   for (auto _ : state) {
+    state.PauseTiming();
+    fx.store = std::make_unique<FileContainerStore>(fx.dir, true);
+    state.ResumeTiming();
     benchmark::DoNotOptimize(fx.store->read(fx.id));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -70,39 +63,10 @@ void BM_FileReadSlurp(benchmark::State& state) {
 }
 BENCHMARK(BM_FileReadSlurp);
 
-// Footer-index partial read of Arg(0) chunks (caches off): preads exactly
-// header + footer + the coalesced extents.
-void BM_FilePartialRead(benchmark::State& state) {
-  FileStoreTuning tuning;
-  tuning.block_cache_bytes = 0;
-  StoreFixture fx("hds_micro_io_partial", tuning);
-  const auto fps = spread_fps(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fx.store->read_chunks(fx.id, fps));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(fps.size() * kChunkBytes));
-}
-BENCHMARK(BM_FilePartialRead)->Arg(1)->Arg(10)->Arg(100);
-
-// Same single-chunk partial read with the fd cache disabled: isolates the
-// open/fstat/close pair the cache removes from every read.
-void BM_FilePartialReadNoFdCache(benchmark::State& state) {
-  FileStoreTuning tuning;
-  tuning.block_cache_bytes = 0;
-  tuning.fd_cache_slots = 0;
-  StoreFixture fx("hds_micro_io_nofd", tuning);
-  const auto fps = spread_fps(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fx.store->read_chunks(fx.id, fps));
-  }
-}
-BENCHMARK(BM_FilePartialReadNoFdCache);
-
 // Block-cache hit: the container is resident after the warm-up read, so
 // the loop measures pure cache lookup + accounting.
 void BM_FileReadBlockCacheHit(benchmark::State& state) {
-  StoreFixture fx("hds_micro_io_hit", FileStoreTuning{});
+  StoreFixture fx("hds_micro_io_hit");
   benchmark::DoNotOptimize(fx.store->read(fx.id));  // warm
   for (auto _ : state) {
     benchmark::DoNotOptimize(fx.store->read(fx.id));

@@ -42,8 +42,6 @@
 //                          once. 0 = serial
 //   --shards=N             init: the shard count (1-64); elsewhere: assert
 //                          the repository records exactly N shards
-//   --block-cache-mb=N     archival block cache budget (0 disables; 32)
-//   --no-partial-reads     slurp whole containers, ignoring footer indexes
 //   HDS_LOG=<level>        structured key=value logs on stderr
 // Every backup/restore appends its profile to <repo>/profiles.jsonl
 // (bounded history; `profile` and /profiles read it).
@@ -146,7 +144,6 @@ int usage() {
                "       [--metrics-out=<file>] [--trace-out=<file>] "
                "[--profile-out=<file>]\n"
                "       [--json] [--threads=N] [--port=N] [--shards=N]\n"
-               "       [--block-cache-mb=N] [--no-partial-reads]\n"
                "       (restore accepts `all <outprefix>` to write every "
                "version)\n");
   return 2;
@@ -162,7 +159,6 @@ constexpr std::pair<std::string_view, std::uint64_t> kNumericFlags[] = {
     {"max-sessions", 1024},
     {"pending-sessions", 65536},
     {"tenant-quota-mb", 1ull << 30},
-    {"block-cache-mb", 1ull << 20},
     {"shards", kMaxShards}};
 
 struct Options {
@@ -170,7 +166,6 @@ struct Options {
   std::string trace_out;
   std::string profile_out;
   bool json = false;
-  bool no_partial_reads = false;
   // Numeric flags as given, by name; absent ones take their defaults.
   std::map<std::string, std::uint64_t, std::less<>> numbers;
 
@@ -204,8 +199,6 @@ bool parse_args(int argc, char** argv, Options& options,
         [&](const auto& flag) { return flag.first == name; });
     if (!valued && name == "json") {
       options.json = true;
-    } else if (!valued && name == "no-partial-reads") {
-      options.no_partial_reads = true;
     } else if (valued && name == "metrics-out") {
       options.metrics_out = value;
     } else if (valued && name == "trace-out") {
@@ -375,11 +368,6 @@ int serve(const fs::path& repo, const Options& options) {
   config.tenant_quota_bytes =
       std::uint64_t{options.number("tenant-quota-mb")} << 20;
   config.shards = options.number("shards", 1);
-  if (options.has("block-cache-mb")) {
-    config.tenant_config.io_tuning.block_cache_bytes =
-        options.number("block-cache-mb") << 20;
-  }
-  config.tenant_config.io_tuning.partial_reads = !options.no_partial_reads;
   service::ServeServer server(config);
   std::string error;
   if (!server.start(&error)) {
@@ -587,7 +575,7 @@ int run_command(const std::vector<std::string>& args, const Options& options,
     };
     if (args[2] == "all") {
       // Oldest-first: old versions chase recipe chains into archival
-      // containers, exactly where the partial-read fast path applies.
+      // containers, which the block cache then serves to later versions.
       int worst = 0;
       for (const VersionId v : repository.versions()) {
         worst |= restore_one(v, args[3] + std::to_string(v));
@@ -704,14 +692,6 @@ int run(const std::vector<std::string>& args, const Options& options) {
   // once.
   if (const std::size_t threads = options.number("threads"); threads > 1) {
     sys.set_restore_workers(threads);
-  }
-  if (options.has("block-cache-mb") || options.no_partial_reads) {
-    FileStoreTuning tuning;
-    if (options.has("block-cache-mb")) {
-      tuning.block_cache_bytes = options.number("block-cache-mb") << 20;
-    }
-    tuning.partial_reads = !options.no_partial_reads;
-    sys.set_io_tuning(tuning);
   }
 
   int rc = 1;

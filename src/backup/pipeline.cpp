@@ -7,33 +7,22 @@
 #include "index/full_index.h"
 #include "index/silo_index.h"
 #include "index/sparse_index.h"
-#include "restore/chunk_index.h"
 #include "restore/faa.h"
 #include "restore/partial.h"
 
 namespace hds {
 
 namespace {
-// Bridges ChunkLoc fetches to the archival store. With a chunk index the
-// store fetches only the fingerprints this restore needs from each
-// container (footer-index partial reads); accounting is unchanged — a
-// partial fetch still counts one container read of full logical size.
+// Bridges ChunkLoc fetches to the archival store.
 class StoreFetcher final : public ContainerFetcher {
  public:
-  StoreFetcher(ContainerStore& store, const ContainerChunkIndex* needed)
-      : store_(store), needed_(needed) {}
+  explicit StoreFetcher(ContainerStore& store) : store_(store) {}
   std::shared_ptr<const Container> fetch(const ChunkLoc& loc) override {
-    if (needed_ != nullptr) {
-      if (const auto it = needed_->find(loc.cid); it != needed_->end()) {
-        return store_.read_chunks(loc.cid, it->second);
-      }
-    }
     return store_.read(loc.cid);
   }
 
  private:
   ContainerStore& store_;
-  const ContainerChunkIndex* needed_;  // const → shared by fill workers
 };
 }  // namespace
 
@@ -196,11 +185,7 @@ RestoreReport DedupPipeline::restore_range(VersionId version,
     stream.push_back(ChunkLoc{e.fp, e.size, e.cid, /*active=*/false});
   }
 
-  // Built from the whole recipe (a byte-range restore may touch a subset;
-  // requesting the stream's full per-container set is still never more than
-  // the whole container). Const once built: FAA's fill workers share it.
-  const ContainerChunkIndex needed = build_container_chunk_index(stream);
-  StoreFetcher fetcher(*store_, &needed);
+  StoreFetcher fetcher(*store_);
   const bool whole = offset == 0 && length == UINT64_MAX;
   report.stats =
       whole ? policy.restore(stream, fetcher, sink)

@@ -39,8 +39,7 @@
 //   25    BoundedQueue::mu_                  tracer (70) via wait spans
 //   26    OrderedMerge::mu_                  (leaf)
 //   40    container-store index maps         (leaf)
-//   45    FdCache::mu_                       (leaf)
-//   50    BlockCache shard mu                (leaf)
+//   50    BlockCache::mu_                    (leaf)
 //   55    obs::HttpServer queue mu           (leaf)
 //   60    obs::MetricsRegistry::mu_          (leaf)
 //   65    obs::OpProfiler::mu_               (leaf)
@@ -124,8 +123,7 @@ inline constexpr int kShardQueue = 23;       // per-shard worker/merge queues
 inline constexpr int kQueue = 25;            // BoundedQueue::mu_
 inline constexpr int kOrderedMerge = 26;     // OrderedMerge::mu_
 inline constexpr int kStoreIndex = 40;       // container-store index maps
-inline constexpr int kFdCache = 45;          // FdCache::mu_
-inline constexpr int kBlockCacheShard = 50;  // BlockCache::Shard::mu
+inline constexpr int kBlockCache = 50;       // BlockCache::mu_
 inline constexpr int kHttpServer = 55;       // obs::HttpServer queue mu
 inline constexpr int kObsRegistry = 60;      // obs::MetricsRegistry::mu_
 inline constexpr int kObsProfiler = 65;      // obs::OpProfiler::mu_

@@ -9,7 +9,6 @@
 #include "obs/log.h"
 #include "storage/durable.h"
 #include "storage/journal.h"
-#include "restore/chunk_index.h"
 #include "restore/faa.h"
 #include "restore/partial.h"
 #include "verify/invariant.h"
@@ -17,18 +16,13 @@
 namespace hds {
 
 namespace {
-// Dispatches fetches to the archival store or the active pool. When a
-// restore's per-container chunk index is attached, archival fetches go
-// through read_chunks() so the file-backed store can serve them with
-// footer-index partial reads; accounting is identical (one container read
-// of full logical size either way). FAA's fill workers call fetch()
-// concurrently: the index is const, the counters atomic, and the store and
-// the pool allow concurrent readers.
+// Dispatches fetches to the archival store or the active pool. FAA's fill
+// workers call fetch() concurrently: the counters are atomic, and the store
+// and the pool allow concurrent readers.
 class HiDeStoreFetcher final : public ContainerFetcher {
  public:
-  HiDeStoreFetcher(ContainerStore& archival, ActiveContainerPool& pool,
-                   const ContainerChunkIndex* needed = nullptr)
-      : archival_(archival), pool_(pool), needed_(needed) {}
+  HiDeStoreFetcher(ContainerStore& archival, ActiveContainerPool& pool)
+      : archival_(archival), pool_(pool) {}
 
   std::shared_ptr<const Container> fetch(const ChunkLoc& loc) override {
     if (loc.active) {
@@ -37,11 +31,6 @@ class HiDeStoreFetcher final : public ContainerFetcher {
         pool_fetches_.fetch_add(1, std::memory_order_relaxed);
       }
       return container;
-    }
-    if (needed_ != nullptr) {
-      if (const auto it = needed_->find(loc.cid); it != needed_->end()) {
-        return archival_.read_chunks(loc.cid, it->second, &meter_);
-      }
     }
     return archival_.read(loc.cid, &meter_);
   }
@@ -58,7 +47,6 @@ class HiDeStoreFetcher final : public ContainerFetcher {
  private:
   ContainerStore& archival_;
   ActiveContainerPool& pool_;
-  const ContainerChunkIndex* needed_;
   ReadMeter meter_;
   std::atomic<std::uint64_t> pool_fetches_{0};
 };
@@ -70,8 +58,8 @@ std::shared_ptr<ContainerStore> make_archival_store(
   if (config.storage_dir.empty()) {
     return std::make_shared<MemoryContainerStore>();
   }
-  return std::make_shared<FileContainerStore>(
-      config.storage_dir / "archival", index_existing, config.io_tuning);
+  return std::make_shared<FileContainerStore>(config.storage_dir / "archival",
+                                              index_existing);
 }
 }  // namespace
 
@@ -156,13 +144,6 @@ void HiDeStore::refresh_gauges() {
   if (seen > crc.value()) crc.inc(seen - crc.value());
   // A shared store's state is the service's to report.
   if (!shared_store_) store_->refresh_gauges(metrics_);
-}
-
-void HiDeStore::set_io_tuning(const FileStoreTuning& tuning) {
-  config_.io_tuning = tuning;
-  if (auto* file = dynamic_cast<FileContainerStore*>(store_.get())) {
-    file->set_tuning(tuning);
-  }
 }
 
 HiDeStoreOverheads HiDeStore::overheads() const {
@@ -487,11 +468,7 @@ RestoreReport HiDeStore::restore_range(VersionId version,
   }
   metrics_.counter("restore_chain_hops").inc(hops);
 
-  // Per-container fingerprint sets of this restore, so archival fetches can
-  // use the store's partial-read fast path. Const once built — shared by
-  // FAA's fill workers.
-  const ContainerChunkIndex needed = build_container_chunk_index(stream);
-  HiDeStoreFetcher fetcher(*store_, pool_, &needed);
+  HiDeStoreFetcher fetcher(*store_, pool_);
   {
     obs::Span policy_span(tracer_, "policy_restore");
     auto policy_phase = prof->phase("policy_restore");

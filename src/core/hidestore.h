@@ -52,11 +52,6 @@ struct HiDeStoreConfig {
   // directory (save() to a different directory is rejected). Empty:
   // everything stays in memory and the store cannot save().
   std::filesystem::path storage_dir;
-  // Container I/O fast-path tuning (DESIGN.md §10): fd cache, block cache
-  // and footer-index partial reads of the file-backed archival store. Only
-  // meaningful with a storage_dir; not persisted (a process knob, not
-  // repository state).
-  FileStoreTuning io_tuning;
 };
 
 // Figure 12 view over the metrics registry. The registry is the single
@@ -128,11 +123,6 @@ class HiDeStore final : public BackupSystem {
   void set_restore_workers(std::size_t workers) noexcept {
     restore_workers_ = workers == 0 ? 1 : workers;
   }
-
-  // Re-tunes the file-backed archival store's I/O fast path at runtime
-  // (setup operation — not safe mid-restore). No effect on an in-memory
-  // repository. Not persisted, like set_restore_workers().
-  void set_io_tuning(const FileStoreTuning& tuning);
 
   // --- Repository lifecycle ---
   // Persists the complete system state (config, recipes, active pool,

@@ -849,8 +849,4 @@ void ShardRouter::set_read_ahead(std::size_t depth, std::size_t in_flight) {
   set_restore_workers(depth == 0 ? 1 : in_flight);
 }
 
-void ShardRouter::set_io_tuning(const FileStoreTuning& tuning) {
-  for (const auto& shard : shards_) shard->set_io_tuning(tuning);
-}
-
 }  // namespace hds

@@ -169,7 +169,6 @@ class ShardRouter {
   // The pre-FAA-fill spelling, kept for callers not yet migrated: `in_flight`
   // is the worker count, depth 0 means serial.
   void set_read_ahead(std::size_t depth, std::size_t in_flight = 1);
-  void set_io_tuning(const FileStoreTuning& tuning);
 
   // One (shard, chunk-run) of a version's interleave, in stream order.
   struct InterleaveRun {

@@ -59,8 +59,8 @@ bool ServeServer::start(std::string* error) {
       return fail("cannot create " + dir.string() + ": " + ec.message());
     }
     try {
-      stores_.push_back(std::make_shared<FileContainerStore>(
-          dir, /*index_existing=*/true, config_.tenant_config.io_tuning));
+      stores_.push_back(
+          std::make_shared<FileContainerStore>(dir, /*index_existing=*/true));
     } catch (const std::exception& e) {
       return fail(std::string("cannot open shared store: ") + e.what());
     }

@@ -60,7 +60,7 @@ struct ServeConfig {
   // dropped (its session slot is what the timeout protects).
   int session_timeout_s = 30;
   // Base per-tenant HiDeStore configuration. storage_dir is ignored (each
-  // tenant gets its own directory); io_tuning applies to the shared stores.
+  // tenant gets its own directory).
   HiDeStoreConfig tenant_config;
   // Fingerprint-space shards (DESIGN.md §16). One shared store per shard:
   // <repo>/archival for the default single shard (legacy layout),

@@ -1,124 +1,50 @@
 #include "storage/block_cache.h"
 
-#include <algorithm>
-
 namespace hds {
 
-BlockCache::BlockCache(std::size_t budget_bytes, std::size_t shards)
-    : budget_(budget_bytes), shards_(std::max<std::size_t>(shards, 1)) {}
-
-std::size_t BlockCache::charge_of(const Container& container) noexcept {
-  // Payload bytes plus a per-entry overhead estimate for the table/map.
-  return container.data_size() + container.chunk_count() * 64;
-}
-
-std::optional<BlockCache::Hit> BlockCache::find_full(ContainerId id) {
-  if (budget_ == 0) return std::nullopt;
-  Shard& shard = shard_for(id);
-  MutexLock lock(shard.mu);
-  const auto it = shard.index.find(id);
-  if (it == shard.index.end() || !it->second->complete) {
+std::shared_ptr<const Container> BlockCache::find(ContainerId id) {
+  MutexLock lock(mu_);
+  const auto it = index_.find(id);
+  if (it == index_.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
+    return nullptr;
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  lru_.splice(lru_.begin(), lru_, it->second);
   hits_.fetch_add(1, std::memory_order_relaxed);
-  return Hit{it->second->container, it->second->full_data_size};
-}
-
-std::optional<BlockCache::Hit> BlockCache::find_chunks(
-    ContainerId id, std::span<const Fingerprint> fps) {
-  if (budget_ == 0) return std::nullopt;
-  Shard& shard = shard_for(id);
-  MutexLock lock(shard.mu);
-  const auto it = shard.index.find(id);
-  if (it == shard.index.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
-  const Entry& entry = *it->second;
-  if (!entry.complete) {
-    // A partial entry serves the request only if it holds everything asked
-    // for — a fingerprint genuinely absent from the container is settled by
-    // a complete entry or a disk read, not by a partial one.
-    const bool covered =
-        std::all_of(fps.begin(), fps.end(), [&](const Fingerprint& fp) {
-          return entry.container->contains(fp);
-        });
-    if (!covered) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
-    }
-  }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return Hit{entry.container, entry.full_data_size};
+  return it->second->container;
 }
 
 void BlockCache::insert(ContainerId id,
-                        std::shared_ptr<const Container> container,
-                        std::uint64_t full_data_size, bool complete) {
-  if (budget_ == 0 || container == nullptr) return;
-  const std::size_t charge = charge_of(*container);
-  Shard& shard = shard_for(id);
-  MutexLock lock(shard.mu);
-  if (charge > shard_budget()) return;  // would evict the whole shard
-  if (const auto it = shard.index.find(id); it != shard.index.end()) {
-    // Never downgrade a complete entry to a partial one.
-    if (it->second->complete && !complete) return;
-    shard.bytes -= it->second->charge;
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
+                        std::shared_ptr<const Container> container) {
+  // Payload bytes plus a per-entry overhead estimate for the table/map.
+  const std::size_t charge =
+      container->data_size() + container->chunk_count() * 64;
+  if (charge > budget_) return;  // would evict everything else
+  MutexLock lock(mu_);
+  if (const auto it = index_.find(id); it != index_.end()) {
+    bytes_ -= it->second->charge;
+    lru_.erase(it->second);
+    index_.erase(it);
   }
-  shard.lru.push_front(
-      Entry{id, std::move(container), full_data_size, complete, charge});
-  shard.index[id] = shard.lru.begin();
-  shard.bytes += charge;
-  evict_over_budget(shard);
-}
-
-void BlockCache::evict_over_budget(Shard& shard) {
-  while (shard.bytes > shard_budget() && shard.lru.size() > 1) {
-    const Entry& victim = shard.lru.back();
-    shard.bytes -= victim.charge;
-    shard.index.erase(victim.id);
-    shard.lru.pop_back();
+  lru_.push_front(Entry{id, std::move(container), charge});
+  index_[id] = lru_.begin();
+  bytes_ += charge;
+  while (bytes_ > budget_) {
+    const Entry& victim = lru_.back();
+    bytes_ -= victim.charge;
+    index_.erase(victim.id);
+    lru_.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
 void BlockCache::invalidate(ContainerId id) {
-  if (budget_ == 0) return;
-  Shard& shard = shard_for(id);
-  MutexLock lock(shard.mu);
-  if (const auto it = shard.index.find(id); it != shard.index.end()) {
-    shard.bytes -= it->second->charge;
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
+  MutexLock lock(mu_);
+  if (const auto it = index_.find(id); it != index_.end()) {
+    bytes_ -= it->second->charge;
+    lru_.erase(it->second);
+    index_.erase(it);
   }
-}
-
-void BlockCache::reconfigure(std::size_t budget_bytes, std::size_t shards) {
-  budget_ = budget_bytes;
-  shards_ = std::vector<Shard>(std::max<std::size_t>(shards, 1));
-}
-
-void BlockCache::clear() {
-  for (Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    shard.lru.clear();
-    shard.index.clear();
-    shard.bytes = 0;
-  }
-}
-
-std::uint64_t BlockCache::bytes() const {
-  std::uint64_t total = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    total += shard.bytes;
-  }
-  return total;
 }
 
 }  // namespace hds

@@ -54,17 +54,6 @@ bool Container::add_with_crc(const Fingerprint& fp,
   return true;
 }
 
-bool Container::add_verified(const Fingerprint& fp,
-                             const ContainerEntry& entry,
-                             std::span<const std::uint8_t> payload) {
-  if (entry.offset == kVirtualOffset) return add_meta(fp, entry.size);
-  if (payload.size() != entry.size || crc32(payload) != entry.crc) {
-    g_chunk_crc_failures.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  return add_with_crc(fp, payload, entry.crc);
-}
-
 namespace {
 // Shared zero page serving reads of metadata-only chunks; sized for the
 // largest chunk any configuration produces.
@@ -156,7 +145,7 @@ std::vector<std::uint8_t> Container::serialize() const {
     put_u32(out, entry.crc);
   }
   // Footer CRC over header + table (skipping the data region in between),
-  // so a partial read validates the index without slurping payloads.
+  // so the index validates without touching payloads.
   const std::uint32_t footer_crc =
       crc32(out.data() + table_at, out.size() - table_at,
             crc32(out.data(), kHeaderSize));

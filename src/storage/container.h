@@ -31,9 +31,8 @@ struct ContainerEntry {
   std::uint32_t offset = 0;
   std::uint32_t size = 0;
   // CRC-32 of the chunk payload, computed at add() time and checked once
-  // whenever the payload comes off the medium (deserialize(), or
-  // add_verified() on a partial read) — corruption is caught at chunk
-  // granularity, before the container is served. 0 for metadata-only
+  // when the payload comes off the medium (deserialize()) — corruption is
+  // caught before the container is served. 0 for metadata-only
   // (virtual) chunks, which carry no payload.
   std::uint32_t crc = 0;
 };
@@ -69,14 +68,6 @@ class Container {
   bool add_with_crc(const Fingerprint& fp, std::span<const std::uint8_t> bytes,
                     std::uint32_t crc);
 
-  // Partial-read support: verifies `payload` against `entry.crc` and
-  // installs the chunk at the container's tail (entry.offset is the source
-  // container's layout and is ignored here). Virtual entries install
-  // metadata-only, no payload required. Returns false on a CRC mismatch,
-  // counting the failure in chunk_crc_failures().
-  bool add_verified(const Fingerprint& fp, const ContainerEntry& entry,
-                    std::span<const std::uint8_t> payload);
-
   // Adds a chunk without materialized bytes (trace/simulated mode): space is
   // fully accounted but no payload is allocated; read() serves such chunks
   // from a shared zero page. Keeps metadata-only experiments allocation-free
@@ -88,8 +79,8 @@ class Container {
   }
 
   // Returns the chunk bytes, or nullopt if absent. No CRC: every payload
-  // was checked when it was loaded (deserialize() / add_verified()) or
-  // checksummed from the bytes it was added with. -DHDS_VERIFY builds
+  // was checked when it was loaded (deserialize()) or checksummed from the
+  // bytes it was added with. -DHDS_VERIFY builds
   // re-check it here as an invariant, so in-memory damage still trips.
   [[nodiscard]] std::optional<std::span<const std::uint8_t>> read(
       const Fingerprint& fp) const noexcept;
@@ -134,15 +125,13 @@ class Container {
   // Format 3 ("HDSF"): header(20) | chunk data | entry table (32 B/chunk) |
   // footer CRC | file CRC. The header keeps the format-2 field offsets
   // (chunk count at byte 12, data size at byte 16), but the entry table
-  // moved behind the data region so that header + table — the *footer
-  // index* — can be fetched with two small preads and the needed chunk
-  // extents read individually, instead of slurping the whole file. The
-  // footer CRC covers header + table and the per-chunk CRCs cover every
-  // live payload, so any load — partial or whole — checks each byte it
-  // serves exactly once. The trailing file CRC also covers holes and is
-  // what fsck's verified read checks (LoadCheck::kWholeFile). Format 2
-  // ("HDSE": table before data, single trailing CRC) is still accepted by
-  // deserialize() and served by the slurp path.
+  // — with the header, the *footer index* — sits behind the data region.
+  // The footer CRC covers header + table and the per-chunk CRCs cover every
+  // live payload, so a load checks each byte it serves exactly once. The
+  // trailing file CRC also covers holes and is what fsck's verified read
+  // checks (LoadCheck::kWholeFile); fsck's footer_index check parses the
+  // table on its own (parse_footer). Format 2 ("HDSE": table before data,
+  // single trailing CRC) is still accepted by deserialize().
   static constexpr std::size_t kHeaderSize = 20;
   static constexpr std::size_t kEntrySize = 32;
   // Footer CRC + file CRC behind the entry table (format 3 only).

@@ -7,17 +7,15 @@
 //   * MemoryContainerStore — containers held in RAM; the default for
 //     experiments (I/O counts are what matter, not device latency);
 //   * FileContainerStore — each container serialized to its own file under
-//     a directory; proves the format round-trips through a real filesystem
-//     and carries the container I/O fast path (footer-indexed partial
-//     reads, fd cache, sharded block cache — DESIGN.md §10).
+//     a directory; proves the format round-trips through a real filesystem.
+//     Every read loads the whole file, behind one LRU of decoded
+//     containers (DESIGN.md §10).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
-#include <optional>
-#include <span>
 #include <stdexcept>
 #include <string_view>
 #include <unordered_map>
@@ -28,7 +26,6 @@
 #include "obs/trace.h"
 #include "storage/block_cache.h"
 #include "storage/container.h"
-#include "storage/fd_cache.h"
 
 namespace hds {
 
@@ -38,12 +35,11 @@ namespace hds {
 // exports them as counter views (attach_metrics), never as copies.
 //
 // Accounting rules (§5.3 + DESIGN.md §10): `container_reads` and
-// `bytes_read` keep their paper meaning — every read() / read_chunks() call
-// counts one container read and the FULL container's data size, whether the
-// bytes came from disk, a cache, or a partial read. `bytes_read_physical`
-// is the device-side truth: bytes actually transferred from the backing
-// medium (0 on a block-cache hit; header + footer + coalesced extents on a
-// partial read; the whole file on a slurp). For MemoryContainerStore the
+// `bytes_read` keep their paper meaning — every read() call counts one
+// container read and the container's data size, whether the bytes came
+// from disk or the block cache. `bytes_read_physical` is the device-side
+// truth: bytes actually transferred from the backing medium (0 on a
+// block-cache hit, the whole file on a miss). For MemoryContainerStore the
 // two are equal by definition — RAM is the modeled disk.
 struct IoStats {
   std::atomic<std::uint64_t> container_reads{0};
@@ -119,30 +115,16 @@ struct ReadFaultCounts {
 };
 [[nodiscard]] ReadFaultCounts read_faults_injected() noexcept;
 
-// Runtime tuning of the FileContainerStore fast path. Not persisted — a
-// knob of the process, not of the repository.
-struct FileStoreTuning {
-  // Open descriptors retained by the fd cache (0 disables retention).
-  std::size_t fd_cache_slots = 64;
-  // Byte budget of the deserialized-container block cache (0 disables).
-  std::size_t block_cache_bytes = 32 * 1024 * 1024;
-  std::size_t block_cache_shards = 8;
-  // Serve read_chunks() via the format-3 footer index (pread of exactly the
-  // needed extents) instead of slurping the file. Format-2 containers and
-  // any footer validation failure fall back to the slurp path either way.
-  bool partial_reads = true;
-};
-
-// Thread-safety contract: read(), read_chunks(), read_verified(), put(),
-// write(), erase(), reserve_id() and stats() are safe to call from multiple
-// threads concurrently — counters are atomic (metrics exporters read them
-// in place through counter views), ID reservation is atomic, and both
-// backends guard their container maps (and the file backend its caches)
-// with mutexes. This is what lets FAA's fill workers read concurrently
-// while the backup path writes.
-// NOT thread-safe: attach_metrics(), reset_stats(), restore_next_id(),
-// set_tuning() and construction/destruction, which must be serialized
-// externally (they are setup/teardown operations).
+// Thread-safety contract: read(), read_verified(), put(), write(), erase(),
+// reserve_id() and stats() are safe to call from multiple threads
+// concurrently — counters are atomic (metrics exporters read them in place
+// through counter views), ID reservation is atomic, and both backends guard
+// their container maps (and the file backend its block cache) with
+// mutexes. This is what lets FAA's fill workers read concurrently while the
+// backup path writes.
+// NOT thread-safe: attach_metrics(), reset_stats(), restore_next_id() and
+// construction/destruction, which must be serialized externally (they are
+// setup/teardown operations).
 class ContainerStore {
  public:
   virtual ~ContainerStore() = default;
@@ -174,16 +156,6 @@ class ContainerStore {
   [[nodiscard]] std::shared_ptr<const Container> read(
       ContainerId id, ReadMeter* meter = nullptr);
 
-  // Fetches at least the chunks in `fps` of a container, counting one
-  // container read with the FULL container's logical size (§5.3 accounting
-  // — see IoStats). The returned container may hold only the requested
-  // chunks (file backend partial path) or the whole container (memory
-  // backend, caches, fallback): callers must not assume other chunks are
-  // present. nullptr exactly when read() would return nullptr.
-  [[nodiscard]] std::shared_ptr<const Container> read_chunks(
-      ContainerId id, std::span<const Fingerprint> fps,
-      ReadMeter* meter = nullptr);
-
   // Integrity path (fsck): re-reads the container from the backing medium,
   // bypassing every cache, so post-write corruption is seen — counted like
   // a normal read.
@@ -202,16 +174,17 @@ class ContainerStore {
   // Registers stats() in `registry` as counter views:
   // `store_container_{writes,reads,erases}`, `store_bytes_{written,read}`
   // and `store_bytes_read_physical`; the file backend adds its `io_*`
-  // fast-path counters. This store must outlive the registry's exports.
+  // block-cache and read-error counters. This store must outlive the
+  // registry's exports.
   virtual void attach_metrics(obs::MetricsRegistry& registry);
   // Sets the backend's state gauges in `registry` (the file backend's
-  // `io_open_fds` and `io_block_cache_bytes`); none by default.
+  // `io_block_cache_bytes`); none by default.
   virtual void refresh_gauges(obs::MetricsRegistry& registry) const {
     (void)registry;
   }
 
-  // Wraps device reads in "store_slurp" / "store_partial_read" I/O-wait
-  // spans on whichever thread issues them — the restore timeline's
+  // Wraps device reads in "store_slurp" I/O-wait spans on whichever thread
+  // issues them — the restore timeline's
   // disk-time signal. Setup operation (see thread-safety contract); the
   // tracer must outlive the store; nullptr detaches.
   void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
@@ -244,13 +217,6 @@ class ContainerStore {
 
   virtual void do_write(ContainerId id, Container&& container) = 0;
   virtual ReadResult do_read(ContainerId id) = 0;
-  // Default: partial reads degrade to a full read (memory backend — keeps
-  // every experiment on MemoryContainerStore bit-identical).
-  virtual ReadResult do_read_chunks(ContainerId id,
-                                    std::span<const Fingerprint> fps) {
-    (void)fps;
-    return do_read(id);
-  }
   // Default: backends without caches read the medium directly anyway.
   virtual ReadResult do_read_verified(ContainerId id) { return do_read(id); }
   virtual bool do_erase(ContainerId id) = 0;
@@ -294,8 +260,7 @@ class FileContainerStore final : public ContainerStore {
   // the highest one — reopening a persistent repository; otherwise existing
   // files are ignored (fresh runs, round-trip validation).
   explicit FileContainerStore(std::filesystem::path dir,
-                              bool index_existing = false,
-                              const FileStoreTuning& tuning = {});
+                              bool index_existing = false);
 
   [[nodiscard]] std::size_t container_count() const override {
     MutexLock lock(mu_);
@@ -310,31 +275,24 @@ class FileContainerStore final : public ContainerStore {
     return path_for(id);
   }
   bool forget(ContainerId id) {
-    fd_cache_.invalidate(id);
     block_cache_.invalidate(id);
     MutexLock lock(mu_);
     return known_.erase(id) > 0;
   }
 
-  // Replaces the fast-path caches with freshly sized ones (a setup
-  // operation — see the thread-safety contract).
-  void set_tuning(const FileStoreTuning& tuning);
-  [[nodiscard]] const FileStoreTuning& tuning() const noexcept {
-    return tuning_;
-  }
-
-  // Fast-path observability snapshot; the same counters are the io_*
+  // Read-path observability snapshot; the same counters are the io_*
   // metric views attach_metrics() registers (README "Observability").
   struct IoPathStats {
+    // Always 0: the descriptor cache and partial reads are gone, and
+    // perfbench still reads these (ROADMAP item 1).
     std::uint64_t fd_cache_hits = 0;
     std::uint64_t fd_cache_opens = 0;
-    std::uint64_t open_fds = 0;
+    std::uint64_t partial_reads = 0;
     std::uint64_t block_cache_hits = 0;
     std::uint64_t block_cache_misses = 0;
     std::uint64_t block_cache_evictions = 0;
     std::uint64_t block_cache_bytes = 0;
-    std::uint64_t partial_reads = 0;  // reads served via the footer index
-    std::uint64_t read_errors = 0;    // ReadError caught at the boundary
+    std::uint64_t read_errors = 0;  // ReadError caught at the boundary
   };
   [[nodiscard]] IoPathStats io_stats() const;
 
@@ -352,46 +310,28 @@ class FileContainerStore final : public ContainerStore {
  protected:
   void do_write(ContainerId id, Container&& container) override;
   ReadResult do_read(ContainerId id) override;
-  ReadResult do_read_chunks(ContainerId id,
-                            std::span<const Fingerprint> fps) override;
   ReadResult do_read_verified(ContainerId id) override;
   bool do_erase(ContainerId id) override;
 
  private:
-  // One extent of a device read (offset is file-absolute).
-  struct ExtentRead {
-    std::uint64_t offset = 0;
-    std::uint8_t* dst = nullptr;
-    std::size_t len = 0;
-  };
-
   [[nodiscard]] std::filesystem::path path_for(ContainerId id) const;
   [[nodiscard]] bool is_known(ContainerId id) const {
     MutexLock lock(mu_);
     return known_.contains(id);
   }
-  // Reads every extent of `reads` from `fd` with the pread loop. Throws
-  // ReadError on any failure or EOF inside a requested range; returns the
-  // bytes transferred.
-  static std::uint64_t read_extents(int fd, ContainerId id,
-                                    std::span<const ExtentRead> reads);
-  // Whole-file read through the fd cache; throws ReadError on I/O failure.
+  // The whole file of container `id` (open + fstat + pread loop); throws
+  // ReadError on any failure or early EOF.
+  [[nodiscard]] std::vector<std::uint8_t> load_file(ContainerId id) const;
+  // Cache-miss read: load_file + deserialize, then cache the container.
   ReadResult slurp(ContainerId id);
-  // Footer-index partial read; nullopt when the file is not format 3 or the
-  // footer does not validate (caller falls back to slurp).
-  std::optional<ReadResult> try_partial_read(
-      ContainerId id, std::span<const Fingerprint> fps);
 
   std::filesystem::path dir_;
-  FileStoreTuning tuning_;
-  // Guards only the index map; the caches synchronize internally and are
-  // never acquired with mu_ held (kStoreIndex < kFdCache
-  // < kBlockCacheShard documents the would-be order regardless).
+  // Guards only the index map; the block cache synchronizes internally and
+  // is never acquired with mu_ held (kStoreIndex < kBlockCache documents
+  // the would-be order regardless).
   mutable Mutex mu_{lockrank::kStoreIndex};
   std::unordered_map<ContainerId, bool> known_ HDS_GUARDED_BY(mu_);
-  FdCache fd_cache_;
   BlockCache block_cache_;
-  std::atomic<std::uint64_t> partial_reads_{0};
   std::atomic<std::uint64_t> read_errors_{0};
 };
 

@@ -651,9 +651,9 @@ FsckCheck check_orphan_containers(const HiDeStore& sys,
   return out.take();
 }
 
-// The partial-read fast path trusts the footer index without reading the
-// data region, so fsck re-derives exactly what it trusts: the file size the
-// header implies, the footer CRC, and non-overlapping entry extents.
+// Every load places payloads by the footer index, so fsck re-derives what
+// the index promises on its own: the file size the header implies, the
+// footer CRC, and non-overlapping entry extents.
 // Containers the framing pass already reported are skipped (cascade
 // suppression); format-2 files have no footer index and pass vacuously.
 FsckCheck check_footer_index(const HiDeStore& sys, const StoreView& view,
@@ -710,8 +710,8 @@ FsckCheck check_footer_index(const HiDeStore& sys, const StoreView& view,
                "footer index fails its CRC or holds an out-of-bounds extent");
       continue;
     }
-    // No two physical extents may overlap: a partial read hands each extent
-    // to exactly one chunk.
+    // No two physical extents may overlap: each extent belongs to exactly
+    // one chunk.
     std::vector<std::pair<std::uint64_t, std::uint64_t>> extents;
     extents.reserve(entries->size());
     for (const auto& [fp, entry] : *entries) {

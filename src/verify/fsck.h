@@ -31,9 +31,8 @@
 //   footer_index        every format-3 container file's footer index is
 //                       self-consistent: file size matches the header,
 //                       the footer CRC validates, and no two entry extents
-//                       overlap in the data region — the partial-read fast
-//                       path (DESIGN.md §10) trusts exactly these facts
-//                       (persistent repositories only; format-2 files pass
+//                       overlap in the data region (persistent
+//                       repositories only; format-2 files pass
 //                       vacuously);
 //   shard_id_namespace  every archival container id carries its owning
 //                       shard in its high bits (src/index/shard_space.h):

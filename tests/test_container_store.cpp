@@ -130,38 +130,11 @@ TYPED_TEST(ContainerStoreTest, ResetStatsClearsCounters) {
   EXPECT_EQ(this->store_->stats().container_writes, 0u);
 }
 
-TYPED_TEST(ContainerStoreTest, ReadChunksReturnsRequestedChunks) {
-  const auto original = make_container(12, 6);
-  const auto id = this->store_->write(make_container(12, 6));
-  const Fingerprint wanted[] = {Fingerprint::from_seed(1201),
-                                Fingerprint::from_seed(1204)};
-  const auto got = this->store_->read_chunks(id, wanted);
-  ASSERT_NE(got, nullptr);
-  for (const auto& fp : wanted) {
-    const auto read = got->read(fp);
-    ASSERT_TRUE(read.has_value());
-    const auto expect = *original.read(fp);
-    ASSERT_EQ(read->size(), expect.size());
-    EXPECT_TRUE(std::equal(read->begin(), read->end(), expect.begin()));
-  }
-  // §5.3 accounting: one container read, charged at the FULL logical size
-  // regardless of how many bytes actually moved.
-  EXPECT_EQ(this->store_->stats().container_reads, 1u);
-  EXPECT_EQ(this->store_->stats().bytes_read, original.data_size());
-}
-
-TYPED_TEST(ContainerStoreTest, ReadChunksOfMissingContainerIsNull) {
-  const Fingerprint fp[] = {Fingerprint::from_seed(1)};
-  EXPECT_EQ(this->store_->read_chunks(404, fp), nullptr);
-  EXPECT_EQ(this->store_->stats().container_reads, 0u);
-}
-
 TEST(MemoryContainerStore, PhysicalBytesEqualLogicalBytes) {
   MemoryContainerStore store;
   const auto id = store.write(make_container(13));
   (void)store.read(id);
-  const Fingerprint fp[] = {Fingerprint::from_seed(1301)};
-  (void)store.read_chunks(id, fp);
+  (void)store.read(id);
   EXPECT_GT(store.stats().bytes_read, 0u);
   EXPECT_EQ(store.stats().bytes_read_physical.load(),
             store.stats().bytes_read.load());
@@ -175,43 +148,32 @@ std::filesystem::path fresh_dir(const char* name) {
 }
 }  // namespace
 
-TEST(FileContainerStore, PartialReadTransfersFewerPhysicalBytes) {
-  FileStoreTuning tuning;
-  tuning.block_cache_bytes = 0;  // every read must hit the device
-  FileContainerStore store(fresh_dir("hds_store_partial"), false, tuning);
-  const auto original = make_container(14, 16);
-  const auto id = store.write(make_container(14, 16));
+// A full default-capacity (4 MiB) container is read from the device once
+// and then served from the block cache: the budget holds whole containers.
+TEST(FileContainerStore, FullDefaultContainerIsServedFromTheBlockCache) {
+  FileContainerStore store(fresh_dir("hds_store_fullcache"));
+  Container full;
+  ASSERT_EQ(full.capacity(), kDefaultContainerSize);
+  std::vector<std::uint8_t> data(4096);
+  Xoshiro256ss rng(20);
+  for (std::uint64_t i = 0; full.fits(data.size()); ++i) {
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+    ASSERT_TRUE(full.add(Fingerprint::from_seed(2000 + i), data));
+  }
+  const auto logical = full.data_size();
+  const auto id = store.write(std::move(full));
 
-  const Fingerprint wanted[] = {Fingerprint::from_seed(1403)};
-  const auto got = store.read_chunks(id, wanted);
-  ASSERT_NE(got, nullptr);
-  const auto read = got->read(wanted[0]);
-  ASSERT_TRUE(read.has_value());
-  const auto expect = *original.read(wanted[0]);
-  EXPECT_TRUE(std::equal(read->begin(), read->end(), expect.begin()));
+  ASSERT_NE(store.read(id), nullptr);
+  const auto after_first = store.stats().bytes_read_physical.load();
+  // A miss moves the whole file: header, table and CRCs on top of the data.
+  EXPECT_GT(after_first, logical);
 
-  EXPECT_EQ(store.io_stats().partial_reads, 1u);
-  EXPECT_EQ(store.stats().bytes_read, original.data_size());
-  EXPECT_GT(store.stats().bytes_read_physical, 0u);
-  EXPECT_LT(store.stats().bytes_read_physical.load(),
-            store.stats().bytes_read.load());
-}
-
-TEST(FileContainerStore, DisablingPartialReadsFallsBackToSlurp) {
-  FileStoreTuning tuning;
-  tuning.partial_reads = false;
-  tuning.block_cache_bytes = 0;
-  FileContainerStore store(fresh_dir("hds_store_noslice"), false, tuning);
-  const auto id = store.write(make_container(15, 8));
-  const Fingerprint wanted[] = {Fingerprint::from_seed(1502)};
-  const auto got = store.read_chunks(id, wanted);
-  ASSERT_NE(got, nullptr);
-  EXPECT_TRUE(got->read(wanted[0]).has_value());
-  EXPECT_EQ(store.io_stats().partial_reads, 0u);
-  // The slurp moves the whole file — header/table/CRC overhead included —
-  // so the device sees MORE than the logical data size.
-  EXPECT_GT(store.stats().bytes_read_physical.load(),
-            store.stats().bytes_read.load());
+  const auto again = store.read(id);
+  ASSERT_NE(again, nullptr);
+  EXPECT_EQ(again->data_size(), logical);
+  EXPECT_EQ(store.io_stats().block_cache_hits, 1u);
+  EXPECT_EQ(store.stats().bytes_read_physical, after_first);
+  EXPECT_EQ(store.stats().bytes_read, 2 * logical);
 }
 
 TEST(FileContainerStore, BlockCacheHitCostsNoPhysicalBytes) {
@@ -234,7 +196,7 @@ TEST(FileContainerStore, WriteInvalidatesCachesBeforeNextRead) {
   FileContainerStore store(fresh_dir("hds_store_inval"));
   auto first = make_container(17, 4);
   const auto id = store.write(std::move(first));
-  ASSERT_NE(store.read(id), nullptr);  // populates fd + block caches
+  ASSERT_NE(store.read(id), nullptr);  // populates the block cache
 
   // Rewrite the container under the same ID with different content.
   auto second = make_container(18, 4);
@@ -262,13 +224,11 @@ TEST(FileContainerStore, LegacyFormat2FileReadsViaSlurp) {
               static_cast<std::streamsize>(blob.size()));
   }
   FileContainerStore store(dir, /*index_existing=*/true);
-  const Fingerprint wanted[] = {Fingerprint::from_seed(1900)};
-  const auto got = store.read_chunks(store.ids().at(0), wanted);
+  const auto got = store.read(store.ids().at(0));
   ASSERT_NE(got, nullptr);
-  const auto read = got->read(wanted[0]);
+  const auto read = got->read(Fingerprint::from_seed(1900));
   ASSERT_TRUE(read.has_value());
   EXPECT_TRUE(std::equal(read->begin(), read->end(), data.begin()));
-  EXPECT_EQ(store.io_stats().partial_reads, 0u);  // no footer index to use
 }
 
 TEST(FileContainerStore, PersistsSerializedFormOnDisk) {

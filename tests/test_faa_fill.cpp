@@ -245,8 +245,8 @@ TEST(FaaFill, ThrowingFetchOnAnyWorkerReachesTheCaller) {
 // --- HiDeStore and pipeline: the workers behind restore() ---
 
 // A file-backed chain with small containers, so old versions spread over
-// many archival containers (partial reads and the block cache are on by
-// default). One archival container is deleted and one chunk bit-flipped.
+// many archival containers behind the block cache. One archival container
+// is deleted and one chunk bit-flipped, which fails its whole container.
 TEST(FaaFill, FileBackedChainWithDamageMatchesSerialAtAnyWorkerCount) {
   hds::testutil::TempDir dir("hds_faa_fill_chain");
   HiDeStoreConfig config;

@@ -161,26 +161,13 @@ TEST(FileCorruption, CorruptContainerFileFailsClosed) {
     file.write(&byte, 1);
   }
 
-  // Partial-read path: damage is bounded per chunk — the chunks whose
-  // extents (or whose container's footer) the flip touched fail, nothing
-  // restores from a payload that fails its CRC.
+  // Damage is bounded per container: a flip in a payload fails its chunk
+  // CRC, one in the header or footer fails the framing, and either way the
+  // load rejects the whole container — nothing restores from it.
   const auto report = sys.restore(
       3, [](const ChunkLoc&, std::span<const std::uint8_t>) {});
+  EXPECT_EQ(report.stats.failed_chunks, report.stats.restored_chunks);
   EXPECT_GT(report.stats.failed_chunks, 0u);
-  EXPECT_LE(report.stats.failed_chunks, report.stats.restored_chunks);
-
-  // Slurp path (partial reads and caches off): the whole-file CRC rejects
-  // every container outright — the historical fail-closed contract.
-  auto* fstore = dynamic_cast<FileContainerStore*>(&sys.store());
-  ASSERT_NE(fstore, nullptr);
-  FileStoreTuning strict;
-  strict.partial_reads = false;
-  strict.block_cache_bytes = 0;
-  fstore->set_tuning(strict);
-  const auto slurped = sys.restore(
-      3, [](const ChunkLoc&, std::span<const std::uint8_t>) {});
-  EXPECT_EQ(slurped.stats.failed_chunks, slurped.stats.restored_chunks);
-  EXPECT_GT(slurped.stats.failed_chunks, 0u);
   fs::remove_all(dir);
 }
 

@@ -367,16 +367,13 @@ TEST(Fsck, DetectsFingerprintInBothContainerClasses) {
 // --- Integrity rule: a payload is CRC-checked once, as it loads ---
 
 // Restores every version of a store whose one container file carries a
-// flipped payload byte under a repaired file CRC. With partial reads the
-// extent check drops the damaged chunk; on the slurp path the load's
-// per-chunk check rejects the container. Either way chunks fail, the
-// mismatch is counted, and fsck still blames the chunk, not the framing.
-void expect_flipped_payload_fails_restore(const char* name,
-                                          bool partial_reads) {
-  TempDir dir(name);
+// flipped payload byte under a repaired file CRC. The load's per-chunk
+// check rejects the container, so its chunks fail, the mismatch is
+// counted, and fsck still blames the chunk, not the framing.
+TEST(Fsck, ReadPathCrcFailureSurfacesInMetrics) {
+  TempDir dir("hds_fsck_readpath");
   HiDeStoreConfig config;
   config.storage_dir = dir.path;
-  config.io_tuning.partial_reads = partial_reads;
   HiDeStore sys(config);
   ingest(sys, 6);
 
@@ -399,14 +396,6 @@ void expect_flipped_payload_fails_restore(const char* name,
   EXPECT_GT(counter->value(), 0u);
 
   expect_only(verify::run_fsck(sys), Invariant::kChunkCrc);
-}
-
-TEST(Fsck, ReadPathCrcFailureSurfacesInMetrics) {
-  expect_flipped_payload_fails_restore("hds_fsck_readpath", true);
-}
-
-TEST(Fsck, SlurpPathCrcFailureSurfacesInMetrics) {
-  expect_flipped_payload_fails_restore("hds_fsck_slurppath", false);
 }
 
 // An active container lives inside the state file, so open is its load.

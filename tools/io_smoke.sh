@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
-# End-to-end smoke test of the container I/O fast path (DESIGN.md §10) and
-# the restore read path under it (§13): builds a 10-version hds_tool
-# repository, restores every version once per leg —
-#   * fast path fully disabled (slurp-only): the baseline,
-#   * 4 MiB block cache + partial reads,
+# End-to-end smoke test of the container read path (DESIGN.md §10) and the
+# restore path above it (§13): builds a 10-version hds_tool repository,
+# restores every version once per leg —
+#   * --threads=1: serial assembly, the baseline,
+#   * --threads=4: each assembly area filled from 4 containers at once,
 # and requires:
 #   * every restored version byte-identical across both legs,
-#   * the fast leg to report block-cache hits (io_block_cache_hits > 0),
+#   * the parallel leg to report block-cache hits (io_block_cache_hits > 0)
+#     at the default budget,
 #   * each removed read-path flag (--io-backend, --io-depth, --direct-io,
-#     --auto-tune) to be rejected with exit status 2 and "unknown option",
+#     --auto-tune, --block-cache-mb, --no-partial-reads) to be rejected
+#     with exit status 2 and "unknown option",
 #   * fsck clean afterwards.
 #
 #   tools/io_smoke.sh <build-dir>
@@ -25,13 +27,13 @@ work="$(mktemp -d)"
 trap 'rm -rf "${work}"' EXIT
 repo="${work}/repo"
 source="${work}/source"
-mkdir -p "${source}" "${work}/slow" "${work}/fast"
+mkdir -p "${source}" "${work}/serial" "${work}/parallel"
 
 "${tool}" init "${repo}"
 
 # Same forward-moving content shape as fsck_smoke.sh: high dedup across
 # versions, fresh suffix chunks per version, so old versions live in
-# archival containers where the fast path applies.
+# archival containers behind the block cache.
 for version in $(seq 1 10); do
   for file in a b c; do
     {
@@ -45,17 +47,16 @@ for version in $(seq 1 10); do
   "${tool}" backup "${repo}" "${source}" > /dev/null
 done
 
-echo "io_smoke: baseline restore-all (fast path off)"
-"${tool}" restore "${repo}" all "${work}/slow/v" \
-  --block-cache-mb=0 --no-partial-reads > /dev/null
+echo "io_smoke: baseline restore-all (--threads=1)"
+"${tool}" restore "${repo}" all "${work}/serial/v" --threads=1 > /dev/null
 
-echo "io_smoke: fast restore-all (4 MiB block cache, partial reads)"
-"${tool}" restore "${repo}" all "${work}/fast/v" \
-  --block-cache-mb=4 --metrics-out="${work}/metrics.json" > /dev/null
+echo "io_smoke: parallel restore-all (--threads=4)"
+"${tool}" restore "${repo}" all "${work}/parallel/v" \
+  --threads=4 --metrics-out="${work}/metrics.json" > /dev/null
 
 for version in $(seq 1 10); do
-  if ! cmp -s "${work}/slow/v${version}" "${work}/fast/v${version}"; then
-    echo "io_smoke: restored v${version} differs (baseline vs fast)" >&2
+  if ! cmp -s "${work}/serial/v${version}" "${work}/parallel/v${version}"; then
+    echo "io_smoke: restored v${version} differs (serial vs parallel)" >&2
     exit 1
   fi
 done
@@ -71,7 +72,8 @@ echo "io_smoke: block cache hit ${hits} times"
 
 # Old scripts passing a removed flag must fail loudly, not run with it
 # silently ignored.
-for flag in --io-backend=threads --io-depth=8 --direct-io --auto-tune; do
+for flag in --io-backend=threads --io-depth=8 --direct-io --auto-tune \
+  --block-cache-mb=4 --no-partial-reads; do
   status=0
   "${tool}" restore "${repo}" 1 "${work}/removed" "${flag}" \
     > /dev/null 2> "${work}/removed.err" || status=$?
