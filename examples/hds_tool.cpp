@@ -26,8 +26,8 @@
 //   serve <repo> [--port=N] [--max-sessions=N] [--pending-sessions=N]
 //         [--tenant-quota-mb=N] [--metrics-port=N]
 //                                        multi-tenant loopback service, one
-//                                        namespace per tenant over a shared
-//                                        container store (DESIGN.md §15)
+//                                        standalone repository per tenant
+//                                        (DESIGN.md §15)
 //   client ping|backup|restore|list|stats|fsck [<tenant> ...] --port=N
 //                                        serve-protocol client (exit 0 ok,
 //                                        1 error, 3 busy/over-quota)

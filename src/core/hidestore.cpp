@@ -53,12 +53,12 @@ class HiDeStoreFetcher final : public ContainerFetcher {
 }  // namespace
 
 namespace {
-std::shared_ptr<ContainerStore> make_archival_store(
+std::unique_ptr<ContainerStore> make_archival_store(
     const HiDeStoreConfig& config, bool index_existing) {
   if (config.storage_dir.empty()) {
-    return std::make_shared<MemoryContainerStore>();
+    return std::make_unique<MemoryContainerStore>();
   }
-  return std::make_shared<FileContainerStore>(config.storage_dir / "archival",
+  return std::make_unique<FileContainerStore>(config.storage_dir / "archival",
                                               index_existing);
 }
 }  // namespace
@@ -70,24 +70,6 @@ HiDeStore::HiDeStore(const HiDeStoreConfig& config)
       cache_(config.cache_window) {
   register_metrics();
   store_->attach_metrics(metrics_);
-  pool_.attach_metrics(metrics_);
-  crc_failures_baseline_ = chunk_crc_failures();
-}
-
-HiDeStore::HiDeStore(const HiDeStoreConfig& config,
-                     std::shared_ptr<ContainerStore> shared_store)
-    : config_(config),
-      store_(std::move(shared_store)),
-      shared_store_(true),
-      pool_(config.container_size, config.materialize_contents),
-      cache_(config.cache_window) {
-  if (store_ == nullptr) {
-    throw std::invalid_argument("HiDeStore: shared store must not be null");
-  }
-  register_metrics();
-  // Deliberately no store_->attach_metrics(): the shared store's counters
-  // aggregate every tenant, so they belong to the service layer's registry
-  // for that store.
   pool_.attach_metrics(metrics_);
   crc_failures_baseline_ = chunk_crc_failures();
 }
@@ -127,11 +109,8 @@ void HiDeStore::refresh_gauges() {
       .set(static_cast<double>(cache_.memory_bytes()));
   metrics_.gauge("active_containers")
       .set(static_cast<double>(pool_.container_count()));
-  // Shared store: count THIS tenant's containers (its deletion tags), not
-  // every tenant's — the store-wide total belongs to the service registry.
   metrics_.gauge("archival_containers")
-      .set(static_cast<double>(shared_store_ ? container_version_.size()
-                                             : store_->container_count()));
+      .set(static_cast<double>(store_->container_count()));
   metrics_.gauge("active_pool_bytes")
       .set(static_cast<double>(pool_.used_bytes()));
   metrics_.gauge("versions_retained")
@@ -142,8 +121,7 @@ void HiDeStore::refresh_gauges() {
   auto& crc = metrics_.counter("io_crc_failures");
   const std::uint64_t seen = chunk_crc_failures() - crc_failures_baseline_;
   if (seen > crc.value()) crc.inc(seen - crc.value());
-  // A shared store's state is the service's to report.
-  if (!shared_store_) store_->refresh_gauges(metrics_);
+  store_->refresh_gauges(metrics_);
 }
 
 HiDeStoreOverheads HiDeStore::overheads() const {
@@ -539,9 +517,11 @@ constexpr std::uint32_t kStateMagic = 0x48445353;  // "HDSS"
 // column) files are still accepted and adopt epoch 1 on load.
 constexpr std::uint32_t kStateFormat = 3;
 constexpr std::uint32_t kStateFormatLegacy = 2;
-// Archival placement byte: containers are files under <dir>/archival, or
-// live in a shared store the service layer owns. Value 1 (containers
-// serialized inside the state file) was the in-memory save layout.
+// Archival placement byte: saves write 0, containers are files under
+// <dir>/archival. 1 (containers serialized inside the state file, the old
+// in-memory save layout) is refused. 2 (a serve tenant's containers in a
+// store shared across tenants) reads as 0: serve moves those files into
+// the tenant's own store on start (DESIGN.md §15.2).
 constexpr std::uint8_t kPlacementFiles = 0;
 constexpr std::uint8_t kPlacementInline = 1;
 constexpr std::uint8_t kPlacementShared = 2;
@@ -630,7 +610,7 @@ CommitRecord HiDeStore::stage_save(const std::filesystem::path& dir) {
   writer.u32(static_cast<std::uint32_t>(config_.cache_window));
   writer.u8(config_.materialize_contents ? 1 : 0);
   writer.u8(config_.flatten_before_restore ? 1 : 0);
-  writer.u8(shared_store_ ? kPlacementShared : kPlacementFiles);
+  writer.u8(kPlacementFiles);
   writer.u32(next_version_);
   writer.u32(oldest_version_);
   writer.u64(total_logical_bytes_);
@@ -650,7 +630,7 @@ CommitRecord HiDeStore::stage_save(const std::filesystem::path& dir) {
     writer.blob(recipes_.get(v)->serialize());
   }
 
-  // Active pool; archival containers are already files (or shared).
+  // Active pool; archival containers are already files.
   writer.blob(pool_.serialize_state());
   writer.u32(static_cast<std::uint32_t>(store_->next_id()));
 
@@ -674,23 +654,8 @@ void HiDeStore::abort_staged_save(const std::filesystem::path& dir,
 }
 
 std::unique_ptr<HiDeStore> HiDeStore::open(const std::filesystem::path& dir,
-                                           RecoveryReport* report,
+                                           RecoveryReport* report_out,
                                            const CommitRecord* roll_forward) {
-  return open_impl(dir, nullptr, report, roll_forward);
-}
-
-std::unique_ptr<HiDeStore> HiDeStore::open_shared(
-    const std::filesystem::path& dir,
-    std::shared_ptr<ContainerStore> shared_store, RecoveryReport* report,
-    const CommitRecord* roll_forward) {
-  if (shared_store == nullptr) return nullptr;
-  return open_impl(dir, std::move(shared_store), report, roll_forward);
-}
-
-std::unique_ptr<HiDeStore> HiDeStore::open_impl(
-    const std::filesystem::path& dir,
-    std::shared_ptr<ContainerStore> shared, RecoveryReport* report_out,
-    const CommitRecord* roll_forward) {
   RecoveryReport local;
   RecoveryReport& report = report_out != nullptr ? *report_out : local;
   report = RecoveryReport{};
@@ -706,7 +671,7 @@ std::unique_ptr<HiDeStore> HiDeStore::open_impl(
   const auto committed = journal::open(
       dir, journal::kStateStem, &peek_state_header,
       [&](std::span<const std::uint8_t> bytes) -> std::optional<CommitRecord> {
-        sys = parse_state(dir, bytes, shared, report);
+        sys = parse_state(dir, bytes, report);
         if (sys == nullptr) return std::nullopt;
         return sys->commit_record(sys->epoch_);
       },
@@ -714,34 +679,29 @@ std::unique_ptr<HiDeStore> HiDeStore::open_impl(
   if (!committed) return nullptr;
 
   // 3. Reconcile the container directory with the committed deletion tags.
-  // Skipped for a shared store: one tenant's tags cover only its own
-  // containers, so "untagged" does not mean "orphan" — the service layer
-  // reconciles against the union of every tenant's tags instead.
-  if (auto* fstore = shared == nullptr
-                         ? dynamic_cast<FileContainerStore*>(sys->store_.get())
-                         : nullptr) {
-    auto on_disk = fstore->ids();
-    std::sort(on_disk.begin(), on_disk.end());
-    for (const ContainerId id : on_disk) {
-      if (sys->container_version_.contains(id)) continue;
-      // Sealed by a transaction that never committed: an orphan.
-      report.orphan_containers.push_back(id);
-      quarantine_file(dir, fstore->container_path(id), report);
-      fstore->forget(id);
+  // A system opened from a directory always has a file store.
+  auto& fstore = static_cast<FileContainerStore&>(*sys->store_);
+  auto on_disk = fstore.ids();
+  std::sort(on_disk.begin(), on_disk.end());
+  for (const ContainerId id : on_disk) {
+    if (sys->container_version_.contains(id)) continue;
+    // Sealed by a transaction that never committed: an orphan.
+    report.orphan_containers.push_back(id);
+    quarantine_file(dir, fstore.container_path(id), report);
+    fstore.forget(id);
+  }
+  for (const auto& [id, version] : sys->container_version_) {
+    if (!std::filesystem::exists(fstore.container_path(id), ec)) {
+      report.missing_containers.push_back(id);
     }
-    for (const auto& [id, version] : sys->container_version_) {
-      if (!std::filesystem::exists(fstore->container_path(id), ec)) {
-        report.missing_containers.push_back(id);
-      }
-    }
-    std::sort(report.missing_containers.begin(),
-              report.missing_containers.end());
-    if (!report.missing_containers.empty()) {
-      report.notes.push_back(
-          std::to_string(report.missing_containers.size()) +
-          " tagged archival container(s) missing — affected versions "
-          "cannot fully restore");
-    }
+  }
+  std::sort(report.missing_containers.begin(),
+            report.missing_containers.end());
+  if (!report.missing_containers.empty()) {
+    report.notes.push_back(
+        std::to_string(report.missing_containers.size()) +
+        " tagged archival container(s) missing — affected versions "
+        "cannot fully restore");
   }
 
   report.opened = true;
@@ -751,7 +711,7 @@ std::unique_ptr<HiDeStore> HiDeStore::open_impl(
 
 std::unique_ptr<HiDeStore> HiDeStore::parse_state(
     const std::filesystem::path& dir, std::span<const std::uint8_t> bytes,
-    std::shared_ptr<ContainerStore> shared, RecoveryReport& report) {
+    RecoveryReport& report) {
   if (bytes.size() < 12) return nullptr;
 
   // CRC trailer over the whole body.
@@ -789,9 +749,6 @@ std::unique_ptr<HiDeStore> HiDeStore::parse_state(
   config.materialize_contents = materialize != 0;
   config.flatten_before_restore = flatten != 0;
   if (config.cache_window != 1 && config.cache_window != 2) return nullptr;
-  // A snapshot written in one placement cannot be opened in the other — a
-  // tenant dir opened as a standalone repo (or vice versa) would wire the
-  // wrong store underneath the deletion tags.
   if (placement == kPlacementInline) {
     report.notes.push_back(
         "state file keeps archival containers inline (the in-memory save "
@@ -799,21 +756,17 @@ std::unique_ptr<HiDeStore> HiDeStore::parse_state(
         "repository");
     return nullptr;
   }
-  if (placement != (shared != nullptr ? kPlacementShared : kPlacementFiles)) {
+  if (placement != kPlacementFiles && placement != kPlacementShared) {
     return nullptr;
   }
   config.storage_dir = dir;
 
-  // A standalone store reopens the on-disk container files and resumes the
-  // ID counter.
-  auto sys = shared != nullptr
-                 ? std::make_unique<HiDeStore>(config, shared)
-                 : std::make_unique<HiDeStore>(config);
+  // The store reopens the on-disk container files and resumes the ID
+  // counter.
+  auto sys = std::make_unique<HiDeStore>(config);
   sys->epoch_ = epoch;
-  if (shared == nullptr) {
-    sys->store_ = make_archival_store(config, /*index_existing=*/true);
-    sys->store_->attach_metrics(sys->metrics_);
-  }
+  sys->store_ = make_archival_store(config, /*index_existing=*/true);
+  sys->store_->attach_metrics(sys->metrics_);
   if (!reader.u32(sys->next_version_) || !reader.u32(sys->oldest_version_) ||
       !reader.u64(sys->total_logical_bytes_) ||
       !reader.u64(sys->total_stored_bytes_)) {
@@ -845,15 +798,8 @@ std::unique_ptr<HiDeStore> HiDeStore::parse_state(
 
   std::uint32_t store_next;
   if (!reader.u32(store_next) || !reader.exhausted()) return nullptr;
-  if (shared != nullptr) {
-    // The shared counter is the max over every tenant's snapshot — raise
-    // it, never lower it, and leave the shared stats alone (they aggregate
-    // all tenants and belong to the service).
-    sys->store_->bump_next_id(static_cast<ContainerId>(store_next));
-  } else {
-    sys->store_->restore_next_id(static_cast<ContainerId>(store_next));
-    sys->store_->reset_stats();
-  }
+  sys->store_->restore_next_id(static_cast<ContainerId>(store_next));
+  sys->store_->reset_stats();
 
   // Rebuild the fingerprint cache by prefetching the newest recipes — the
   // paper's §4.1 mechanism ("the metadata of CV in the recipe is prefetched

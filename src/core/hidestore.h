@@ -81,20 +81,6 @@ class HiDeStore final : public BackupSystem {
  public:
   explicit HiDeStore(const HiDeStoreConfig& config = {});
 
-  // Multi-tenant mode (src/service/): this system's archival containers
-  // live in `shared_store`, owned by the caller and shared with other
-  // tenants. All per-tenant state (double cache, active pool, recipes,
-  // deletion tags) stays private to this instance; the shared store is only
-  // ever touched through its thread-safe surface (reserve_id/put/read/
-  // erase). config.storage_dir names the tenant's own state directory
-  // (save()/open_shared() keep the state file and MANIFEST there). The
-  // §4.5 deletion
-  // tags double as the tenant's ownership set: delete_versions_up_to()
-  // erases only containers this tenant tagged, so tenants cannot reclaim
-  // each other's data.
-  HiDeStore(const HiDeStoreConfig& config,
-            std::shared_ptr<ContainerStore> shared_store);
-
   BackupReport backup(const VersionStream& stream) override;
   RestoreReport restore(VersionId version, const ChunkSink& sink) override;
   RestoreReport restore_with(VersionId version, RestorePolicy& policy,
@@ -167,19 +153,6 @@ class HiDeStore final : public BackupSystem {
   static std::unique_ptr<HiDeStore> open(
       const std::filesystem::path& dir, RecoveryReport* report = nullptr,
       const CommitRecord* roll_forward = nullptr);
-  // open() for a tenant saved in shared-store mode: per-tenant state is
-  // recovered from `dir` exactly like open(), but archival containers
-  // resolve against `shared_store` (which must already index them). The
-  // store's ID counter is bumped to at least this tenant's watermark,
-  // never lowered — other tenants may have reserved past it. Orphan
-  // reconciliation against the container directory is NOT run here (an
-  // untagged container may belong to another tenant); the service layer
-  // reconciles with the union of all tenants' tags instead.
-  static std::unique_ptr<HiDeStore> open_shared(
-      const std::filesystem::path& dir,
-      std::shared_ptr<ContainerStore> shared_store,
-      RecoveryReport* report = nullptr,
-      const CommitRecord* roll_forward = nullptr);
   // True when `dir` holds the state file `record` commits: same size and
   // whole-file CRC, and its header carries the record's epoch
   // (journal::holds_committed).
@@ -232,11 +205,6 @@ class HiDeStore final : public BackupSystem {
   // (fsck). Normal operation never needs this.
   [[nodiscard]] RecipeStore& mutable_recipes() noexcept { return recipes_; }
   [[nodiscard]] ContainerStore& archival_store() noexcept { return *store_; }
-  // True when the archival store is shared with other tenants (fsck relaxes
-  // whole-store walks to this tenant's tagged containers).
-  [[nodiscard]] bool shared_archival() const noexcept {
-    return shared_store_;
-  }
   [[nodiscard]] const ActiveContainerPool& active_pool() const noexcept {
     return pool_;
   }
@@ -266,22 +234,15 @@ class HiDeStore final : public BackupSystem {
 
  private:
   // Deserializes one state snapshot into a fresh system; nullptr on any
-  // corruption or format mismatch (including a shared-mode snapshot with no
-  // `shared` store supplied, and vice versa; a refusal worth explaining
-  // gets a note in `report`). The journal picks which snapshot to trust.
+  // corruption or format mismatch (a refusal worth explaining gets a note
+  // in `report`). The journal picks which snapshot to trust.
   static std::unique_ptr<HiDeStore> parse_state(
       const std::filesystem::path& dir, std::span<const std::uint8_t> bytes,
-      std::shared_ptr<ContainerStore> shared, RecoveryReport& report);
+      RecoveryReport& report);
 
   // The record that commits this system's state at `epoch` (size and CRC
   // are the journal's to fill).
   [[nodiscard]] CommitRecord commit_record(std::uint64_t epoch) const;
-
-  // Common recovery walk behind open() and open_shared().
-  static std::unique_ptr<HiDeStore> open_impl(
-      const std::filesystem::path& dir,
-      std::shared_ptr<ContainerStore> shared, RecoveryReport* report,
-      const CommitRecord* roll_forward);
 
   // Pre-registers every metric name so exporters always show the complete
   // set (in particular `index_disk_lookups` at 0 — the §4.1 claim).
@@ -307,10 +268,9 @@ class HiDeStore final : public BackupSystem {
                    std::size_t* hops) const;
 
   HiDeStoreConfig config_;
-  // Archival containers. Uniquely owned in the classic single-tenant setup;
-  // shared across tenants in service mode (shared_store_ == true).
-  std::shared_ptr<ContainerStore> store_;
-  bool shared_store_ = false;
+  // Archival containers: a FileContainerStore under <storage_dir>/archival,
+  // or a MemoryContainerStore for an in-memory system.
+  std::unique_ptr<ContainerStore> store_;
   ActiveContainerPool pool_;
   DoubleHashFingerprintCache cache_;
   RecipeStore recipes_;

@@ -224,30 +224,7 @@ ShardRouter::ShardRouter(const ShardRouterConfig& config) {
     }
     shards_.push_back(std::make_unique<HiDeStore>(shard_config));
     if (shards > 1) {
-      shards_[i]->archival_store().bump_next_id(shard_id_base(i) + 1);
-    }
-  }
-  start_workers();
-}
-
-ShardRouter::ShardRouter(const ShardRouterConfig& config,
-                         std::vector<std::shared_ptr<ContainerStore>> stores) {
-  const std::size_t shards = validate_shard_count(config.shards);
-  if (stores.size() != shards) {
-    throw std::invalid_argument(
-        "ShardRouter: one shared store per shard required");
-  }
-  root_ = config.base.storage_dir;
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
-    HiDeStoreConfig shard_config = config.base;
-    if (shards > 1 && !root_.empty()) {
-      shard_config.storage_dir = shard_dir(root_, i);
-    }
-    shards_.push_back(
-        std::make_unique<HiDeStore>(shard_config, std::move(stores[i])));
-    if (shards > 1) {
-      shards_[i]->archival_store().bump_next_id(shard_id_base(i) + 1);
+      shards_[i]->archival_store().restore_next_id(shard_id_base(i) + 1);
     }
   }
   start_workers();
@@ -606,43 +583,15 @@ std::size_t ShardRouter::detect_shards(const std::filesystem::path& dir) {
 std::unique_ptr<ShardRouter> ShardRouter::open(
     const std::filesystem::path& dir, std::size_t expected_shards,
     RecoveryReport* report) {
-  return open_impl(dir, expected_shards, {}, report);
-}
-
-std::unique_ptr<ShardRouter> ShardRouter::open_shared(
-    const std::filesystem::path& dir,
-    std::vector<std::shared_ptr<ContainerStore>> stores,
-    RecoveryReport* report) {
-  if (stores.empty()) return nullptr;
-  const std::size_t shards = stores.size();
-  return open_impl(dir, shards, std::move(stores), report);
-}
-
-std::unique_ptr<ShardRouter> ShardRouter::open_impl(
-    const std::filesystem::path& dir, std::size_t expected_shards,
-    std::vector<std::shared_ptr<ContainerStore>> stores,
-    RecoveryReport* report) {
   RecoveryReport local;
   RecoveryReport& rep = report != nullptr ? *report : local;
-  // Shard i opens over stores[i] in service mode, over its own directory
-  // store otherwise.
-  // A shard rolls forward to `pending`, the record the root committed for
-  // it, when its own MANIFEST append was lost.
-  const auto open_shard = [&stores](const std::filesystem::path& sdir,
-                                    std::size_t i, RecoveryReport* r,
-                                    const CommitRecord* pending) {
-    return stores.empty()
-               ? HiDeStore::open(sdir, r, pending)
-               : HiDeStore::open_shared(sdir, stores[i], r, pending);
-  };
-
   if (journal::holds_single_store_state(dir)) {
     if (expected_shards > 1) {
       throw ShardMismatchError(
           "repository records 1 shard; requested --shards=" +
           std::to_string(expected_shards));
     }
-    auto sys = open_shard(dir, 0, report, nullptr);
+    auto sys = HiDeStore::open(dir, report);
     if (sys == nullptr) return nullptr;
     auto router = std::unique_ptr<ShardRouter>(new ShardRouter());
     router->root_ = dir;
@@ -683,9 +632,11 @@ std::unique_ptr<ShardRouter> ShardRouter::open_impl(
     to.insert(to.end(), from.begin(), from.end());
   };
   for (std::size_t i = 0; i < parsed->shard_count; ++i) {
+    // A shard rolls forward to the record the root committed for it when
+    // its own MANIFEST append was lost.
     RecoveryReport shard_report;
-    auto sys = open_shard(shard_dir(dir, i), i, &shard_report,
-                          &parsed->pending[i]);
+    auto sys =
+        HiDeStore::open(shard_dir(dir, i), &shard_report, &parsed->pending[i]);
     rep.performed = rep.performed || shard_report.performed;
     // Every shard holds the same versions: a rolled-back version counts
     // once, however many shards it touched.

@@ -64,11 +64,6 @@ class ShardRouter {
  public:
   // Fresh repository (or in-memory system) with `config.shards` shards.
   explicit ShardRouter(const ShardRouterConfig& config);
-  // Service mode: shard i's archival containers live in `stores[i]`, owned
-  // by the caller and shared across tenants. stores.size() must equal
-  // config.shards; config.base.storage_dir names the tenant state root.
-  ShardRouter(const ShardRouterConfig& config,
-              std::vector<std::shared_ptr<ContainerStore>> stores);
   ~ShardRouter();
 
   ShardRouter(const ShardRouter&) = delete;
@@ -98,13 +93,6 @@ class ShardRouter {
   static std::unique_ptr<ShardRouter> open(const std::filesystem::path& dir,
                                            std::size_t expected_shards = 0,
                                            RecoveryReport* report = nullptr);
-  // open() for service mode: stores.size() fixes the expected shard count,
-  // and shard i resolves archival containers against stores[i]. The same
-  // recovery walk as open() runs.
-  static std::unique_ptr<ShardRouter> open_shared(
-      const std::filesystem::path& dir,
-      std::vector<std::shared_ptr<ContainerStore>> stores,
-      RecoveryReport* report = nullptr);
   // Shard count a repository directory records: 1 for a single-store
   // layout (journal::holds_single_store_state), the router state's count
   // for a sharded layout, 0 when the directory is not a repository.
@@ -184,12 +172,6 @@ class ShardRouter {
   class Workers;  // per-shard worker threads (defined in the .cpp)
 
   ShardRouter() = default;
-  // The one recovery walk behind open() and open_shared(). `stores` empty
-  // opens every shard over its own directory store.
-  static std::unique_ptr<ShardRouter> open_impl(
-      const std::filesystem::path& dir, std::size_t expected_shards,
-      std::vector<std::shared_ptr<ContainerStore>> stores,
-      RecoveryReport* report);
   void start_workers();
   // Runs fn(i) for every shard on its worker (multi-shard) and rethrows
   // the first failure after all shards finished.

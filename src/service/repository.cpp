@@ -32,26 +32,21 @@ bool Repository::exists(const fs::path& dir) {
 }
 
 std::unique_ptr<Repository> Repository::create(
-    const ShardRouterConfig& config,
-    std::vector<std::shared_ptr<ContainerStore>> stores) {
+    const ShardRouterConfig& config) {
   const fs::path& dir = config.base.storage_dir;
   if (exists(dir)) throw RepositoryError("repository already exists");
   fs::create_directories(dir);
-  auto sys = stores.empty()
-                 ? std::make_unique<ShardRouter>(config)
-                 : std::make_unique<ShardRouter>(config, std::move(stores));
+  auto sys = std::make_unique<ShardRouter>(config);
   sys->save(dir);
   return std::unique_ptr<Repository>(new Repository(dir, std::move(sys)));
 }
 
-std::unique_ptr<Repository> Repository::open(
-    const fs::path& dir, std::size_t expected_shards, RecoveryReport* report,
-    std::vector<std::shared_ptr<ContainerStore>> stores) {
+std::unique_ptr<Repository> Repository::open(const fs::path& dir,
+                                             std::size_t expected_shards,
+                                             RecoveryReport* report) {
   RecoveryReport local;
   RecoveryReport& rep = report != nullptr ? *report : local;
-  auto sys = stores.empty()
-                 ? ShardRouter::open(dir, expected_shards, &rep)
-                 : ShardRouter::open_shared(dir, std::move(stores), &rep);
+  auto sys = ShardRouter::open(dir, expected_shards, &rep);
   if (sys == nullptr) return nullptr;
   auto repo = std::unique_ptr<Repository>(new Repository(dir, std::move(sys)));
   // Recovery may have rolled the store back past cataloged versions.
@@ -225,7 +220,8 @@ void Repository::set_tracer(obs::Tracer* tracer) {
 
 FileCatalog& Repository::catalog() {
   if (!catalog_.has_value()) {
-    // A missing or unreadable catalog reads as empty.
+    // A missing or unparseable catalog reads as empty; one that cannot be
+    // read (an I/O error, a directory in its place) throws RepositoryError.
     std::error_code ec;
     std::optional<FileCatalog> parsed;
     if (fs::exists(dir_ / kCatalogFile, ec)) {

@@ -41,19 +41,16 @@ class RepositoryError : public std::runtime_error {
 class Repository {
  public:
   // Creates and commits an empty repository at config.base.storage_dir;
-  // throws RepositoryError when one exists there. Non-empty `stores` is
-  // service mode: shard i's archival containers live in stores[i].
-  static std::unique_ptr<Repository> create(
-      const ShardRouterConfig& config,
-      std::vector<std::shared_ptr<ContainerStore>> stores = {});
-  // ShardRouter::open (open_shared with non-empty `stores`) plus the
-  // catalog trim after recovery: nullptr when nothing committed is
-  // recoverable, ShardMismatchError (with nothing written) when
-  // `expected_shards` is nonzero and differs from the recorded count.
+  // throws RepositoryError when one exists there.
+  static std::unique_ptr<Repository> create(const ShardRouterConfig& config);
+  // ShardRouter::open plus the catalog trim after recovery: nullptr when
+  // nothing committed is recoverable, ShardMismatchError (with nothing
+  // written) when `expected_shards` is nonzero and differs from the
+  // recorded count, RepositoryError when recovery acted and the catalog is
+  // unreadable.
   static std::unique_ptr<Repository> open(
       const std::filesystem::path& dir, std::size_t expected_shards = 0,
-      RecoveryReport* report = nullptr,
-      std::vector<std::shared_ptr<ContainerStore>> stores = {});
+      RecoveryReport* report = nullptr);
   // True when `dir` holds a repository, committed or not, in any layout.
   [[nodiscard]] static bool exists(const std::filesystem::path& dir);
 

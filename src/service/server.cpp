@@ -12,11 +12,44 @@
 #include <iterator>
 
 #include "obs/log.h"
+#include "storage/durable.h"
 #include "storage/journal.h"
 #include "storage/recovery.h"
 #include "verify/fsck.h"
 
 namespace hds::service {
+
+namespace {
+
+// Moves each of `ids` that the old shared store at `old_store` holds into
+// tenant `name`'s own store of the shard that owns it.
+void move_in(const std::string& name, ShardRouter& sys,
+             const std::filesystem::path& old_store,
+             const std::vector<ContainerId>& ids) {
+  const std::size_t shards = sys.shard_count();
+  std::size_t moved = 0;
+  for (const ContainerId id : ids) {
+    const std::size_t shard = shards > 1 ? shard_of_container(id) : 0;
+    if (shard >= shards) continue;
+    const auto to =
+        static_cast<FileContainerStore&>(sys.shard(shard).archival_store())
+            .container_path(id);
+    const auto from =
+        (shards > 1 ? old_store / ("shard_" + std::to_string(shard))
+                    : old_store) /
+        to.filename();
+    std::error_code ec;
+    if (!std::filesystem::exists(from, ec)) continue;
+    durable::atomic_rename(from, to);
+    ++moved;
+  }
+  if (obs::log_enabled(obs::LogLevel::kInfo)) {
+    obs::log_info("tenant_containers_moved",
+                  {{"tenant", name}, {"containers", moved}});
+  }
+}
+
+}  // namespace
 
 ServeServer::ServeServer(ServeConfig config) : config_(std::move(config)) {
   if (config_.max_sessions == 0) config_.max_sessions = 1;
@@ -34,7 +67,7 @@ bool ServeServer::start(std::string* error) {
   if (running()) return true;
 
   // A single-tenant repository keeps its state file at its root; serving
-  // on top of one would wire its containers into a foreign namespace.
+  // on top of one would take its archival/ for an old shared store.
   // Refuse — serve repositories are their own layout.
   std::error_code ec;
   if (journal::holds_single_store_state(config_.repo)) {
@@ -45,36 +78,8 @@ bool ServeServer::start(std::string* error) {
   if (config_.shards == 0 || config_.shards > kMaxShards) {
     return fail("--shards wants 1.." + std::to_string(kMaxShards));
   }
-  // One shared store per fingerprint-space shard; one shard keeps the
-  // legacy flat <repo>/archival layout.
-  stores_.clear();
-  store_metrics_.clear();
-  for (std::size_t i = 0; i < config_.shards; ++i) {
-    const auto dir = config_.shards == 1
-                         ? config_.repo / "archival"
-                         : config_.repo / "archival" /
-                               ("shard_" + std::to_string(i));
-    std::filesystem::create_directories(dir, ec);
-    if (ec) {
-      return fail("cannot create " + dir.string() + ": " + ec.message());
-    }
-    try {
-      stores_.push_back(
-          std::make_shared<FileContainerStore>(dir, /*index_existing=*/true));
-    } catch (const std::exception& e) {
-      return fail(std::string("cannot open shared store: ") + e.what());
-    }
-    store_metrics_.push_back(std::make_unique<obs::MetricsRegistry>());
-    stores_.back()->attach_metrics(*store_metrics_.back());
-  }
-  if (config_.shards > 1) {
-    metrics_.gauge("shards").set(static_cast<double>(config_.shards));
-  }
   std::filesystem::create_directories(config_.repo / "tenants", ec);
   const std::size_t opened = load_tenants();
-  for (const auto& store : stores_) {
-    reconcile_store(dynamic_cast<FileContainerStore*>(store.get()));
-  }
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) return fail("socket() failed");
@@ -356,12 +361,6 @@ Response ServeServer::do_fsck(Tenant& tenant) {
 
 std::vector<obs::MetricsPart> ServeServer::metric_parts() {
   std::vector<obs::MetricsPart> parts{{{}, metrics_}};
-  for (std::size_t i = 0; i < stores_.size(); ++i) {
-    stores_[i]->refresh_gauges(*store_metrics_[i]);
-    obs::Labels labels;
-    if (stores_.size() > 1) labels.emplace_back("shard", std::to_string(i));
-    parts.push_back({std::move(labels), *store_metrics_[i]});
-  }
   std::vector<std::shared_ptr<Tenant>> all;
   {
     MutexLock lock(tenants_mu_);
@@ -381,21 +380,22 @@ std::vector<obs::MetricsPart> ServeServer::metric_parts() {
 }
 
 std::size_t ServeServer::load_tenants() {
+  namespace fs = std::filesystem;
   std::error_code ec;
-  std::vector<std::filesystem::path> dirs;
+  std::vector<fs::path> dirs;
   for (const auto& entry :
-       std::filesystem::directory_iterator(config_.repo / "tenants", ec)) {
+       fs::directory_iterator(config_.repo / "tenants", ec)) {
     if (entry.is_directory()) dirs.push_back(entry.path());
   }
   std::sort(dirs.begin(), dirs.end());
+  const fs::path old_store = config_.repo / "archival";
+  const bool migrating = fs::is_directory(old_store, ec);
   MutexLock lock(tenants_mu_);
   for (const auto& dir : dirs) {
     const std::string name = dir.filename().string();
     // An empty directory holds nothing to lose: the name is created on
     // first use like a new one.
-    if (!valid_tenant_name(name) || std::filesystem::is_empty(dir, ec)) {
-      continue;
-    }
+    if (!valid_tenant_name(name) || fs::is_empty(dir, ec)) continue;
     auto tenant = std::make_shared<Tenant>();
     tenant->name = name;
     std::string reason;
@@ -403,9 +403,17 @@ std::size_t ServeServer::load_tenants() {
       MutexLock op(tenant->op_mu);
       RecoveryReport report;
       try {
-        tenant->repo =
-            Repository::open(dir, stores_.size(), &report, stores_);
-      } catch (const ShardMismatchError& e) {
+        tenant->repo = Repository::open(dir, config_.shards, &report);
+        if (tenant->repo != nullptr && migrating &&
+            !report.missing_containers.empty()) {
+          move_in(name, tenant->repo->router(), old_store,
+                  report.missing_containers);
+          tenant->repo.reset();  // close before reopening over the moves
+          report = RecoveryReport{};
+          tenant->repo = Repository::open(dir, config_.shards, &report);
+        }
+      } catch (const std::exception& e) {
+        tenant->repo.reset();
         reason = e.what();
       }
       if (tenant->repo == nullptr && reason.empty()) {
@@ -424,39 +432,25 @@ std::size_t ServeServer::load_tenants() {
   }
   if (!refused_.empty()) {
     metrics_.counter("serve_tenants_unrecoverable").inc(refused_.size());
+  } else if (migrating) {
+    // Every tenant has its containers: what the old store still holds was
+    // sealed by a backup whose commit never landed. Keep it recoverable,
+    // off the books.
+    std::vector<fs::path> orphans;
+    for (const auto& entry : fs::recursive_directory_iterator(old_store, ec)) {
+      if (entry.is_regular_file()) orphans.push_back(entry.path());
+    }
+    std::sort(orphans.begin(), orphans.end());
+    RecoveryReport report;
+    for (const auto& path : orphans) {
+      quarantine_file(config_.repo, path, report);
+      obs::log_warn("orphan_container_quarantined",
+                    {{"file", path.filename().string()}});
+    }
+    fs::remove_all(old_store, ec);
   }
   metrics_.gauge("serve_tenants").set(static_cast<double>(tenants_.size()));
   return tenants_.size();
-}
-
-void ServeServer::reconcile_store(FileContainerStore* fstore) {
-  if (fstore == nullptr) return;
-  std::unordered_set<ContainerId> tagged;
-  {
-    MutexLock lock(tenants_mu_);
-    if (!refused_.empty()) return;
-    for (const auto& [name, tenant] : tenants_) {
-      (void)name;
-      MutexLock op(tenant->op_mu);
-      for (const auto& [cid, version] :
-           tenant->repo->router().container_tags()) {
-        (void)version;
-        tagged.insert(cid);
-      }
-    }
-  }
-  auto on_disk = fstore->ids();
-  std::sort(on_disk.begin(), on_disk.end());
-  RecoveryReport report;
-  for (const ContainerId id : on_disk) {
-    if (tagged.contains(id)) continue;
-    // Sealed by a backup whose state commit never landed: an orphan no
-    // tenant can reach. Keep it recoverable, off the books.
-    quarantine_file(config_.repo, fstore->container_path(id), report);
-    fstore->forget(id);
-    obs::log_warn("orphan_container_quarantined",
-                  {{"container", static_cast<std::uint64_t>(id)}});
-  }
 }
 
 std::shared_ptr<Tenant> ServeServer::open_tenant(const std::string& name,
@@ -474,13 +468,13 @@ std::shared_ptr<Tenant> ServeServer::open_tenant(const std::string& name,
   {
     MutexLock op(tenant->op_mu);
     ShardRouterConfig config;
-    config.shards = stores_.size();
+    config.shards = config_.shards;
     config.base = config_.tenant_config;
     config.base.storage_dir = config_.repo / "tenants" / name;
     try {
       // Commit the empty namespace at once, so a restart (or a crash
       // before the first backup commits) still knows the tenant.
-      tenant->repo = Repository::create(config, stores_);
+      tenant->repo = Repository::create(config);
     } catch (const std::exception& e) {
       error = "cannot create tenant '" + name + "': " + e.what();
       return nullptr;

@@ -1,9 +1,11 @@
 // ServeServer — the multi-tenant front end behind `hds_tool serve`
 // (DESIGN.md §15). One long-running process owns a serve repository:
 //
-//   <repo>/archival/        shared FileContainerStore(s) (all tenants)
-//   <repo>/tenants/<name>/  one Repository per tenant
-//   <repo>/quarantine/      startup orphan sweep output
+//   <repo>/tenants/<name>/  one standalone Repository per tenant, laid out
+//                           as `hds_tool init` lays one out at that shard
+//                           count (its containers under its own archival/)
+//   <repo>/quarantine/      containers no tenant tags, left by a repository
+//                           served before tenants owned their stores
 //
 // Each loopback connection is a session of length-prefixed request/
 // response frames (wire.h) served by one worker end to end. `max_sessions`
@@ -33,10 +35,10 @@
 
 namespace hds::service {
 
-// A tenant namespace: one Repository under <repo>/tenants/<name>/ over the
-// shared stores, with private dedup state, recipes, deletion tags and
-// catalog (DESIGN.md §15.2). One operation at a time per tenant; different
-// tenants overlap, meeting only in the stores' thread-safe surface.
+// A tenant namespace: one Repository under <repo>/tenants/<name>/ with its
+// own containers, dedup state, recipes, deletion tags and catalog
+// (DESIGN.md §15.2). One operation at a time per tenant; different tenants
+// share nothing below the service.
 struct Tenant {
   std::string name;
   Mutex op_mu{lockrank::kServiceTenant};
@@ -62,10 +64,8 @@ struct ServeConfig {
   // Base per-tenant HiDeStore configuration. storage_dir is ignored (each
   // tenant gets its own directory).
   HiDeStoreConfig tenant_config;
-  // Fingerprint-space shards (DESIGN.md §16). One shared store per shard:
-  // <repo>/archival for the default single shard (legacy layout),
-  // <repo>/archival/shard_<i> otherwise. Every tenant gets this shard
-  // count; tenants created under a different count are refused at load.
+  // Fingerprint-space shards (DESIGN.md §16) of every new tenant; tenants
+  // created under a different count are refused at load.
   std::size_t shards = 1;
 };
 
@@ -77,10 +77,11 @@ class ServeServer {
   ServeServer(const ServeServer&) = delete;
   ServeServer& operator=(const ServeServer&) = delete;
 
-  // Opens (or initializes) the serve repository, recovers every tenant,
-  // sweeps shared-store orphans, binds the loopback listener and spawns
-  // the worker pool. False with a reason in `error` when the repository is
-  // unusable (e.g. it is a single-tenant repo) or the port is taken.
+  // Opens (or initializes) the serve repository, recovers every tenant
+  // (migrating an old shared-store layout, see load_tenants), binds the
+  // loopback listener and spawns the worker pool. False with a reason in
+  // `error` when the repository is unusable (e.g. it is a single-tenant
+  // repo) or the port is taken.
   bool start(std::string* error = nullptr);
 
   // Stops accepting, aborts in-flight sessions at the next socket
@@ -94,15 +95,14 @@ class ServeServer {
   // Bound port (resolves ephemeral requests after start()).
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
 
-  // Service-wide registry: admission gauges/counters (serve_*) and, when
-  // sharded, the `shards` gauge.
+  // Service-wide registry: admission gauges/counters (serve_*).
   [[nodiscard]] obs::MetricsRegistry& metrics() noexcept { return metrics_; }
 
-  // The /metrics exposition, gauges refreshed first: metrics(); each shared
-  // store's store_* / io_* registry under {shard="i"} (unlabeled for one
-  // shard); then per tenant its repository's parts and Tenant::metrics
-  // under {tenant="<name>"} (plus {shard="i"} for shard registries). The
-  // parts stay valid while the server lives: tenants are never dropped.
+  // The /metrics exposition, gauges refreshed first: metrics(), then per
+  // tenant its repository's parts (store_* / io_* included) and
+  // Tenant::metrics under {tenant="<name>"} (plus {shard="i"} for shard
+  // registries). The parts stay valid while the server lives: tenants are
+  // never dropped.
   [[nodiscard]] std::vector<obs::MetricsPart> metric_parts();
 
  private:
@@ -120,12 +120,17 @@ class ServeServer {
 
   // Opens every tenant directory under <repo>/tenants and returns how many
   // opened. One that fails to load (another shard count, unrecoverable
-  // state) is refused, never re-created: requests for it error and
-  // nothing under it is written.
+  // state, any error) is refused, never re-created: requests for it error
+  // and nothing under it is written.
+  //
+  // A repository served before tenants owned their stores keeps every
+  // tenant's containers in <repo>/archival (one shard) or
+  // <repo>/archival/shard_<i>. Each tagged container a tenant's own store
+  // lacks moves in from there, and the tenant reopens. Once every tenant
+  // has loaded, what is left there is tagged by none: it is quarantined
+  // and the directory removed. While any tenant is refused, the leftovers
+  // stay. A start killed midway finishes the move on the next one.
   std::size_t load_tenants();
-  // Startup orphan sweep: quarantines shared-store containers no tenant
-  // tags. Skipped while any tenant is refused: its tags are unknown.
-  void reconcile_store(FileContainerStore* fstore);
   // The named tenant, created (and committed empty) on first use; nullptr
   // with the reason in `error` when refused or creation failed.
   std::shared_ptr<Tenant> open_tenant(const std::string& name,
@@ -133,9 +138,6 @@ class ServeServer {
 
   ServeConfig config_;
   obs::MetricsRegistry metrics_;
-  std::vector<std::shared_ptr<ContainerStore>> stores_;  // one per shard
-  // stores_[i]'s counter views (store_*, io_*).
-  std::vector<std::unique_ptr<obs::MetricsRegistry>> store_metrics_;
   mutable Mutex tenants_mu_{lockrank::kServiceRegistry};
   std::map<std::string, std::shared_ptr<Tenant>, std::less<>> tenants_
       HDS_GUARDED_BY(tenants_mu_);

@@ -9,7 +9,9 @@
 //   * FileContainerStore — each container serialized to its own file under
 //     a directory; proves the format round-trips through a real filesystem.
 //     Every read loads the whole file, behind one LRU of decoded
-//     containers (DESIGN.md §10).
+//     containers (DESIGN.md §10). Each HiDeStore owns its store outright
+//     (a repository, one shard of it, or a serve tenant's shard), so that
+//     cache's budget is per store.
 #pragma once
 
 #include <atomic>
@@ -191,20 +193,9 @@ class ContainerStore {
 
   [[nodiscard]] ContainerId next_id() const noexcept { return next_id_; }
 
-  // Persistence support: restores the ID counter of a reloaded store so
-  // future reservations never collide with existing containers.
+  // Sets the ID counter: a reloaded store resumes past its containers, and
+  // a fresh shard's store starts at its id band (index/shard_space.h).
   void restore_next_id(ContainerId next) noexcept { next_id_ = next; }
-
-  // Shared-store variant of restore_next_id(): raises the counter to at
-  // least `next`, never lowering it. Safe to race — several tenants
-  // reopening over one shared store each replay their saved watermark, and
-  // only the highest may win (a lower one would recycle live IDs).
-  void bump_next_id(ContainerId next) noexcept {
-    ContainerId cur = next_id_.load(std::memory_order_relaxed);
-    while (cur < next && !next_id_.compare_exchange_weak(
-                             cur, next, std::memory_order_relaxed)) {
-    }
-  }
 
  protected:
   // What a backend read produced: the container plus the logical/physical

@@ -200,6 +200,9 @@ void atomic_rename(const std::filesystem::path& from,
 
 std::optional<std::vector<std::uint8_t>> read_file(
     const std::filesystem::path& path) {
+  // A directory opens as a stream whose tellg() reports ~2^63 bytes.
+  std::error_code ec;
+  if (!std::filesystem::is_regular_file(path, ec)) return std::nullopt;
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return std::nullopt;
   const auto end = in.tellg();

@@ -117,12 +117,13 @@ void atomic_write_file(const std::filesystem::path& path,
 
 // Durable rename: rename + fsync of the parent directory, with crash
 // points. Used to move a pre-epoch state file to its epoch-stamped name
-// (journal.h).
+// (journal.h) and a serve tenant's containers into its own store
+// (server.h).
 void atomic_rename(const std::filesystem::path& from,
                    const std::filesystem::path& to);
 
-// Reads a whole file. nullopt when it cannot be opened, sized or read —
-// never a partial buffer.
+// Reads a whole file. nullopt when it is not a regular file or cannot be
+// opened, sized or read — never a partial buffer.
 std::optional<std::vector<std::uint8_t>> read_file(
     const std::filesystem::path& path);
 

@@ -103,19 +103,7 @@ struct StoreView {
 FsckCheck check_container_framing(HiDeStore& sys, StoreView& view,
                                   const FsckOptions& opt) {
   CheckBuilder out(Invariant::kContainerFraming, opt.max_findings);
-  // With a shared archival store the walk is scoped to THIS system's
-  // deletion tags — the other ids belong to other tenants, and flagging
-  // them as untagged (or counting them in accounting) would be noise.
-  std::vector<ContainerId> ids;
-  if (sys.shared_archival()) {
-    ids.reserve(sys.container_tags().size());
-    for (const auto& [cid, version] : sys.container_tags()) {
-      (void)version;
-      ids.push_back(cid);
-    }
-  } else {
-    ids = sys.archival_store().ids();
-  }
+  auto ids = sys.archival_store().ids();
   std::sort(ids.begin(), ids.end());
   for (const ContainerId cid : ids) {
     out.object();

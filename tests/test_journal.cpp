@@ -3,7 +3,8 @@
 // uncommitted newer file is quarantined and its versions reported as
 // rolled back, a superseded older one is swept, or kept in quarantine when
 // no journal vouches for the adopted file, a sharded root's partial writes
-// are swept, and recovery converges), and the one-way migration of
+// are swept, a directory named like a state file is not read, and
+// recovery converges), and the one-way migration of
 // pre-epoch `state.hds` repositories: flat, sharded, a shard killed after
 // its root's commit, and on storage that refuses the rename.
 #include <gtest/gtest.h>
@@ -116,6 +117,41 @@ TEST(JournalRecovery, TornNewerStateIsQuarantinedAndRolledBack) {
   auto again = HiDeStore::open(dir.path, &second);
   ASSERT_NE(again, nullptr);
   EXPECT_FALSE(second.performed) << second.to_text();
+}
+
+// A directory named like the next epoch's state file reads as nothing (a
+// stream over a directory reports ~2^63 bytes): the committed epoch is
+// adopted and restores exactly as before.
+TEST(JournalRecovery, DirectoryNamedLikeAStateFileIsNotRead) {
+  TempDir dir("hds_journal_dir");
+  const auto restored = [](HiDeStore& sys) {
+    std::vector<std::uint8_t> out;
+    (void)sys.restore(sys.latest_version(),
+                      [&out](const ChunkLoc&,
+                             std::span<const std::uint8_t> bytes) {
+                        out.insert(out.end(), bytes.begin(), bytes.end());
+                      });
+    return out;
+  };
+  std::vector<std::uint8_t> expected;
+  {
+    HiDeStore sys(repo_config(dir.path));
+    for (const auto& vs : generate(3)) {
+      (void)sys.backup(vs);
+      sys.save(dir.path);
+    }
+    expected = restored(sys);
+  }
+  ASSERT_FALSE(expected.empty());
+  fs::create_directory(dir.path / "state.4.hds");
+
+  RecoveryReport report;
+  auto sys = HiDeStore::open(dir.path, &report);
+  ASSERT_NE(sys, nullptr) << report.to_text();
+  EXPECT_EQ(sys->epoch(), 3u);
+  EXPECT_EQ(sys->latest_version(), 3u);
+  EXPECT_EQ(restored(*sys), expected);
+  EXPECT_TRUE(verify::run_fsck(*sys).clean());
 }
 
 // (b) A superseded state.<e-1>.hds left beside the committed file (a crash

@@ -1,8 +1,9 @@
 // Tests for the multi-tenant serve front end (src/service): wire framing,
-// concurrent per-tenant round trips over one shared container store,
-// dedup-state isolation, quota rejection, admission backpressure (kBusy),
-// restart persistence, refusal of tenants that fail to load, sharded-tenant
-// recovery, the tenant-labeled metrics surface, and small-frame round-trip
+// concurrent per-tenant round trips, dedup-state isolation, quota
+// rejection, admission backpressure (kBusy), restart persistence, refusal
+// of tenants that fail to load, sharded-tenant recovery, each tenant as a
+// standalone repository (and the one-way migration of the old shared-store
+// layout), the tenant-labeled metrics surface, and small-frame round-trip
 // latency.
 #include <gtest/gtest.h>
 
@@ -19,12 +20,17 @@
 
 #include "chunking/chunk_stream.h"
 #include "chunking/tttd.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "core/hidestore.h"
+#include "index/shard_space.h"
 #include "service/client.h"
 #include "service/server.h"
 #include "service/wire.h"
 #include "storage/durable.h"
+#include "storage/journal.h"
+#include "storage/manifest.h"
+#include "verify/fsck.h"
 #include "util/prometheus.h"
 #include "util/temp_dir.h"
 
@@ -195,8 +201,7 @@ TEST(ServeServer, TwoTenantsConcurrentRoundTrips) {
   const std::vector<std::vector<std::vector<std::uint8_t>>> data = {
       make_versions(100), make_versions(200)};
 
-  // Interleaved backups + restores from two concurrent sessions against
-  // the one shared store.
+  // Interleaved backups + restores from two concurrent sessions.
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < tenants.size(); ++t) {
     threads.emplace_back([&, t] {
@@ -242,8 +247,7 @@ TEST(ServeServer, TwoTenantsConcurrentRoundTrips) {
       EXPECT_EQ(resp.data, reference);
       EXPECT_EQ(resp.data, data[t][v]);
     }
-    // The shared store holds both tenants' containers; per-tenant fsck
-    // must still come back clean (walks are scoped to the tenant's tags).
+    // Per-tenant fsck comes back clean.
     Request fsck;
     fsck.op = Op::kFsck;
     fsck.tenant = tenants[t];
@@ -508,8 +512,8 @@ TEST(ServeServer, MetricsExposeTenantCounters) {
   ASSERT_EQ(must_call(client, restore_request("alpha", 1)).status,
             Status::kOk);
 
-  // Tenant facts are the tenant's own metric families under a tenant
-  // label; the shared store's counters carry no tenant at all.
+  // Tenant facts, its store's counters included, are the tenant's own
+  // metric families under a tenant label.
   const std::string prom = obs::to_prometheus(server.metric_parts());
   for (const char* sample :
        {"sessions{tenant=\"alpha\"} 1\n", "restores{tenant=\"alpha\"} 1\n",
@@ -517,8 +521,9 @@ TEST(ServeServer, MetricsExposeTenantCounters) {
         "versions_retained{tenant=\"alpha\"} 1\n",
         "logical_bytes{tenant=\"alpha\"} ",
         "chunks_processed{tenant=\"alpha\"} ",
-        "retained_bytes{tenant=\"alpha\"} ", "\nstore_container_writes ",
-        "\nio_block_cache_hits ", "\nserve_sessions_accepted ",
+        "retained_bytes{tenant=\"alpha\"} ",
+        "store_container_writes{tenant=\"alpha\"} ",
+        "io_block_cache_hits{tenant=\"alpha\"} ", "\nserve_sessions_accepted ",
         "\nserve_pending_sessions "}) {
     EXPECT_NE(prom.find(sample), std::string::npos) << sample << "\n" << prom;
   }
@@ -558,6 +563,319 @@ TEST(ServeServer, ListRoundTripsSkipDelayedAck) {
   std::nth_element(ms.begin(), ms.begin() + 10, ms.end());
   EXPECT_LT(ms[10], 10.0) << "median list round trip in ms";
   server.stop();
+}
+
+// --- Each tenant is a standalone repository ---
+
+namespace fs = std::filesystem;
+
+// Versions that each rewrite a fifth of the one before, so cold chunks
+// reach archival containers from the second version on.
+std::vector<std::vector<std::uint8_t>> rolling_versions(std::uint64_t seed,
+                                                        int count) {
+  std::vector<std::vector<std::uint8_t>> out{random_bytes(seed, 256 * 1024)};
+  for (int v = 1; v < count; ++v) {
+    auto next = out.back();
+    const auto patch = random_bytes(seed + v, next.size() / 5);
+    const std::size_t span = next.size() - patch.size();
+    const auto at = static_cast<std::ptrdiff_t>(
+        static_cast<std::size_t>(v) * 37 * 1024 % span);
+    std::copy(patch.begin(), patch.end(), next.begin() + at);
+    out.push_back(std::move(next));
+  }
+  return out;
+}
+
+// The directory of shard `i` of a tenant written at `shards` shards.
+fs::path shard_root(const fs::path& tenant, std::size_t shards, std::size_t i) {
+  return shards == 1 ? tenant : tenant / ("shard_" + std::to_string(i));
+}
+
+// The store of shard `i` in the layout a repository served before tenants
+// owned their stores.
+fs::path old_store(const fs::path& repo, std::size_t shards, std::size_t i) {
+  return shards == 1 ? repo / "archival"
+                     : repo / "archival" / ("shard_" + std::to_string(i));
+}
+
+std::vector<fs::path> container_files(const fs::path& dir) {
+  std::vector<fs::path> out;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    if (entry.path().extension() == ".hdsc") out.push_back(entry.path());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<std::uint8_t> restore_bytes(Repository& repo, VersionId version) {
+  std::vector<std::uint8_t> out;
+  (void)repo.restore(version, [&out](const ChunkLoc&,
+                                     std::span<const std::uint8_t> bytes) {
+    out.insert(out.end(), bytes.begin(), bytes.end());
+  });
+  return out;
+}
+
+void backup_all(std::uint16_t port, const std::string& tenant,
+                const std::vector<std::vector<std::uint8_t>>& versions) {
+  ServeClient client;
+  ASSERT_TRUE(client.connect(port));
+  for (const auto& version : versions) {
+    ASSERT_EQ(must_call(client, backup_request(tenant, version)).status,
+              Status::kOk);
+  }
+}
+
+TEST(ServeServer, TenantDirectoryOpensAsARepository) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    TempDir dir("svc_standalone");
+    const auto versions = rolling_versions(600, 4);
+    {
+      auto server = start_server(dir.path, shards);
+      backup_all(server->port(), "alpha", versions);
+      server->stop();
+    }
+    EXPECT_FALSE(fs::exists(dir.path / "archival"));
+    const auto tenant = dir.path / "tenants" / "alpha";
+    std::size_t containers = 0;
+    for (std::size_t i = 0; i < shards; ++i) {
+      containers +=
+          container_files(shard_root(tenant, shards, i) / "archival").size();
+    }
+    EXPECT_GT(containers, 0u);
+
+    RecoveryReport report;
+    auto repo = Repository::open(tenant, shards, &report);
+    ASSERT_NE(repo, nullptr) << report.to_text();
+    EXPECT_FALSE(report.performed) << report.to_text();
+    EXPECT_EQ(repo->router().shard_count(), shards);
+    for (std::size_t v = 0; v < versions.size(); ++v) {
+      EXPECT_EQ(restore_bytes(*repo, static_cast<VersionId>(v + 1)),
+                versions[v])
+          << "version " << v + 1;
+    }
+    EXPECT_TRUE(verify::run_fsck(repo->router()).clean());
+  }
+}
+
+TEST(ServeServer, UntaggedContainerInTenantStoreIsQuarantined) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    TempDir dir("svc_tenant_orphan");
+    const auto versions = rolling_versions(700, 3);
+    {
+      auto server = start_server(dir.path, shards);
+      backup_all(server->port(), "alpha", versions);
+      server->stop();
+    }
+    // Plant a copy of a sealed container under an id no tag names, in the
+    // first shard store that holds one.
+    const auto tenant = dir.path / "tenants" / "alpha";
+    fs::path shard_dir, stray;
+    for (std::size_t i = 0; i < shards && stray.empty(); ++i) {
+      const auto files =
+          container_files(shard_root(tenant, shards, i) / "archival");
+      if (files.empty()) continue;
+      shard_dir = shard_root(tenant, shards, i);
+      const ContainerId id = shard_id_base(i) + (ContainerId{1} << 20);
+      stray = shard_dir / "archival" /
+              ("container_" + std::to_string(id) + ".hdsc");
+      fs::copy_file(files.front(), stray);
+    }
+    ASSERT_FALSE(stray.empty());
+    {
+      auto server = start_server(dir.path, shards);
+      ServeClient client;
+      ASSERT_TRUE(client.connect(server->port()));
+      const auto fsck = must_call(client, tenant_request(Op::kFsck, "alpha"));
+      EXPECT_EQ(fsck.status, Status::kOk)
+          << std::string(fsck.data.begin(), fsck.data.end());
+      server->stop();
+    }
+    EXPECT_FALSE(fs::exists(stray));
+    EXPECT_TRUE(fs::exists(shard_dir / "quarantine" / stray.filename()));
+
+    // fsck's whole-store walks cover every container file the tenant holds.
+    std::size_t containers = 0;
+    for (std::size_t i = 0; i < shards; ++i) {
+      containers +=
+          container_files(shard_root(tenant, shards, i) / "archival").size();
+    }
+    auto repo = Repository::open(tenant, shards);
+    ASSERT_NE(repo, nullptr);
+    using verify::Invariant;
+    const auto report = verify::run_fsck(repo->router());
+    for (const auto invariant :
+         {Invariant::kContainerFraming, Invariant::kDeletionTags,
+          Invariant::kOrphanContainers}) {
+      EXPECT_TRUE(report.check(invariant).passed()) << report.to_text();
+    }
+    EXPECT_EQ(report.check(Invariant::kContainerFraming).objects_checked,
+              containers);
+  }
+}
+
+TEST(ServeServer, UnreadableTenantIsRefusedOthersServed) {
+  TempDir dir("svc_unreadable");
+  const auto payload = random_bytes(31, 64 * 1024);
+  {
+    auto server = start_server(dir.path, 1);
+    backup_all(server->port(), "alpha", {payload});
+    backup_all(server->port(), "bravo", {payload});
+    server->stop();
+  }
+  // Recovery acts on alpha (it sweeps the *.tmp), so opening it reads the
+  // catalog, and a directory stands where the catalog file belongs.
+  const auto alpha = dir.path / "tenants" / "alpha";
+  { std::ofstream(alpha / "state.9.hds.tmp") << "partial"; }
+  fs::remove(alpha / "catalog.hds");
+  fs::create_directory(alpha / "catalog.hds");
+
+  auto server = start_server(dir.path, 1);
+  ServeClient client;
+  ASSERT_TRUE(client.connect(server->port()));
+  for (const auto& req :
+       {backup_request("alpha", payload), restore_request("alpha", 1),
+        tenant_request(Op::kList, "alpha")}) {
+    const auto resp = must_call(client, req);
+    EXPECT_EQ(resp.status, Status::kError);
+    EXPECT_NE(resp.message.find("catalog.hds"), std::string::npos)
+        << resp.message;
+  }
+  const auto back = must_call(client, restore_request("bravo", 1));
+  ASSERT_EQ(back.status, Status::kOk) << back.message;
+  EXPECT_EQ(back.data, payload);
+  EXPECT_EQ(must_call(client, backup_request("bravo", payload)).status,
+            Status::kOk);
+  server->stop();
+}
+
+// Rebuilds, from a repository this server wrote, the layout one served
+// before tenants owned their stores: every container in
+// <repo>/archival[/shard_<i>], and each state file recording placement 2
+// (with its CRC trailer and MANIFEST record to match).
+void rebuild_shared_layout(const fs::path& repo,
+                           const std::vector<std::string>& tenants,
+                           std::size_t shards) {
+  // magic, format, epoch, container size, threshold, window, materialize,
+  // flatten: the placement byte follows.
+  constexpr std::size_t kPlacement = 4 + 4 + 8 + 8 + 8 + 4 + 1 + 1;
+  for (const auto& name : tenants) {
+    for (std::size_t i = 0; i < shards; ++i) {
+      const auto sdir = shard_root(repo / "tenants" / name, shards, i);
+      const auto to = old_store(repo, shards, i);
+      fs::create_directories(to);
+      for (const auto& file : container_files(sdir / "archival")) {
+        ASSERT_FALSE(fs::exists(to / file.filename())) << file;
+        fs::rename(file, to / file.filename());
+      }
+      fs::remove(sdir / "archival");
+      for (const auto& entry : fs::directory_iterator(sdir)) {
+        if (!journal::parse_file_name(journal::kStateStem,
+                                      entry.path().filename().string())) {
+          continue;
+        }
+        auto bytes = *durable::read_file(entry.path());
+        ASSERT_EQ(bytes[kPlacement], 0);
+        bytes[kPlacement] = 2;
+        const std::uint32_t crc = crc32(bytes.data(), bytes.size() - 4);
+        for (std::size_t b = 0; b < 4; ++b) {
+          bytes[bytes.size() - 4 + b] =
+              static_cast<std::uint8_t>(crc >> (8 * b));
+        }
+        durable::atomic_write_file(entry.path(), bytes);
+        Manifest manifest;
+        ASSERT_EQ(load_manifest(sdir, manifest), ManifestStatus::kOk);
+        manifest.records.back().state_crc = crc32(bytes.data(), bytes.size());
+        store_manifest(sdir, manifest);
+      }
+    }
+  }
+}
+
+TEST(ServeServer, SharedStoreLayoutMigratesOnStart) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    TempDir dir("svc_migrate");
+    const std::map<std::string, std::vector<std::vector<std::uint8_t>>> data =
+        {{"alpha", rolling_versions(800, 4)},
+         {"bravo", rolling_versions(900, 3)}};
+    {
+      // One counter per shared store gave every tenant disjoint ids; bravo's
+      // stores start far past alpha's to keep that true here.
+      ShardRouterConfig config;
+      config.shards = shards;
+      config.base.storage_dir = dir.path / "tenants" / "bravo";
+      auto bravo = Repository::create(config);
+      for (std::size_t i = 0; i < shards; ++i) {
+        bravo->router().shard(i).archival_store().restore_next_id(
+            shard_id_base(i) + (ContainerId{1} << 22));
+      }
+      bravo->router().save(config.base.storage_dir);
+    }
+    {
+      auto server = start_server(dir.path, shards);
+      for (const auto& [name, versions] : data) {
+        backup_all(server->port(), name, versions);
+      }
+      server->stop();
+    }
+    {
+      auto alpha = Repository::open(dir.path / "tenants" / "alpha", shards);
+      ASSERT_NE(alpha, nullptr);
+      EXPECT_GT(alpha->expire(1).containers_erased, 0u);
+    }
+    rebuild_shared_layout(dir.path, {"alpha", "bravo"}, shards);
+    // One container no tenant tags: a backup whose commit never landed.
+    const auto first = container_files(old_store(dir.path, shards, 0));
+    ASSERT_FALSE(first.empty());
+    const std::string stray = "container_" +
+                              std::to_string(ContainerId{1} << 23) + ".hdsc";
+    fs::copy_file(first.front(), old_store(dir.path, shards, 0) / stray);
+
+    // A start killed after its first container move: the next one finishes.
+    durable::CrashInjector::arm(3, durable::FaultMode::kThrow);
+    start_server(dir.path, shards)->stop();
+    EXPECT_GE(durable::CrashInjector::steps(), 3u);
+    durable::CrashInjector::disarm();
+    EXPECT_TRUE(fs::exists(old_store(dir.path, shards, 0) / stray));
+
+    {
+      auto server = start_server(dir.path, shards);
+      ServeClient client;
+      ASSERT_TRUE(client.connect(server->port()));
+      for (const auto& [name, versions] : data) {
+        const VersionId oldest = name == "alpha" ? 2 : 1;
+        for (VersionId v = oldest; v <= versions.size(); ++v) {
+          const auto resp = must_call(client, restore_request(name, v));
+          ASSERT_EQ(resp.status, Status::kOk) << name << " " << resp.message;
+          EXPECT_EQ(resp.data, versions[v - 1]) << name << " version " << v;
+        }
+        const auto fsck = must_call(client, tenant_request(Op::kFsck, name));
+        EXPECT_EQ(fsck.status, Status::kOk)
+            << std::string(fsck.data.begin(), fsck.data.end());
+      }
+      server->stop();
+    }
+    EXPECT_FALSE(fs::exists(dir.path / "archival"));
+    EXPECT_TRUE(fs::exists(dir.path / "quarantine" / stray));
+
+    // A second start finds nothing to do.
+    const auto before = tree_bytes(dir.path);
+    start_server(dir.path, shards)->stop();
+    EXPECT_EQ(tree_bytes(dir.path), before);
+    for (const auto& [name, versions] : data) {
+      RecoveryReport report;
+      auto repo =
+          Repository::open(dir.path / "tenants" / name, shards, &report);
+      ASSERT_NE(repo, nullptr) << report.to_text();
+      EXPECT_FALSE(report.performed) << report.to_text();
+      EXPECT_TRUE(report.missing_containers.empty()) << report.to_text();
+      EXPECT_TRUE(verify::run_fsck(repo->router()).clean());
+    }
+  }
 }
 
 TEST(ServeServer, RefusesSingleTenantRepository) {

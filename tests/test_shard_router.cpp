@@ -2,9 +2,8 @@
 // shard-count contract on open, the {shard="i"}-labeled exposition,
 // cross-shard identity against a single-shard run (dedup ratio, stored
 // bytes, restored bytes — all bit-identical), the two-phase commit
-// crashed at every durable site (over owned and over shared stores), and a
-// compaction hammer that keeps every per-shard worker busy (run under
-// TSan via the `concurrency` label).
+// crashed at every durable site, and a compaction hammer that keeps every
+// per-shard worker busy (run under TSan via the `concurrency` label).
 //
 // Fixtures honor HDS_SHARDS=<n> (parsed strictly; see CI's sanitizer job,
 // which replays the suite at 4 shards) wherever the shard count is a free
@@ -384,54 +383,19 @@ TEST(ShardRouter, RouterStateOfAnotherEpochIsNotAdopted) {
 
 // --- The two-phase-commit crash matrix ---
 
-// The matrix runs over both ways a sharded repository is opened: owning
-// its stores under <dir>/shard_<i> (hds_tool), or as a serve tenant under
-// <dir>/tenant over shared stores <dir>/archival/shard_<i>, reopened with
-// fresh stores the way a restarted `serve` does.
-enum class StoreMode { kOwned, kShared };
-
-fs::path repo_dir(const fs::path& dir, StoreMode mode) {
-  return mode == StoreMode::kOwned ? dir : dir / "tenant";
-}
-
-std::vector<std::shared_ptr<ContainerStore>> shared_stores(
-    const fs::path& dir) {
-  std::vector<std::shared_ptr<ContainerStore>> stores;
-  for (std::size_t i = 0; i < 2; ++i) {
-    const auto store_dir = dir / "archival" / ("shard_" + std::to_string(i));
-    fs::create_directories(store_dir);
-    stores.push_back(std::make_shared<FileContainerStore>(
-        store_dir, /*index_existing=*/true));
-  }
-  return stores;
-}
-
-std::unique_ptr<ShardRouter> open_repo(const fs::path& dir, StoreMode mode,
-                                       RecoveryReport* report) {
-  return mode == StoreMode::kOwned
-             ? ShardRouter::open(dir, 0, report)
-             : ShardRouter::open_shared(repo_dir(dir, mode),
-                                        shared_stores(dir), report);
-}
-
 // Backs up and saves `versions` with the injector armed at `step`.
 // Returns how many saves committed before the simulated crash. The
 // directory is abandoned exactly as the crash left it.
-std::size_t run_until_crash(const fs::path& dir, StoreMode mode,
+std::size_t run_until_crash(const fs::path& dir,
                             const std::vector<VersionStream>& versions,
                             std::uint64_t step) {
   durable::CrashInjector::arm(step, durable::FaultMode::kThrow);
   std::size_t committed = 0;
   try {
-    const auto root = repo_dir(dir, mode);
-    const auto sys =
-        mode == StoreMode::kOwned
-            ? std::make_unique<ShardRouter>(router_config(2, root))
-            : std::make_unique<ShardRouter>(router_config(2, root),
-                                            shared_stores(dir));
+    ShardRouter sys(router_config(2, dir));
     for (const auto& vs : versions) {
-      (void)sys->backup(vs);
-      sys->save(root);
+      (void)sys.backup(vs);
+      sys.save(dir);
       ++committed;
     }
   } catch (const durable::InjectedCrash&) {
@@ -447,59 +411,55 @@ TEST(ShardCrashMatrix, TwoPhaseCommitRecoversAtEveryStep) {
   // HDS_SHARDS=4 replay double the sites at double the run cost.
   const auto versions = generate(3, 96);
 
-  for (const StoreMode mode : {StoreMode::kOwned, StoreMode::kShared}) {
-    SCOPED_TRACE(mode == StoreMode::kOwned ? "owned stores" : "shared stores");
-    std::uint64_t total_sites = 0;
-    {
-      TempDir dir("hds_shard_crash_dry");
-      const auto all = run_until_crash(
-          dir.path, mode, versions, std::numeric_limits<std::uint64_t>::max());
-      ASSERT_EQ(all, versions.size());
-      total_sites = durable::CrashInjector::steps();
+  std::uint64_t total_sites = 0;
+  {
+    TempDir dir("hds_shard_crash_dry");
+    const auto all = run_until_crash(
+        dir.path, versions, std::numeric_limits<std::uint64_t>::max());
+    ASSERT_EQ(all, versions.size());
+    total_sites = durable::CrashInjector::steps();
+  }
+  // Per save: 5 sites per staged shard state, per shard MANIFEST, per
+  // sealed container, plus the router state file and the root MANIFEST —
+  // a thin matrix means the harness is broken.
+  ASSERT_GT(total_sites, 60u);
+
+  for (std::uint64_t step = 1; step <= total_sites; ++step) {
+    TempDir dir("hds_shard_crash");
+    const std::size_t committed = run_until_crash(dir.path, versions, step);
+    ASSERT_LT(committed, versions.size()) << "step " << step;
+
+    RecoveryReport report;
+    auto sys = ShardRouter::open(dir.path, 0, &report);
+    if (sys == nullptr) {
+      // Only acceptable when the crash predates the very first commit.
+      EXPECT_EQ(committed, 0u) << "step " << step;
+      continue;
     }
-    // Per save: 5 sites per staged shard state, per shard MANIFEST, per
-    // sealed container, plus the router state file and the root MANIFEST —
-    // a thin matrix means the harness is broken.
-    ASSERT_GT(total_sites, 60u);
 
-    for (std::uint64_t step = 1; step <= total_sites; ++step) {
-      TempDir dir("hds_shard_crash");
-      const std::size_t committed =
-          run_until_crash(dir.path, mode, versions, step);
-      ASSERT_LT(committed, versions.size()) << "step " << step;
+    // Recovery lands on the last committed version — or one newer, when
+    // the crash hit after the root MANIFEST append (the commit point) but
+    // before save() returned; then every shard rolls forward.
+    const VersionId latest = sys->latest_version();
+    EXPECT_GE(latest, committed) << "step " << step;
+    EXPECT_LE(latest, committed + 1) << "step " << step;
+    ASSERT_GT(latest, 0u) << "step " << step;
+    expect_exact_restore(*sys, latest, versions[latest - 1]);
 
-      RecoveryReport report;
-      auto sys = open_repo(dir.path, mode, &report);
-      if (sys == nullptr) {
-        // Only acceptable when the crash predates the very first commit.
-        EXPECT_EQ(committed, 0u) << "step " << step;
-        continue;
-      }
+    const auto fsck = verify::run_fsck(*sys);
+    EXPECT_TRUE(fsck.clean())
+        << "step " << step << "\n"
+        << fsck.to_text() << report.to_text();
 
-      // Recovery lands on the last committed version — or one newer, when
-      // the crash hit after the root MANIFEST append (the commit point) but
-      // before save() returned; then every shard rolls forward.
-      const VersionId latest = sys->latest_version();
-      EXPECT_GE(latest, committed) << "step " << step;
-      EXPECT_LE(latest, committed + 1) << "step " << step;
-      ASSERT_GT(latest, 0u) << "step " << step;
-      expect_exact_restore(*sys, latest, versions[latest - 1]);
-
-      const auto fsck = verify::run_fsck(*sys);
-      EXPECT_TRUE(fsck.clean())
-          << "step " << step << "\n"
-          << fsck.to_text() << report.to_text();
-
-      // Recovery converges: a second open finds nothing left to repair.
-      sys.reset();  // release the directory before reopening
-      RecoveryReport second;
-      auto again = open_repo(dir.path, mode, &second);
-      ASSERT_NE(again, nullptr) << "step " << step;
-      EXPECT_FALSE(second.performed)
-          << "step " << step << "\n"
-          << second.to_text();
-      EXPECT_EQ(again->latest_version(), latest) << "step " << step;
-    }
+    // Recovery converges: a second open finds nothing left to repair.
+    sys.reset();  // release the directory before reopening
+    RecoveryReport second;
+    auto again = ShardRouter::open(dir.path, 0, &second);
+    ASSERT_NE(again, nullptr) << "step " << step;
+    EXPECT_FALSE(second.performed)
+        << "step " << step << "\n"
+        << second.to_text();
+    EXPECT_EQ(again->latest_version(), latest) << "step " << step;
   }
 }
 

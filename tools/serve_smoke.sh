@@ -4,12 +4,13 @@
 # through backup/restore round trips over the loopback protocol, requires
 # every restore to be bit-identical, checks tenant isolation (a tenant never
 # written stays empty), scrapes the /metrics endpoint for the per-tenant
-# counters, and finally requires a clean SIGTERM shutdown.
+# counters, requires a clean SIGTERM shutdown, and finally opens a tenant
+# directory with `hds_tool list` and `hds_tool fsck`: every tenant is a
+# standalone repository (DESIGN.md §15.2).
 #
-# Runs two legs: the legacy single-shard layout, then --shards=4 (both
-# tenants over one 4-way sharded shared store, DESIGN.md §16) whose leg
-# additionally checks the shards gauge, the {shard="i"} store samples, and
-# the per-shard on-disk layout.
+# Runs two legs: one shard, then --shards=4 (DESIGN.md §16), whose leg
+# additionally checks the tenant's shards gauge, its {tenant,shard}
+# store samples, and its per-shard on-disk layout.
 #
 #   tools/serve_smoke.sh <build-dir> [port] [metrics-port]
 set -eu
@@ -59,7 +60,7 @@ smoke_leg() {
   done
   "${tool}" client ping --port="${port}"
 
-  # Two concurrent tenant round trips against the one shared store.
+  # Two concurrent tenant round trips.
   run_tenant() {
     local tenant="$1"
     "${tool}" client backup "${tenant}" "${work}/${tenant}.bin" \
@@ -88,19 +89,19 @@ smoke_leg() {
     exit 1
   fi
 
-  # Per-tenant state must be internally consistent against the shared store.
+  # Per-tenant state must be internally consistent.
   "${tool}" client fsck alpha --port="${port}" > /dev/null
   "${tool}" client fsck bravo --port="${port}" > /dev/null
   echo "serve_smoke[${tag}]: per-tenant fsck clean"
 
-  # The metrics endpoint must expose each tenant's own counters under a
-  # tenant label, and the shared store's cache counters.
+  # The metrics endpoint must expose each tenant's own counters, its
+  # store's cache counters included, under a tenant label.
   local metrics
   metrics="$(curl -fsS "http://127.0.0.1:${metrics_port}/metrics")"
   local name
   for name in 'backups_completed{tenant="alpha"' \
       'backups_completed{tenant="bravo"' 'restored_bytes{tenant="alpha"' \
-      'sessions{tenant="alpha"}' '^io_block_cache_hits[{ ]' \
+      'sessions{tenant="alpha"}' 'io_block_cache_hits{tenant="alpha"' \
       serve_sessions_accepted; do
     if ! printf '%s\n' "${metrics}" | grep -q "${name}"; then
       echo "serve_smoke[${tag}]: /metrics missing ${name}" >&2
@@ -114,19 +115,23 @@ smoke_leg() {
   echo "serve_smoke[${tag}]: /metrics exposes tenant counters"
 
   if [ "${tag}" = "shards4" ]; then
-    # Sharded leg: the shards gauge and every shared store's counters.
-    for name in '^shards ' 'store_container_writes{shard="0"}' \
-        'store_container_writes{shard="3"}'; do
-      if ! printf '%s\n' "${metrics}" | grep -q "${name}"; then
+    # Sharded leg: the tenant's shards gauge, every one of its shard
+    # stores' counters, and one container directory per shard on disk.
+    for name in 'shards{tenant="alpha"} 4' \
+        'store_container_writes{tenant="alpha",shard="0"}' \
+        'store_container_writes{tenant="alpha",shard="1"}' \
+        'store_container_writes{tenant="alpha",shard="2"}' \
+        'store_container_writes{tenant="alpha",shard="3"}'; do
+      if ! printf '%s\n' "${metrics}" | grep -qF "${name}"; then
         echo "serve_smoke[${tag}]: /metrics missing ${name}" >&2
         exit 1
       fi
     done
-    # One shared container directory per shard on disk.
     local i
     for i in 0 1 2 3; do
-      if [ ! -d "${repo}/archival/shard_${i}" ]; then
-        echo "serve_smoke[${tag}]: missing ${repo}/archival/shard_${i}" >&2
+      if [ ! -d "${repo}/tenants/alpha/shard_${i}/archival" ]; then
+        echo "serve_smoke[${tag}]: missing" \
+          "${repo}/tenants/alpha/shard_${i}/archival" >&2
         exit 1
       fi
     done
@@ -138,8 +143,14 @@ smoke_leg() {
   wait "${srv_pid}"
   srv_pid=""
   echo "serve_smoke[${tag}]: clean SIGTERM shutdown"
+
+  # A tenant is a standalone repository: the CLI lists and checks it under
+  # the serve's shard flags.
+  "${tool}" list "${repo}/tenants/alpha" "$@" > /dev/null
+  "${tool}" fsck "${repo}/tenants/alpha" "$@" > /dev/null
+  echo "serve_smoke[${tag}]: hds_tool list and fsck open a tenant"
 }
 
-smoke_leg legacy "${work}/repo" "${base_port}" "${base_metrics_port}"
+smoke_leg single "${work}/repo" "${base_port}" "${base_metrics_port}"
 smoke_leg shards4 "${work}/repo4" "$((base_port + 4))" \
   "$((base_metrics_port + 4))" --shards=4
