@@ -1,7 +1,8 @@
 // Micro-benchmarks for the container read path (DESIGN.md §10): a cold
 // whole-file read, a block-cache hit, serving chunks from a loaded
 // container, and the CRC-carrying staged copy batched compaction/eviction
-// uses.
+// uses; and for the state file every CLI command opens and every
+// committing command saves (DESIGN.md §9).
 // CI runs this with --benchmark_out=BENCH_io.json (artifact "BENCH_io").
 #include <benchmark/benchmark.h>
 
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/hidestore.h"
 #include "storage/container_store.h"
 
 namespace {
@@ -121,6 +123,65 @@ void BM_StagedCopyRecomputedCrc(benchmark::State& state) {
                           static_cast<std::int64_t>(kChunks * kChunkBytes));
 }
 BENCHMARK(BM_StagedCopyRecomputedCrc);
+
+// A file-backed store whose active pool holds ~32 MiB (one 8192-chunk
+// version, all of it hot), about the state a `nightly` perfbench command
+// opens and saves. The state file is the serialized pool plus one recipe.
+constexpr std::size_t kStateChunks = 8192;
+
+struct StateFixture {
+  std::filesystem::path dir;
+  std::uintmax_t state_bytes = 0;
+
+  explicit StateFixture(const char* name)
+      : dir(std::filesystem::temp_directory_path() / name) {
+    std::filesystem::remove_all(dir);
+    HiDeStoreConfig config;
+    config.storage_dir = dir;
+    HiDeStore sys(config);
+    VersionStream stream;
+    for (std::size_t i = 0; i < kStateChunks; ++i) {
+      ChunkRecord chunk;
+      chunk.fp = Fingerprint::from_seed(i);
+      chunk.size = kChunkBytes;
+      chunk.content_seed = i;
+      stream.chunks.push_back(chunk);
+    }
+    (void)sys.backup(stream);
+    sys.save(dir);
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().extension() == ".hds") {
+        state_bytes = entry.file_size();
+      }
+    }
+  }
+  ~StateFixture() { std::filesystem::remove_all(dir); }
+};
+
+// One open of a committed state file: read, integrity check, parse, and
+// the pool's containers loaded with their payloads checked.
+void BM_StateOpen(benchmark::State& state) {
+  StateFixture fx("hds_micro_io_state_open");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(HiDeStore::open(fx.dir));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(fx.state_bytes));
+}
+BENCHMARK(BM_StateOpen)->Unit(benchmark::kMillisecond);
+
+// One save of the same store: serialize, stage the next epoch's file and
+// commit it to the MANIFEST.
+void BM_StateSave(benchmark::State& state) {
+  StateFixture fx("hds_micro_io_state_save");
+  auto sys = HiDeStore::open(fx.dir);
+  for (auto _ : state) {
+    sys->save(fx.dir);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(fx.state_bytes));
+}
+BENCHMARK(BM_StateSave)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

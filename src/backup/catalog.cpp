@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/byte_io.h"
-#include "common/crc32.h"
 
 namespace hds {
 
@@ -67,27 +66,15 @@ std::vector<std::uint8_t> FileCatalog::serialize() const {
       writer.u64(entry.length);
     }
   }
-  auto bytes = writer.take();
-  const std::uint32_t crc = crc32(bytes.data(), bytes.size());
-  ByteWriter trailer;
-  trailer.u32(crc);
-  bytes.insert(bytes.end(), trailer.bytes().begin(),
-               trailer.bytes().end());
-  return bytes;
+  writer.seal();
+  return writer.take();
 }
 
 std::optional<FileCatalog> FileCatalog::deserialize(
     std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < 12) return std::nullopt;
-  std::uint32_t stored_crc = 0;
-  for (int i = 3; i >= 0; --i) {
-    stored_crc = (stored_crc << 8) | bytes[bytes.size() - 4 + i];
-  }
-  if (crc32(bytes.data(), bytes.size() - 4) != stored_crc) {
-    return std::nullopt;
-  }
-
-  ByteReader reader(bytes.subspan(0, bytes.size() - 4));
+  const auto body = unseal(bytes);
+  if (!body) return std::nullopt;
+  ByteReader reader(*body);
   std::uint32_t magic, version_count;
   if (!reader.u32(magic) || magic != kMagic) return std::nullopt;
   if (!reader.u32(version_count)) return std::nullopt;

@@ -1,13 +1,24 @@
-// Little-endian byte serialization helpers for on-disk state files.
+// Little-endian byte serialization helpers for on-disk state files, and
+// the one seal every metadata file ends in: the little-endian CRC-32 of
+// the bytes before it (ByteWriter::seal() writes it, unseal() checks it).
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
+
 namespace hds {
+
+// The CRC-32 of any sealed file, trailer included: a message followed by
+// its own little-endian CRC-32 always hashes to this residue. It is the
+// `state_crc` every commit record carries.
+inline constexpr std::uint32_t kSealResidue = 0x2144DF1C;
+inline constexpr std::size_t kSealSize = 4;
 
 class ByteWriter {
  public:
@@ -35,6 +46,9 @@ class ByteWriter {
     u32(static_cast<std::uint32_t>(data.size()));
     raw(data);
   }
+  // Appends the CRC-32 of every byte written so far; unseal() checks it.
+  void seal() { u32(crc32(bytes_)); }
+  void reserve(std::size_t n) { bytes_.reserve(n); }
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept {
     return bytes_;
@@ -108,5 +122,17 @@ class ByteReader {
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
+
+// The body of a sealed file: `bytes` without its trailer, or nullopt when
+// it is too short to hold one or the trailer is not the body's CRC-32.
+[[nodiscard]] inline std::optional<std::span<const std::uint8_t>> unseal(
+    std::span<const std::uint8_t> bytes) {
+  if (bytes.size() < kSealSize) return std::nullopt;
+  const auto body = bytes.first(bytes.size() - kSealSize);
+  std::uint32_t stored = 0;
+  ByteReader(bytes.last(kSealSize)).u32(stored);
+  if (crc32(body) != stored) return std::nullopt;
+  return body;
+}
 
 }  // namespace hds

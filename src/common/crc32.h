@@ -1,8 +1,10 @@
 // CRC-32 (IEEE 802.3 polynomial), table-driven.
 //
-// Used as an integrity checksum on serialized containers and recipes —
-// corruption of on-disk structures must be detected before chunks are handed
-// back to a restore.
+// The integrity checksum of everything on disk: the seal every metadata
+// file and container image ends in (ByteWriter::seal() / unseal() in
+// common/byte_io.h, the only code that writes or checks a trailer), and a
+// container's footer and per-chunk CRCs (storage/container.cpp), so
+// corruption is caught before a chunk is handed back to a restore.
 #pragma once
 
 #include <cstddef>

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "common/byte_io.h"
-#include "common/crc32.h"
 #include "obs/log.h"
 #include "storage/durable.h"
 #include "storage/journal.h"
@@ -634,12 +633,7 @@ CommitRecord HiDeStore::stage_save(const std::filesystem::path& dir) {
   writer.blob(pool_.serialize_state());
   writer.u32(static_cast<std::uint32_t>(store_->next_id()));
 
-  auto bytes = writer.take();
-  const std::uint32_t crc = crc32(bytes.data(), bytes.size());
-  ByteWriter trailer;
-  trailer.u32(crc);
-  bytes.insert(bytes.end(), trailer.bytes().begin(), trailer.bytes().end());
-  return journal::stage(dir, journal::kStateStem, record, bytes);
+  return journal::stage(dir, journal::kStateStem, record, std::move(writer));
 }
 
 void HiDeStore::commit_staged_save(const std::filesystem::path& dir,
@@ -670,8 +664,8 @@ std::unique_ptr<HiDeStore> HiDeStore::open(const std::filesystem::path& dir,
   std::unique_ptr<HiDeStore> sys;
   const auto committed = journal::open(
       dir, journal::kStateStem, &peek_state_header,
-      [&](std::span<const std::uint8_t> bytes) -> std::optional<CommitRecord> {
-        sys = parse_state(dir, bytes, report);
+      [&](std::span<const std::uint8_t> body) -> std::optional<CommitRecord> {
+        sys = parse_state(dir, body, report);
         if (sys == nullptr) return std::nullopt;
         return sys->commit_record(sys->epoch_);
       },
@@ -710,19 +704,9 @@ std::unique_ptr<HiDeStore> HiDeStore::open(const std::filesystem::path& dir,
 }
 
 std::unique_ptr<HiDeStore> HiDeStore::parse_state(
-    const std::filesystem::path& dir, std::span<const std::uint8_t> bytes,
+    const std::filesystem::path& dir, std::span<const std::uint8_t> body,
     RecoveryReport& report) {
-  if (bytes.size() < 12) return nullptr;
-
-  // CRC trailer over the whole body.
-  std::uint32_t stored_crc = 0;
-  for (int i = 3; i >= 0; --i) {
-    stored_crc = (stored_crc << 8) | bytes[bytes.size() - 4 +
-                                           static_cast<std::size_t>(i)];
-  }
-  if (crc32(bytes.data(), bytes.size() - 4) != stored_crc) return nullptr;
-
-  ByteReader reader(bytes.subspan(0, bytes.size() - 4));
+  ByteReader reader(body);
   std::uint32_t magic, format;
   if (!reader.u32(magic) || magic != kStateMagic) return nullptr;
   if (!reader.u32(format) ||

@@ -153,8 +153,8 @@ class HiDeStore final : public BackupSystem {
   static std::unique_ptr<HiDeStore> open(
       const std::filesystem::path& dir, RecoveryReport* report = nullptr,
       const CommitRecord* roll_forward = nullptr);
-  // True when `dir` holds the state file `record` commits: same size and
-  // whole-file CRC, and its header carries the record's epoch
+  // True when `dir` holds the state file `record` commits: the recorded
+  // size, an intact seal, and its header carries the record's epoch
   // (journal::holds_committed).
   [[nodiscard]] static bool holds_committed_state(
       const std::filesystem::path& dir, const CommitRecord& record);
@@ -233,11 +233,12 @@ class HiDeStore final : public BackupSystem {
   }
 
  private:
-  // Deserializes one state snapshot into a fresh system; nullptr on any
-  // corruption or format mismatch (a refusal worth explaining gets a note
-  // in `report`). The journal picks which snapshot to trust.
+  // Deserializes one state snapshot's body (the journal has checked and
+  // stripped its seal) into a fresh system; nullptr on any format mismatch
+  // (a refusal worth explaining gets a note in `report`). The journal
+  // picks which snapshot to trust.
   static std::unique_ptr<HiDeStore> parse_state(
-      const std::filesystem::path& dir, std::span<const std::uint8_t> bytes,
+      const std::filesystem::path& dir, std::span<const std::uint8_t> body,
       RecoveryReport& report);
 
   // The record that commits this system's state at `epoch` (size and CRC

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/byte_io.h"
-#include "common/crc32.h"
 #include "common/thread_annotations.h"
 #include "parallel/mpmc_queue.h"
 #include "storage/durable.h"
@@ -57,16 +56,10 @@ struct ParsedRouterState {
   }
 };
 
+// Parses a router state's body (its seal already checked and stripped).
 std::optional<ParsedRouterState> parse_router_state(
-    std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < sizeof(std::uint32_t)) return std::nullopt;
-  const std::size_t body = bytes.size() - sizeof(std::uint32_t);
-  ByteReader trailer(bytes.subspan(body));
-  std::uint32_t stored_crc = 0;
-  if (!trailer.u32(stored_crc) || stored_crc != crc32(bytes.data(), body)) {
-    return std::nullopt;
-  }
-  ByteReader reader(bytes.subspan(0, body));
+    std::span<const std::uint8_t> body) {
+  ByteReader reader(body);
   std::uint32_t magic = 0, format = 0;
   if (!reader.u32(magic) || magic != kRouterMagic) return std::nullopt;
   if (!reader.u32(format) || format != kRouterFormat) return std::nullopt;
@@ -464,7 +457,7 @@ std::size_t ShardRouter::flatten_recipes() {
 
 // --- Persistence ------------------------------------------------------------
 
-std::vector<std::uint8_t> ShardRouter::serialize_router_state(
+ByteWriter ShardRouter::serialize_router_state(
     std::uint64_t epoch, const std::vector<CommitRecord>& records) const {
   ByteWriter writer;
   writer.u32(kRouterMagic);
@@ -499,12 +492,7 @@ std::vector<std::uint8_t> ShardRouter::serialize_router_state(
     writer.u32(record.state_crc);
   }
 
-  auto bytes = writer.take();
-  const std::uint32_t crc = crc32(bytes.data(), bytes.size());
-  ByteWriter trailer;
-  trailer.u32(crc);
-  bytes.insert(bytes.end(), trailer.bytes().begin(), trailer.bytes().end());
-  return bytes;
+  return writer;
 }
 
 void ShardRouter::save(const std::filesystem::path& dir) {
@@ -572,8 +560,8 @@ std::size_t ShardRouter::detect_shards(const std::filesystem::path& dir) {
   const auto files = journal::files(dir, journal::kRouterStem);
   for (auto it = files.rbegin(); it != files.rend(); ++it) {
     const auto bytes = durable::read_file(it->second);
-    if (!bytes) continue;
-    if (const auto parsed = parse_router_state(*bytes)) {
+    const auto body = bytes ? unseal(*bytes) : std::nullopt;
+    if (const auto parsed = body ? parse_router_state(*body) : std::nullopt) {
       return parsed->shard_count;
     }
   }
@@ -603,8 +591,8 @@ std::unique_ptr<ShardRouter> ShardRouter::open(
   std::optional<ParsedRouterState> parsed;
   const auto committed = journal::open(
       dir, journal::kRouterStem, &peek_router_header,
-      [&](std::span<const std::uint8_t> bytes) -> std::optional<CommitRecord> {
-        parsed = parse_router_state(bytes);
+      [&](std::span<const std::uint8_t> body) -> std::optional<CommitRecord> {
+        parsed = parse_router_state(body);
         if (!parsed) return std::nullopt;
         // Checked before the journal repairs anything: a mismatched open
         // leaves the directory byte-unchanged.

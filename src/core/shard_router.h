@@ -37,6 +37,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/byte_io.h"
 #include "core/hidestore.h"
 #include "index/shard_space.h"
 
@@ -178,7 +179,8 @@ class ShardRouter {
   void run_on_shards(const std::function<void(std::size_t)>& fn);
   [[nodiscard]] static std::filesystem::path shard_dir(
       const std::filesystem::path& root, std::size_t shard);
-  [[nodiscard]] std::vector<std::uint8_t> serialize_router_state(
+  // The router state's body; journal::stage seals it.
+  [[nodiscard]] ByteWriter serialize_router_state(
       std::uint64_t epoch, const std::vector<CommitRecord>& records) const;
 
   std::vector<std::unique_ptr<HiDeStore>> shards_;

@@ -1,5 +1,5 @@
 // Minimal embedded HTTP/1.1 listener — the live metrics surface behind
-// `hds_tool serve-metrics` / `hds_tool serve` (ROADMAP item 1).
+// `hds_tool serve-metrics` / `hds_tool serve`.
 //
 // Scope is deliberately tiny: GET-only, loopback-bound, one request per
 // connection (Connection: close), fixed route table registered before

@@ -13,7 +13,6 @@
 
 #include "obs/log.h"
 #include "storage/durable.h"
-#include "storage/journal.h"
 #include "storage/recovery.h"
 #include "verify/fsck.h"
 
@@ -66,13 +65,14 @@ bool ServeServer::start(std::string* error) {
   };
   if (running()) return true;
 
-  // A single-tenant repository keeps its state file at its root; serving
-  // on top of one would take its archival/ for an old shared store.
-  // Refuse — serve repositories are their own layout.
+  // A single-tenant repository, of any shard count, keeps its state at
+  // its root; serving on top of one would write tenants/ into it and take
+  // its archival/ for an old shared store. Refuse before writing anything
+  // — serve repositories are their own layout.
   std::error_code ec;
-  if (journal::holds_single_store_state(config_.repo)) {
-    return fail("refusing to serve a single-tenant repository (its state "
-                "file is at the root): " +
+  if (Repository::exists(config_.repo)) {
+    return fail("refusing to serve a single-tenant repository (its "
+                "committed state is at the root): " +
                 config_.repo.string());
   }
   if (config_.shards == 0 || config_.shards > kMaxShards) {

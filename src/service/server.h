@@ -81,7 +81,7 @@ class ServeServer {
   // (migrating an old shared-store layout, see load_tenants), binds the
   // loopback listener and spawns the worker pool. False with a reason in
   // `error` when the repository is unusable (e.g. it is a single-tenant
-  // repo) or the port is taken.
+  // repository, of any shard count) or the port is taken.
   bool start(std::string* error = nullptr);
 
   // Stops accepting, aborts in-flight sessions at the next socket

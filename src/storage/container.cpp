@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstring>
 
+#include "common/byte_io.h"
 #include "common/crc32.h"
 #include "verify/invariant.h"
 
@@ -23,12 +24,6 @@ std::uint64_t chunk_crc_failures() noexcept {
 }
 
 namespace {
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
 
 std::uint32_t get_u32(const std::uint8_t* p) noexcept {
   return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) |
@@ -128,49 +123,47 @@ void Container::compact() {
 }
 
 std::vector<std::uint8_t> Container::serialize() const {
-  std::vector<std::uint8_t> out;
+  ByteWriter out;
   out.reserve(kHeaderSize + data_.size() + entries_.size() * kEntrySize +
               kTrailerSize);
-  put_u32(out, kMagicV3);
-  put_u32(out, static_cast<std::uint32_t>(id_));
-  put_u32(out, static_cast<std::uint32_t>(capacity_));
-  put_u32(out, static_cast<std::uint32_t>(entries_.size()));
-  put_u32(out, static_cast<std::uint32_t>(data_.size()));
-  out.insert(out.end(), data_.begin(), data_.end());
-  const std::size_t table_at = out.size();
+  out.u32(kMagicV3);
+  out.u32(static_cast<std::uint32_t>(id_));
+  out.u32(static_cast<std::uint32_t>(capacity_));
+  out.u32(static_cast<std::uint32_t>(entries_.size()));
+  out.u32(static_cast<std::uint32_t>(data_.size()));
+  out.raw(data_);
+  const std::size_t table_at = out.bytes().size();
   for (const auto& [fp, entry] : entries_) {
-    out.insert(out.end(), fp.bytes.begin(), fp.bytes.end());
-    put_u32(out, entry.offset);
-    put_u32(out, entry.size);
-    put_u32(out, entry.crc);
+    out.raw(fp.bytes);
+    out.u32(entry.offset);
+    out.u32(entry.size);
+    out.u32(entry.crc);
   }
   // Footer CRC over header + table (skipping the data region in between),
   // so the index validates without touching payloads.
-  const std::uint32_t footer_crc =
-      crc32(out.data() + table_at, out.size() - table_at,
-            crc32(out.data(), kHeaderSize));
-  put_u32(out, footer_crc);
-  put_u32(out, crc32(out.data(), out.size()));
-  return out;
+  const auto written = std::span(out.bytes());
+  out.u32(crc32(written.subspan(table_at), crc32(written.first(kHeaderSize))));
+  out.seal();
+  return out.take();
 }
 
 std::vector<std::uint8_t> Container::serialize_legacy() const {
-  std::vector<std::uint8_t> out;
+  ByteWriter out;
   out.reserve(data_.size() + entries_.size() * kEntrySize + 64);
-  put_u32(out, kMagicV2);
-  put_u32(out, static_cast<std::uint32_t>(id_));
-  put_u32(out, static_cast<std::uint32_t>(capacity_));
-  put_u32(out, static_cast<std::uint32_t>(entries_.size()));
-  put_u32(out, static_cast<std::uint32_t>(data_.size()));
+  out.u32(kMagicV2);
+  out.u32(static_cast<std::uint32_t>(id_));
+  out.u32(static_cast<std::uint32_t>(capacity_));
+  out.u32(static_cast<std::uint32_t>(entries_.size()));
+  out.u32(static_cast<std::uint32_t>(data_.size()));
   for (const auto& [fp, entry] : entries_) {
-    out.insert(out.end(), fp.bytes.begin(), fp.bytes.end());
-    put_u32(out, entry.offset);
-    put_u32(out, entry.size);
-    put_u32(out, entry.crc);
+    out.raw(fp.bytes);
+    out.u32(entry.offset);
+    out.u32(entry.size);
+    out.u32(entry.crc);
   }
-  out.insert(out.end(), data_.begin(), data_.end());
-  put_u32(out, crc32(out.data(), out.size()));
-  return out;
+  out.raw(data_);
+  out.seal();
+  return out.take();
 }
 
 std::optional<Container::HeaderInfo> Container::parse_header(
@@ -224,11 +217,7 @@ std::optional<Container> Container::deserialize(
   if (!header) return std::nullopt;
   const bool whole_file = check == LoadCheck::kWholeFile ||
                           !header->footer_indexed;
-  if (whole_file &&
-      crc32(bytes.data(), bytes.size() - 4) !=
-          get_u32(bytes.data() + bytes.size() - 4)) {
-    return std::nullopt;
-  }
+  if (whole_file && !unseal(bytes)) return std::nullopt;
 
   const std::size_t table_bytes = std::size_t{header->count} * kEntrySize;
   const std::uint8_t* table = nullptr;

@@ -123,18 +123,18 @@ class Container {
 
   // --- On-disk layout ---
   // Format 3 ("HDSF"): header(20) | chunk data | entry table (32 B/chunk) |
-  // footer CRC | file CRC. The header keeps the format-2 field offsets
+  // footer CRC | seal. The header keeps the format-2 field offsets
   // (chunk count at byte 12, data size at byte 16), but the entry table
   // — with the header, the *footer index* — sits behind the data region.
   // The footer CRC covers header + table and the per-chunk CRCs cover every
   // live payload, so a load checks each byte it serves exactly once. The
-  // trailing file CRC also covers holes and is what fsck's verified read
-  // checks (LoadCheck::kWholeFile); fsck's footer_index check parses the
+  // seal (common/byte_io.h) also covers holes and is what fsck's verified
+  // read checks (LoadCheck::kWholeFile); fsck's footer_index check parses the
   // table on its own (parse_footer). Format 2 ("HDSE": table before data,
-  // single trailing CRC) is still accepted by deserialize().
+  // then the seal) is still accepted by deserialize().
   static constexpr std::size_t kHeaderSize = 20;
   static constexpr std::size_t kEntrySize = 32;
-  // Footer CRC + file CRC behind the entry table (format 3 only).
+  // Footer CRC + seal behind the entry table (format 3 only).
   static constexpr std::size_t kTrailerSize = 8;
   // Offset marker for metadata-only chunks (no stored payload).
   static constexpr std::uint32_t kVirtualOffset = 0xFFFFFFFFu;
@@ -182,13 +182,13 @@ class Container {
   [[nodiscard]] std::vector<std::uint8_t> serialize_legacy() const;
 
   // Which CRC vouches for the bytes deserialize() loads (format 3; a
-  // format-2 image is always checked against its whole-file CRC).
+  // format-2 image is always checked against its seal).
   enum class LoadCheck : std::uint8_t {
     // Footer CRC plus each live payload's chunk CRC. A payload mismatch is
     // counted in chunk_crc_failures() and rejects the container. Every
     // load that serves data uses this.
     kPayloads,
-    // Footer CRC plus the trailing whole-file CRC; payloads are not
+    // Footer CRC plus the seal over the whole file; payloads are not
     // checked, so fsck can classify payload damage per chunk
     // (corrupt_chunks()) apart from framing damage.
     kWholeFile,

@@ -1,9 +1,10 @@
 #include "storage/journal.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
-#include "common/crc32.h"
+#include "common/byte_io.h"
 #include "common/parse.h"
 #include "storage/durable.h"
 
@@ -19,14 +20,20 @@ constexpr std::string_view kSuffix = ".hds";
 constexpr std::string_view kLegacyStateFiles[] = {"state.hds",
                                                   "state.prev.hds"};
 
-bool is_committed(const CommitRecord& record,
-                  std::span<const std::uint8_t> bytes, PeekHeader peek) {
-  if (bytes.size() != record.state_size ||
-      crc32(bytes.data(), bytes.size()) != record.state_crc) {
-    return false;
-  }
-  const auto header = peek(bytes);
-  return header.has_value() && header->epoch == record.epoch;
+// The body of the file `record` commits, when `bytes` is that file: the
+// recorded size, an intact seal, and a header naming the record's epoch.
+// A sealed file's whole-file CRC is always the residue, so the seal check
+// is the only CRC pass, and a save that changed nothing stages a file of
+// the same size: only the epoch tells two such files apart.
+std::optional<std::span<const std::uint8_t>> committed_body(
+    const CommitRecord& record, std::span<const std::uint8_t> bytes,
+    PeekHeader peek) {
+  if (bytes.size() != record.state_size) return std::nullopt;
+  const auto body = unseal(bytes);
+  if (!body) return std::nullopt;
+  const auto header = peek(*body);
+  if (!header || header->epoch != record.epoch) return std::nullopt;
+  return body;
 }
 
 // The candidates for a directory's committed file: every
@@ -89,10 +96,12 @@ std::map<std::uint64_t, fs::path> files(const fs::path& dir,
 }
 
 CommitRecord stage(const fs::path& dir, std::string_view stem,
-                   CommitRecord record, std::span<const std::uint8_t> bytes) {
-  durable::atomic_write_file(dir / file_name(stem, record.epoch), bytes);
-  record.state_size = bytes.size();
-  record.state_crc = crc32(bytes.data(), bytes.size());
+                   CommitRecord record, ByteWriter body) {
+  body.seal();
+  durable::atomic_write_file(dir / file_name(stem, record.epoch),
+                             body.bytes());
+  record.state_size = body.bytes().size();
+  record.state_crc = kSealResidue;
   return record;
 }
 
@@ -128,7 +137,7 @@ bool holds_committed(const fs::path& dir, std::string_view stem,
   const auto it = found.find(record.epoch);
   if (it == found.end()) return false;
   const auto bytes = durable::read_file(it->second);
-  return bytes.has_value() && is_committed(record, *bytes, peek);
+  return bytes && committed_body(record, *bytes, peek);
 }
 
 std::optional<CommitRecord> open(const fs::path& dir, std::string_view stem,
@@ -152,27 +161,30 @@ std::optional<CommitRecord> open(const fs::path& dir, std::string_view stem,
   // 0. Roll-forward: a record committed elsewhere (the router's, for a
   // shard) that this journal has not caught up with joins it, provided
   // the staged file is the one it commits. (A journal that did not load is
-  // empty here.)
-  bool rolled_forward = false;
+  // empty here.) That file is then the walk's first candidate, and is not
+  // read or checked again.
+  std::optional<std::vector<std::uint8_t>> rolled;
+  std::optional<std::span<const std::uint8_t>> rolled_body;
   if (roll_forward != nullptr &&
       (manifest.head() == nullptr ||
        manifest.head()->epoch < roll_forward->epoch)) {
-    const auto bytes = read(roll_forward->epoch);
-    if (bytes && is_committed(*roll_forward, *bytes, peek)) {
-      manifest.append(*roll_forward);
-      rolled_forward = true;
-    }
+    rolled = read(roll_forward->epoch);
+    if (rolled) rolled_body = committed_body(*roll_forward, *rolled, peek);
+    if (rolled_body) manifest.append(*roll_forward);
   }
+  const bool rolled_forward = rolled_body.has_value();
   const CommitRecord* head = manifest.head();
 
   // 1. The newest record whose file the journal vouches for and parses.
   std::optional<CommitRecord> adopted;
   for (auto it = manifest.records.rbegin();
        it != manifest.records.rend() && !adopted; ++it) {
-    const auto bytes = read(it->epoch);
-    if (bytes && is_committed(*it, *bytes, peek) && adopt(*bytes)) {
-      adopted = *it;
+    std::optional<std::vector<std::uint8_t>> bytes;
+    auto body = std::exchange(rolled_body, std::nullopt);
+    if (!body && (bytes = read(it->epoch))) {
+      body = committed_body(*it, *bytes, peek);
     }
+    if (body && adopt(*body)) adopted = *it;
   }
   const bool from_journal = adopted.has_value();
   // 2. No usable record: the newest file that parses and whose header names
@@ -180,11 +192,12 @@ std::optional<CommitRecord> open(const fs::path& dir, std::string_view stem,
   for (auto it = found.files.rbegin(); it != found.files.rend() && !adopted;
        ++it) {
     const auto bytes = read(it->first);
-    const auto header = bytes ? peek(*bytes) : std::nullopt;
+    const auto body = bytes ? unseal(*bytes) : std::nullopt;
+    const auto header = body ? peek(*body) : std::nullopt;
     if (!header || header->epoch != it->first) continue;
-    if (auto record = adopt(*bytes)) {
+    if (auto record = adopt(*body)) {
       record->state_size = bytes->size();
-      record->state_crc = crc32(bytes->data(), bytes->size());
+      record->state_crc = kSealResidue;
       adopted = record;
     }
   }

@@ -13,13 +13,15 @@
 //              then removes every other `<stem>.*.hds` file;
 //   * abort()  removes the staged file (the committed one was never
 //              touched).
-// open() walks the MANIFEST records newest first and adopts the first file
-// the journal vouches for (size, whole-file CRC, and a header epoch equal to
-// the epoch in its name) that also parses. With no usable record it adopts
-// the newest parseable file and rebuilds the journal. Every other file is
-// debris: an older epoch is superseded and removed (quarantined instead
-// when no record vouched for the adopted file), a newer one is an
-// uncommitted save and is quarantined.
+// The journal owns the seal of the files it commits: stage() seals the
+// body (common/byte_io.h), and open() checks each candidate's seal once and
+// hands the parser the body. open() walks the MANIFEST records newest first
+// and adopts the first file the journal vouches for (size, seal, and a
+// header epoch equal to the epoch in its name) that also parses. With no
+// usable record it adopts the newest parseable file and rebuilds the
+// journal. Every other file is debris: an older epoch is superseded and
+// removed (quarantined instead when no record vouched for the adopted
+// file), a newer one is an uncommitted save and is quarantined.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +33,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/byte_io.h"
 #include "storage/manifest.h"
 #include "storage/recovery.h"
 
@@ -51,7 +54,8 @@ inline constexpr std::string_view kRouterStem = "router";
     const std::filesystem::path& dir, std::string_view stem);
 
 // What a file format's header says without a full parse: the epoch the
-// file was staged at and the version watermark it would commit.
+// file was staged at and the version watermark it would commit. A peek
+// reads only a prefix, so it takes a body or a whole (even torn) file.
 struct FileHeader {
   std::uint64_t epoch = 0;
   VersionId next_version = 0;
@@ -59,11 +63,12 @@ struct FileHeader {
 using PeekHeader =
     std::optional<FileHeader> (*)(std::span<const std::uint8_t> bytes);
 
-// Writes `bytes` to `<dir>/<stem>.<record.epoch>.hds` through the atomic
-// writer and returns `record` stamped with the file's size and CRC. Throws
-// durable::WriteError; the committed file is never touched.
+// Seals `body` and writes it to `<dir>/<stem>.<record.epoch>.hds` through
+// the atomic writer; returns `record` stamped with the file's size and
+// `state_crc` = kSealResidue. Throws durable::WriteError; the committed
+// file is never touched.
 CommitRecord stage(const std::filesystem::path& dir, std::string_view stem,
-                   CommitRecord record, std::span<const std::uint8_t> bytes);
+                   CommitRecord record, ByteWriter body);
 // Appends `record` to `<dir>/MANIFEST` (restarting a foreign, corrupt or
 // future-dated journal), then removes every other `<stem>.*.hds` file.
 // Throws durable::WriteError.
@@ -74,21 +79,22 @@ void abort(const std::filesystem::path& dir, std::string_view stem,
            const CommitRecord& record);
 
 // True when the file for `record`'s epoch (`<stem>.<epoch>.hds`, or a
-// pre-epoch state file, see open()) is the file `record` commits:
-// same size and whole-file CRC, and its header carries the record's epoch.
-// A file that ends in its own CRC always has the same whole-file CRC (the
-// CRC-32 residue), and a save that changed nothing stages a file of the
+// pre-epoch state file, see open()) is the file `record` commits: the
+// recorded size, an intact seal, and its header carries the record's
+// epoch. `state_crc` is never compared: every sealed file's whole-file CRC
+// is the residue, and a save that changed nothing stages a file of the
 // same size, so only the epoch tells two such files apart.
 [[nodiscard]] bool holds_committed(const std::filesystem::path& dir,
                                    std::string_view stem,
                                    const CommitRecord& record,
                                    PeekHeader peek);
 
-// Parses a candidate file and keeps it if it parses. Returns the record
-// that commits it (epoch, version range, container watermark; size and CRC
-// are filled in by open()), or nullopt when the bytes do not parse.
+// Parses a candidate file's body (its seal already checked and stripped)
+// and keeps it if it parses. Returns the record that commits it (epoch,
+// version range, container watermark; size and CRC are filled in by
+// open()), or nullopt when the body does not parse.
 using Adopt = std::function<std::optional<CommitRecord>(
-    std::span<const std::uint8_t> bytes)>;
+    std::span<const std::uint8_t> body)>;
 
 // Finds the committed `<stem>` file, hands it to `adopt`, then repairs the
 // directory (see the header comment) and narrates every repair in

@@ -3,7 +3,6 @@
 #include <system_error>
 
 #include "common/byte_io.h"
-#include "common/crc32.h"
 #include "storage/durable.h"
 
 namespace hds {
@@ -36,27 +35,15 @@ std::vector<std::uint8_t> Manifest::serialize() const {
     writer.u64(r.state_size);
     writer.u32(r.state_crc);
   }
-  auto bytes = writer.take();
-  const std::uint32_t crc = crc32(bytes.data(), bytes.size());
-  ByteWriter trailer;
-  trailer.u32(crc);
-  bytes.insert(bytes.end(), trailer.bytes().begin(),
-               trailer.bytes().end());
-  return bytes;
+  writer.seal();
+  return writer.take();
 }
 
 std::optional<Manifest> Manifest::deserialize(
     std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < 16) return std::nullopt;
-  std::uint32_t stored_crc = 0;
-  for (int i = 3; i >= 0; --i) {
-    stored_crc = (stored_crc << 8) | bytes[bytes.size() - 4 +
-                                           static_cast<std::size_t>(i)];
-  }
-  if (crc32(bytes.data(), bytes.size() - 4) != stored_crc) {
-    return std::nullopt;
-  }
-  ByteReader reader(bytes.subspan(0, bytes.size() - 4));
+  const auto body = unseal(bytes);
+  if (!body) return std::nullopt;
+  ByteReader reader(*body);
   std::uint32_t magic, format, count;
   if (!reader.u32(magic) || magic != kManifestMagic) return std::nullopt;
   if (!reader.u32(format) || format != kManifestFormat) return std::nullopt;

@@ -29,15 +29,17 @@ namespace hds {
 // One committed repository version. `epoch` increases by exactly one per
 // commit and names the committed file (`<stem>.<epoch>.hds`); `store_next`
 // is the archival container ID watermark (every committed container has a
-// smaller ID); `state_size`/`state_crc` identify the committed file
-// byte-for-byte.
+// smaller ID); `state_size` is the committed file's size. `state_crc` is
+// its whole-file CRC, which for every sealed file is the residue
+// (kSealResidue): written, never compared; the journal checks the file's
+// seal instead (journal.h).
 struct CommitRecord {
   std::uint64_t epoch = 0;
   VersionId next_version = 1;
   VersionId oldest_version = 1;
   ContainerId store_next = 1;
   std::uint64_t state_size = 0;
-  std::uint32_t state_crc = 0;  // CRC-32 of the whole state file
+  std::uint32_t state_crc = 0;  // CRC-32 of the whole (sealed) file
 };
 
 struct Manifest {

@@ -1,62 +1,51 @@
 #include "storage/recipe.h"
 
 #include <algorithm>
-#include <cstring>
 
-#include "common/crc32.h"
+#include "common/byte_io.h"
 
 namespace hds {
 
 namespace {
 constexpr std::uint32_t kMagic = 0x48445352;  // "HDSR"
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) noexcept {
-  return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) |
-         (std::uint32_t{p[2]} << 16) | (std::uint32_t{p[3]} << 24);
-}
+constexpr std::size_t kHeaderSize = 12;
 }  // namespace
 
 std::vector<std::uint8_t> Recipe::serialize() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(16 + entries_.size() * kRecipeEntrySize);
-  put_u32(out, kMagic);
-  put_u32(out, version_);
-  put_u32(out, static_cast<std::uint32_t>(entries_.size()));
+  ByteWriter writer;
+  writer.reserve(kHeaderSize + entries_.size() * kRecipeEntrySize +
+                 kSealSize);
+  writer.u32(kMagic);
+  writer.u32(version_);
+  writer.u32(static_cast<std::uint32_t>(entries_.size()));
   for (const auto& e : entries_) {
-    out.insert(out.end(), e.fp.bytes.begin(), e.fp.bytes.end());
-    put_u32(out, static_cast<std::uint32_t>(e.cid));
-    put_u32(out, e.size);
+    writer.raw(e.fp.bytes);
+    writer.u32(static_cast<std::uint32_t>(e.cid));
+    writer.u32(e.size);
   }
-  put_u32(out, crc32(out.data(), out.size()));
-  return out;
+  writer.seal();
+  return writer.take();
 }
 
 std::optional<Recipe> Recipe::deserialize(std::span<const std::uint8_t> b) {
-  if (b.size() < 16) return std::nullopt;
-  if (crc32(b.data(), b.size() - 4) != get_u32(b.data() + b.size() - 4)) {
-    return std::nullopt;
-  }
-  if (get_u32(b.data()) != kMagic) return std::nullopt;
-  const VersionId version = get_u32(b.data() + 4);
-  const std::uint32_t count = get_u32(b.data() + 8);
-  if (b.size() != 12 + std::size_t{count} * kRecipeEntrySize + 4) {
+  const auto body = unseal(b);
+  if (!body) return std::nullopt;
+  ByteReader reader(*body);
+  std::uint32_t magic = 0, version = 0, count = 0;
+  if (!reader.u32(magic) || magic != kMagic || !reader.u32(version) ||
+      !reader.u32(count) ||
+      body->size() != kHeaderSize + std::size_t{count} * kRecipeEntrySize) {
     return std::nullopt;
   }
   Recipe r(version);
   r.entries_.reserve(count);
-  const std::uint8_t* p = b.data() + 12;
   for (std::uint32_t i = 0; i < count; ++i) {
     Fingerprint fp;
-    std::memcpy(fp.bytes.data(), p, kFingerprintSize);
-    r.add(fp, static_cast<ContainerId>(get_u32(p + kFingerprintSize)),
-          get_u32(p + kFingerprintSize + 4));
-    p += kRecipeEntrySize;
+    std::uint32_t cid = 0, size = 0;
+    reader.raw(fp.bytes);
+    reader.u32(cid);
+    reader.u32(size);
+    r.add(fp, static_cast<ContainerId>(cid), size);
   }
   return r;
 }

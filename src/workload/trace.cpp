@@ -1,43 +1,16 @@
 #include "workload/trace.h"
 
 #include <cstring>
+#include <iterator>
 #include <sstream>
 #include <string>
 
-#include "common/crc32.h"
+#include "common/byte_io.h"
 
 namespace hds {
 
 namespace {
 constexpr char kBinaryMagic[4] = {'H', 'D', 'S', 'T'};
-
-void put_u32(std::ostream& out, std::uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>(v >> (8 * i));
-  out.write(buf, 4);
-}
-
-void put_u64(std::ostream& out, std::uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>(v >> (8 * i));
-  out.write(buf, 8);
-}
-
-bool get_u32(std::istream& in, std::uint32_t& v) {
-  std::uint8_t buf[4];
-  if (!in.read(reinterpret_cast<char*>(buf), 4)) return false;
-  v = std::uint32_t{buf[0]} | (std::uint32_t{buf[1]} << 8) |
-      (std::uint32_t{buf[2]} << 16) | (std::uint32_t{buf[3]} << 24);
-  return true;
-}
-
-bool get_u64(std::istream& in, std::uint64_t& v) {
-  std::uint8_t buf[8];
-  if (!in.read(reinterpret_cast<char*>(buf), 8)) return false;
-  v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | buf[i];
-  return true;
-}
 }  // namespace
 
 void write_trace_text(std::ostream& out,
@@ -82,22 +55,21 @@ bool read_trace_text(std::istream& in, std::vector<VersionStream>& out) {
 
 void write_trace_binary(std::ostream& out,
                         const std::vector<VersionStream>& versions) {
-  // Body is buffered so the CRC can cover everything after the magic.
-  std::ostringstream body;
-  put_u32(body, static_cast<std::uint32_t>(versions.size()));
+  // The seal covers everything after the magic.
+  ByteWriter body;
+  body.u32(static_cast<std::uint32_t>(versions.size()));
   for (const auto& vs : versions) {
-    put_u32(body, static_cast<std::uint32_t>(vs.chunks.size()));
+    body.u32(static_cast<std::uint32_t>(vs.chunks.size()));
     for (const auto& c : vs.chunks) {
-      body.write(reinterpret_cast<const char*>(c.fp.bytes.data()),
-                 kFingerprintSize);
-      put_u32(body, c.size);
-      put_u64(body, c.content_seed);
+      body.raw(c.fp.bytes);
+      body.u32(c.size);
+      body.u64(c.content_seed);
     }
   }
-  const std::string bytes = body.str();
+  body.seal();
   out.write(kBinaryMagic, 4);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  put_u32(out, crc32(bytes.data(), bytes.size()));
+  out.write(reinterpret_cast<const char*>(body.bytes().data()),
+            static_cast<std::streamsize>(body.bytes().size()));
 }
 
 bool read_trace_binary(std::istream& in, std::vector<VersionStream>& out) {
@@ -105,35 +77,23 @@ bool read_trace_binary(std::istream& in, std::vector<VersionStream>& out) {
   if (!in.read(magic, 4) || std::memcmp(magic, kBinaryMagic, 4) != 0) {
     return false;
   }
-  std::string body((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (body.size() < 8) return false;
-  std::uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, body.data() + body.size() - 4, 4);
-  // stored little-endian by put_u32
-  std::uint32_t le = 0;
-  for (int i = 3; i >= 0; --i) {
-    le = (le << 8) |
-         static_cast<std::uint8_t>(body[body.size() - 4 + i]);
-  }
-  body.resize(body.size() - 4);
-  if (crc32(body.data(), body.size()) != le) return false;
+  const std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                        std::istreambuf_iterator<char>());
+  const auto body = unseal(bytes);
+  if (!body) return false;
 
-  std::istringstream stream(body);
+  ByteReader reader(*body);
   std::uint32_t version_count = 0;
-  if (!get_u32(stream, version_count)) return false;
+  if (!reader.u32(version_count)) return false;
   for (std::uint32_t v = 0; v < version_count; ++v) {
     std::uint32_t chunk_count = 0;
-    if (!get_u32(stream, chunk_count)) return false;
+    if (!reader.u32(chunk_count)) return false;
     VersionStream vs;
     vs.chunks.reserve(chunk_count);
     for (std::uint32_t i = 0; i < chunk_count; ++i) {
       ChunkRecord rec;
-      if (!stream.read(reinterpret_cast<char*>(rec.fp.bytes.data()),
-                       kFingerprintSize)) {
-        return false;
-      }
-      if (!get_u32(stream, rec.size) || !get_u64(stream, rec.content_seed)) {
+      if (!reader.raw(rec.fp.bytes) || !reader.u32(rec.size) ||
+          !reader.u64(rec.content_seed)) {
         return false;
       }
       vs.chunks.push_back(std::move(rec));

@@ -13,7 +13,7 @@
 //
 //   binary form: "HDST" magic, u32 version count, then per version a u32
 //   chunk count and packed 32-byte records (20B fp, 4B size, 8B seed),
-//   CRC-32 trailer.
+//   then the seal (common/byte_io.h) over everything after the magic.
 //
 // Chunk contents regenerate from the seed (common/chunk.h), so a trace is
 // enough to drive byte-exact restores.

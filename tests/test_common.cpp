@@ -1,11 +1,12 @@
-// Unit tests for src/common: SHA-1, CRC-32, fingerprints, RNG, chunk
-// content generation, measurement helpers.
+// Unit tests for src/common: SHA-1, CRC-32, the metadata seal, fingerprints,
+// RNG, chunk content generation, measurement helpers.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <set>
 #include <string>
 
+#include "common/byte_io.h"
 #include "common/chunk.h"
 #include "common/crc32.h"
 #include "common/fingerprint.h"
@@ -190,6 +191,76 @@ TEST(Crc32, SeedChaining) {
   const auto seeded = crc32(msg.data(), msg.size(), 12345);
   EXPECT_NE(whole, seeded);
   EXPECT_EQ(seeded, crc32(msg.data(), msg.size(), 12345));
+}
+
+// --- Seal (common/byte_io.h) ---
+
+std::vector<std::uint8_t> sealed(const std::vector<std::uint8_t>& body) {
+  ByteWriter writer;
+  writer.raw(body);
+  writer.seal();
+  return writer.take();
+}
+
+std::vector<std::uint8_t> seal_body(std::size_t size) {
+  std::vector<std::uint8_t> body(size);
+  Xoshiro256ss rng(size);
+  for (auto& b : body) b = static_cast<std::uint8_t>(rng.next());
+  return body;
+}
+
+TEST(Seal, RoundTrip) {
+  const auto body = seal_body(300);
+  const auto bytes = sealed(body);
+  ASSERT_EQ(bytes.size(), body.size() + kSealSize);
+  // The trailer is the body's CRC-32, little-endian.
+  const std::uint32_t crc = crc32(body.data(), body.size());
+  for (std::size_t i = 0; i < kSealSize; ++i) {
+    EXPECT_EQ(bytes[body.size() + i],
+              static_cast<std::uint8_t>(crc >> (8 * i)));
+  }
+  const auto out = unseal(bytes);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->data(), bytes.data());
+  EXPECT_EQ(std::vector<std::uint8_t>(out->begin(), out->end()), body);
+  // Every sealed file hashes to the residue, trailer included.
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()), kSealResidue);
+}
+
+TEST(Seal, EmptyBody) {
+  const auto bytes = sealed({});
+  ASSERT_EQ(bytes.size(), kSealSize);
+  const auto out = unseal(bytes);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_TRUE(out->empty());
+  EXPECT_EQ(crc32(bytes.data(), bytes.size()), kSealResidue);
+}
+
+TEST(Seal, EveryTruncationOfTheTrailerIsRefused) {
+  const auto bytes = sealed(seal_body(64));
+  for (std::size_t cut = 1; cut <= kSealSize; ++cut) {
+    const std::span<const std::uint8_t> torn(bytes.data(),
+                                             bytes.size() - cut);
+    EXPECT_FALSE(unseal(torn).has_value()) << "cut " << cut;
+  }
+  const auto empty = sealed({});
+  for (std::size_t cut = 1; cut <= kSealSize; ++cut) {
+    const std::span<const std::uint8_t> torn(empty.data(),
+                                             empty.size() - cut);
+    EXPECT_FALSE(unseal(torn).has_value()) << "cut " << cut;
+  }
+}
+
+TEST(Seal, FlippedBitInBodyIsRefused) {
+  auto bytes = sealed(seal_body(128));
+  bytes[40] ^= 0x04;
+  EXPECT_FALSE(unseal(bytes).has_value());
+}
+
+TEST(Seal, FlippedBitInTrailerIsRefused) {
+  auto bytes = sealed(seal_body(128));
+  bytes[bytes.size() - 2] ^= 0x80;
+  EXPECT_FALSE(unseal(bytes).has_value());
 }
 
 // --- Fingerprint ---

@@ -11,12 +11,18 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/crc32.h"
+#include "common/rng.h"
+#include "common/sha1.h"
 #include "core/shard_router.h"
+#include "service/repository.h"
 #include "storage/durable.h"
 #include "storage/journal.h"
+#include "storage/manifest.h"
 #include "verify/fsck.h"
 #include "workload/generator.h"
 
@@ -218,6 +224,47 @@ TEST(JournalRecovery, NoJournalQuarantinesSupersededState) {
   RecoveryReport second;
   ASSERT_NE(HiDeStore::open(dir.path, &second), nullptr);
   EXPECT_FALSE(second.performed) << second.to_text();
+}
+
+// A flipped bit that no check inside the file covers (a byte count in the
+// state header, or in a router interleave run) shows only in the file's
+// seal. The journal must refuse the file on both of its paths: the
+// record's, and the scan it falls back to without a MANIFEST.
+TEST(JournalRecovery, BitFlippedStateOrRouterIsNeverAdopted) {
+  // total_logical_bytes: after magic, format, epoch, container size,
+  // threshold, window, three flag bytes and the version range.
+  constexpr std::size_t kStateFlip = 4 + 4 + 8 + 8 + 8 + 4 + 3 + 4 + 4 + 3;
+  // The first interleave run's byte count: after the router header (magic,
+  // format, epoch, shard count, version range, interleave count), the
+  // version and its run count, and the run's shard and chunk count.
+  constexpr std::size_t kRouterFlip = 32 + 8 + 8 + 3;
+  for (const std::size_t shards : {1u, 2u}) {
+    for (const bool with_manifest : {true, false}) {
+      TempDir dir("hds_journal_flip");
+      ShardRouterConfig config;
+      config.shards = shards;
+      config.base = repo_config(dir.path);
+      {
+        ShardRouter sys(config);
+        (void)sys.backup(generate(1)[0]);
+        sys.save(dir.path);
+      }
+      const auto committed = journal::files(
+          dir.path, shards == 1 ? journal::kStateStem : journal::kRouterStem);
+      ASSERT_EQ(committed.size(), 1u);
+      const fs::path path = committed.begin()->second;
+      auto bytes = *durable::read_file(path);
+      bytes[shards == 1 ? kStateFlip : kRouterFlip] ^= 0x10;
+      durable::atomic_write_file(path, bytes);
+      if (!with_manifest) fs::remove(dir.path / Manifest::kFileName);
+
+      RecoveryReport report;
+      EXPECT_EQ(ShardRouter::open(dir.path, shards, &report), nullptr)
+          << shards << " shard(s), MANIFEST " << with_manifest << "\n"
+          << report.to_text();
+      EXPECT_FALSE(report.quarantined.empty()) << report.to_text();
+    }
+  }
 }
 
 // A save killed while writing the router state or the root MANIFEST leaves
@@ -436,6 +483,81 @@ TEST(JournalMigration, LegacyStateOpensInPlaceWhenRenameFails) {
   EXPECT_EQ(names_with(dir.path, "state."),
             std::vector<std::string>{"state.2.hds"});
   expect_clean_reopen(dir.path);
+}
+
+// (d) The bytes on disk. A fixed session (create, two backups, expire
+// version 1) writes these exact state, router, MANIFEST and catalog files;
+// a change to any of them is a format change and must be deliberate. Every
+// committed record's `state_crc` is the CRC-32 residue: a file that ends
+// in its own little-endian CRC always has that whole-file CRC.
+std::map<std::string, std::string> golden_session(std::size_t shards) {
+  TempDir dir("hds_journal_golden");
+  ShardRouterConfig config;
+  config.shards = shards;
+  config.base.container_size = 128 * 1024;
+  config.base.storage_dir = dir.path;
+  std::vector<std::uint8_t> data(512 * 1024);
+  Xoshiro256ss rng(26);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+  {
+    auto repo = Repository::create(config);
+    (void)repo->backup(data, "a");
+    for (std::size_t i = 0; i < data.size(); i += 64 * 1024) {
+      data[i] ^= 0x5A;  // one edit per 64 KiB
+    }
+    (void)repo->backup(data, "b");
+    (void)repo->expire(1);
+  }
+
+  std::map<std::string, std::string> digests;
+  const auto add = [&](const fs::path& path) {
+    const auto bytes = durable::read_file(path);
+    ASSERT_TRUE(bytes.has_value()) << path;
+    digests[fs::relative(path, dir.path).string()] =
+        Sha1::digest(*bytes).hex();
+  };
+  const auto add_journal = [&](const fs::path& at, std::string_view stem) {
+    for (const auto& [epoch, path] : journal::files(at, stem)) add(path);
+    add(at / Manifest::kFileName);
+    Manifest manifest;
+    ASSERT_EQ(load_manifest(at, manifest), ManifestStatus::kOk);
+    for (const CommitRecord& record : manifest.records) {
+      EXPECT_EQ(record.state_crc, 0x2144DF1Cu) << at << " @" << record.epoch;
+    }
+  };
+  add(dir.path / "catalog.hds");
+  if (shards == 1) {
+    add_journal(dir.path, journal::kStateStem);
+  } else {
+    add_journal(dir.path, journal::kRouterStem);
+    for (std::size_t i = 0; i < shards; ++i) {
+      add_journal(dir.path / ("shard_" + std::to_string(i)),
+                  journal::kStateStem);
+    }
+  }
+  return digests;
+}
+
+TEST(JournalGolden, OneShardSessionWritesPinnedBytes) {
+  const std::map<std::string, std::string> pinned = {
+      {"MANIFEST", "2463ed2ed1a285ec698861e14982a60724cb2efc"},
+      {"catalog.hds", "e380853bf126d58f62c51476aa864da67c97d752"},
+      {"state.4.hds", "f7bf0fad107e28ab8e4fc89b68d38cc3c949bcfa"},
+  };
+  EXPECT_EQ(golden_session(1), pinned);
+}
+
+TEST(JournalGolden, TwoShardSessionWritesPinnedBytes) {
+  const std::map<std::string, std::string> pinned = {
+      {"MANIFEST", "0de7256ffd5ad739c200da6f36dc58e578ac5f70"},
+      {"catalog.hds", "e380853bf126d58f62c51476aa864da67c97d752"},
+      {"router.4.hds", "5451f1214ada9e68bd064d9fc668adf046535c7a"},
+      {"shard_0/MANIFEST", "68f6309bede4c36482f0d039143ad66258e3f3bd"},
+      {"shard_0/state.4.hds", "c9c813478d72db460501ab42bd5b6a783871be42"},
+      {"shard_1/MANIFEST", "ec97b11f4a00873d20d1dccf19ba3a2f8008bb85"},
+      {"shard_1/state.4.hds", "136e80d788868962f2b3db59c08fead251799998"},
+  };
+  EXPECT_EQ(golden_session(2), pinned);
 }
 
 }  // namespace

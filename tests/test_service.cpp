@@ -894,5 +894,35 @@ TEST(ServeServer, RefusesSingleTenantRepository) {
   EXPECT_NE(error.find("single-tenant"), std::string::npos) << error;
 }
 
+TEST(ServeServer, RefusesShardedRepositoryWithoutWriting) {
+  TempDir dir("svc_refuse_sharded");
+  // A sharded CLI repository keeps its router state and MANIFEST at its
+  // root and its shards in shard_<i>/.
+  {
+    ShardRouterConfig repo_config;
+    repo_config.shards = 2;
+    repo_config.base.storage_dir = dir.path;
+    ASSERT_NE(Repository::create(repo_config), nullptr);
+  }
+  const auto listing = [&] {
+    std::vector<std::string> names;
+    for (const auto& entry : fs::recursive_directory_iterator(dir.path)) {
+      names.push_back(fs::relative(entry.path(), dir.path).string());
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  };
+  const auto before = listing();
+
+  ServeConfig config;
+  config.repo = dir.path;
+  ServeServer server(config);
+  std::string error;
+  EXPECT_FALSE(server.start(&error));
+  EXPECT_NE(error.find("single-tenant"), std::string::npos) << error;
+  EXPECT_EQ(listing(), before);
+  EXPECT_FALSE(fs::exists(dir.path / "tenants"));
+}
+
 }  // namespace
 }  // namespace hds::service

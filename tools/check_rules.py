@@ -32,6 +32,12 @@ Rules (see README "Static analysis" and DESIGN.md §14):
                  (src/storage/journal.{h,cpp}). Naming, staging and picking
                  the committed file is the journal's decision alone
                  (DESIGN.md §9).
+  crc-trailer    No crc32( call in src/ outside src/common/ and
+                 src/storage/container.cpp (a container's footer and chunk
+                 CRCs). A metadata file ends in the CRC-32 of its body,
+                 written by ByteWriter::seal() and checked by unseal()
+                 (src/common/byte_io.h); a hand-rolled trailer or a second
+                 whole-file CRC elsewhere would hash the same bytes again.
   bench-date     Every bench/baselines/*.json must parse and carry a
                  non-empty context.date — an undated baseline cannot be
                  judged stale.
@@ -63,10 +69,13 @@ METRIC_CALL_RE = re.compile(r"\b(?:counter|counter_view|gauge|histogram)\s*\(")
 BUILT_NAME_RE = re.compile(r"\+|\bto_string\b")
 
 STATE_FILE_RE = re.compile(r"(?:state|router)\.")
+CRC_CALL_RE = re.compile(r"\bcrc32\s*\(")
 
 RAW_WRITE_ALLOWED = {Path("src/storage/durable.cpp")}
 RAW_MUTEX_ALLOWED = {Path("src/common/thread_annotations.h")}
 STATE_FILE_ALLOWED = {Path("src/storage/journal.h"), Path("src/storage/journal.cpp")}
+CRC_CALL_ALLOWED_DIR = Path("src/common")
+CRC_CALL_ALLOWED = {Path("src/storage/container.cpp")}
 
 
 def strip_comments_and_strings(
@@ -192,6 +201,18 @@ def check_tree(root: Path) -> list[dict]:
                     "raw-mutex",
                     f"raw '{m.group(0)}' — use hds::Mutex / MutexLock / "
                     "CondVar (src/common/thread_annotations.h)",
+                )
+        crc_allowed = (
+            rel in CRC_CALL_ALLOWED or CRC_CALL_ALLOWED_DIR in rel.parents
+        )
+        if not crc_allowed:
+            for m in CRC_CALL_RE.finditer(text):
+                add(
+                    path,
+                    line_of(text, m.start()),
+                    "crc-trailer",
+                    "crc32() call — seal a file with ByteWriter::seal() and "
+                    "check it with unseal() (src/common/byte_io.h)",
                 )
         for m in NEW_RE.finditer(text):
             stmt = text[statement_start(text, m.start()) : m.start()]

@@ -196,6 +196,33 @@ class CheckRulesTest(unittest.TestCase):
         )
         self.assertEqual(self.tree.findings(), [])
 
+    def test_crc_call_flagged_outside_codec_and_container(self):
+        self.tree.write(
+            "src/core/trailer.cpp",
+            "void f(V& b) {\n  put(b, crc32(b.data(), b.size()));\n"
+            "  (void)hds::crc32 (b);\n}\n",
+        )
+        finds = self.tree.findings()
+        self.assertEqual([f["rule"] for f in finds], ["crc-trailer"] * 2)
+        self.assertEqual([f["line"] for f in finds], [2, 3])
+
+    def test_crc_call_allowed_in_common_container_comments_and_tests(self):
+        self.tree.write(
+            "src/common/byte_io.h", "void seal() { u32(crc32(bytes_)); }\n"
+        )
+        self.tree.write(
+            "src/storage/container.cpp",
+            "std::uint32_t c = crc32(payload);\n",
+        )
+        self.tree.write(
+            "src/storage/manifest.cpp",
+            '// the trailer is crc32(body)\nconst char* k = "crc32(";\n'
+            "std::uint32_t mycrc32(int);\n",
+        )
+        self.tree.write("tests/test_x.cpp", "auto c = crc32(bytes);\n")
+        self.tree.write("bench/b.cpp", "auto c = crc32(bytes);\n")
+        self.assertEqual(self.tree.findings(), [])
+
     def test_bench_baseline_date(self):
         self.tree.write(
             "bench/baselines/BENCH_ok.json",
