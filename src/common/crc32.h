@@ -1,4 +1,9 @@
-// CRC-32 (IEEE 802.3 polynomial), table-driven.
+// CRC-32 (IEEE 802.3 polynomial), zlib's crc32() value.
+//
+// One kernel is chosen once per process (common/crc32_kernels.h): a
+// PCLMULQDQ fold when the CPU has carry-less multiply, the table loop
+// otherwise. Both give the same value for every input and seed, and
+// crc32(b, crc32(a)) == crc32(a ++ b).
 //
 // The integrity checksum of everything on disk: the seal every metadata
 // file and container image ends in (ByteWriter::seal() / unseal() in

@@ -9,6 +9,7 @@
 #include "common/byte_io.h"
 #include "common/chunk.h"
 #include "common/crc32.h"
+#include "common/crc32_kernels.h"
 #include "common/fingerprint.h"
 #include "common/parse.h"
 #include "common/rng.h"
@@ -186,11 +187,111 @@ TEST(Crc32, DetectsSingleBitFlip) {
 TEST(Crc32, SeedChaining) {
   const std::string msg = "hello world";
   const auto whole = crc32(msg.data(), msg.size());
-  // Chaining with a seed is not plain concatenation, but it must be
-  // deterministic and differ from the unseeded value.
+  // A seed changes the value deterministically ...
   const auto seeded = crc32(msg.data(), msg.size(), 12345);
   EXPECT_NE(whole, seeded);
   EXPECT_EQ(seeded, crc32(msg.data(), msg.size(), 12345));
+  // ... and a CRC seeded with the CRC of a prefix is the CRC of the whole,
+  // which the container footer CRC (seeded with the header CRC) relies on.
+  EXPECT_EQ(crc32(msg.data() + 5, msg.size() - 5, crc32(msg.data(), 5)), whole);
+}
+
+// CRCs of seeded buffers, recorded from the table loop before the fold
+// existed (zlib's crc32_z gives the same values). The lengths straddle the
+// fold's 16- and 64-byte steps.
+TEST(Crc32, GoldenSeededBuffers) {
+  struct Golden {
+    std::size_t len;
+    std::uint32_t seed;
+    std::uint32_t crc;
+  };
+  constexpr Golden kGolden[] = {
+      {1, 0x00000000u, 0x1B0ECF0Bu},       {15, 0x00000000u, 0x88E7BC47u},
+      {16, 0x00000000u, 0x3D254674u},      {63, 0x00000000u, 0x1D4B19D7u},
+      {64, 0x00000000u, 0x74597581u},      {65, 0x00000000u, 0x90463B80u},
+      {79, 0xDEADBEEFu, 0x5728AEA6u},      {127, 0x00000000u, 0xE91153FCu},
+      {128, 0x00000000u, 0x4A6FD659u},     {255, 0x00000001u, 0xA1E3CB67u},
+      {1000, 0x00000000u, 0x3F61097Eu},    {4099, 0x2144DF1Cu, 0x69229ED2u},
+      {65549, 0x00000000u, 0xEA9B7615u},   {1u << 20, 0xFFFFFFFFu, 0x08E7AEDFu},
+  };
+  for (const auto& g : kGolden) {
+    std::vector<std::uint8_t> data(g.len);
+    Xoshiro256ss rng(60 + g.len);
+    for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+    EXPECT_EQ(crc32(data, g.seed), g.crc) << "length " << g.len;
+    EXPECT_EQ(crc32_detail::table(data, g.seed), g.crc) << "length " << g.len;
+  }
+}
+
+// The tests above checksum through crc32()'s kernel. Name it, so a log
+// shows which path they covered.
+TEST(Crc32, VectorsRanOnDispatchedPath) {
+  const std::string path =
+      crc32_detail::dispatched() == crc32_detail::fold ? "pclmul" : "table";
+  RecordProperty("crc32_path", path);
+  std::printf("CRC-32 kernel: %s\n", path.c_str());
+  EXPECT_EQ(path, crc32_detail::fold_supported() ? "pclmul" : "table");
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+}
+
+// --- CRC-32 kernels: PCLMULQDQ fold against the table loop ---
+
+class Crc32Paths : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!crc32_detail::fold_supported()) {
+      GTEST_SKIP() << "CPU has no PCLMULQDQ: every CRC uses the table loop, "
+                      "so there is nothing to cross-check";
+    }
+  }
+};
+
+TEST_F(Crc32Paths, EveryLengthAtFourMisalignments) {
+  const auto data = sha_input(1100 + 3, 44);
+  for (std::size_t offset = 0; offset < 4; ++offset) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const auto in = std::span(data).subspan(offset, len);
+      for (const std::uint32_t seed : {0u, 0xFFFFFFFFu, 0x2144DF1Cu}) {
+        ASSERT_EQ(crc32_detail::fold(in, seed), crc32_detail::table(in, seed))
+            << "offset " << offset << " length " << len << " seed " << seed;
+      }
+    }
+  }
+}
+
+TEST_F(Crc32Paths, SeedChainingAcrossRandomSplits) {
+  const auto data = sha_input(64 * 1024, 45);
+  Xoshiro256ss rng(46);
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t len = rng.next_below(data.size() + 1);
+    const auto in = std::span(data).first(len);
+    const std::uint32_t whole = crc32_detail::table(in, 0);
+    for (const auto kernel : {crc32_detail::fold, crc32_detail::table}) {
+      std::uint32_t crc = 0;
+      std::size_t pos = 0;
+      while (pos < len) {
+        // Mostly pieces under one fold step, some spanning many, some empty.
+        const std::size_t cap = rng.chance(0.2) ? 5000 : 130;
+        const std::size_t n =
+            std::min<std::size_t>(rng.next_below(cap), len - pos);
+        crc = kernel(in.subspan(pos, n), crc);
+        pos += n;
+      }
+      ASSERT_EQ(crc, whole) << "trial " << trial << " length " << len
+                            << (kernel == crc32_detail::fold ? " fold"
+                                                             : " table");
+    }
+  }
+}
+
+TEST_F(Crc32Paths, OneMebibyte) {
+  const auto data = sha_input(1 << 20, 47);
+  for (const std::uint32_t seed : {0u, 0x12345678u}) {
+    EXPECT_EQ(crc32_detail::fold(data, seed), crc32_detail::table(data, seed));
+  }
+  // Every fold step plus a 15-byte table tail.
+  const auto odd = std::span(data).first(data.size() - 1);
+  EXPECT_EQ(crc32_detail::fold(odd, 0), crc32_detail::table(odd, 0));
 }
 
 // --- Seal (common/byte_io.h) ---

@@ -38,6 +38,12 @@ Rules (see README "Static analysis" and DESIGN.md §14):
                  written by ByteWriter::seal() and checked by unseal()
                  (src/common/byte_io.h); a hand-rolled trailer or a second
                  whole-file CRC elsewhere would hash the same bytes again.
+  isa-kernel     No <immintrin.h>, <cpuid.h> or __attribute__((target(...)))
+                 in src/, tests/, bench/ or examples/ outside
+                 src/common/sha1.cpp and src/common/crc32.cpp. Each kernel
+                 that needs an instruction set checks CPUID once and keeps
+                 a portable fallback beside it (DESIGN.md §2); an intrinsic
+                 anywhere else would run on a CPU that lacks it.
   bench-date     Every bench/baselines/*.json must parse and carry a
                  non-empty context.date — an undated baseline cannot be
                  judged stale.
@@ -70,12 +76,17 @@ BUILT_NAME_RE = re.compile(r"\+|\bto_string\b")
 
 STATE_FILE_RE = re.compile(r"(?:state|router)\.")
 CRC_CALL_RE = re.compile(r"\bcrc32\s*\(")
+ISA_KERNEL_RE = re.compile(
+    r"#\s*include\s*<(?:immintrin|cpuid)\.h>"
+    r"|__attribute__\s*\(\s*\(\s*target\s*\("
+)
 
 RAW_WRITE_ALLOWED = {Path("src/storage/durable.cpp")}
 RAW_MUTEX_ALLOWED = {Path("src/common/thread_annotations.h")}
 STATE_FILE_ALLOWED = {Path("src/storage/journal.h"), Path("src/storage/journal.cpp")}
 CRC_CALL_ALLOWED_DIR = Path("src/common")
 CRC_CALL_ALLOWED = {Path("src/storage/container.cpp")}
+ISA_KERNEL_ALLOWED = {Path("src/common/sha1.cpp"), Path("src/common/crc32.cpp")}
 
 
 def strip_comments_and_strings(
@@ -260,6 +271,15 @@ def check_tree(root: Path) -> list[dict]:
                 "no-detach",
                 "thread detach() — join every thread you start",
             )
+        if path.relative_to(root) not in ISA_KERNEL_ALLOWED:
+            for m in ISA_KERNEL_RE.finditer(text):
+                add(
+                    path,
+                    line_of(text, m.start()),
+                    "isa-kernel",
+                    f"'{m.group(0)}' outside the CPUID-dispatched kernels "
+                    "(src/common/sha1.cpp, src/common/crc32.cpp)",
+                )
 
     baselines = root / "bench" / "baselines"
     if baselines.is_dir():

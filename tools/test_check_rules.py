@@ -223,6 +223,38 @@ class CheckRulesTest(unittest.TestCase):
         self.tree.write("bench/b.cpp", "auto c = crc32(bytes);\n")
         self.assertEqual(self.tree.findings(), [])
 
+    def test_isa_kernel_flagged_outside_dispatched_kernels(self):
+        self.tree.write(
+            "src/storage/fast.cpp",
+            "#include <immintrin.h>\n"
+            "# include <cpuid.h>\n"
+            '__attribute__((target("avx2"))) void f();\n'
+            '__attribute__ ( ( target ("pclmul"))) void g();\n',
+        )
+        self.tree.write("bench/b.cpp", "#include <cpuid.h>\n")
+        finds = [f for f in self.tree.findings() if f["rule"] == "isa-kernel"]
+        self.assertEqual(
+            sorted((f["path"], f["line"]) for f in finds),
+            [("bench/b.cpp", 1), ("src/storage/fast.cpp", 1),
+             ("src/storage/fast.cpp", 2), ("src/storage/fast.cpp", 3),
+             ("src/storage/fast.cpp", 4)],
+        )
+
+    def test_isa_kernel_allowed_in_kernels_and_comments(self):
+        for rel in ("src/common/sha1.cpp", "src/common/crc32.cpp"):
+            self.tree.write(
+                rel,
+                "#include <cpuid.h>\n#include <immintrin.h>\n"
+                '__attribute__((target("pclmul,sse4.1"))) void f();\n',
+            )
+        self.tree.write(
+            "src/common/crc32_kernels.h",
+            "// the fold needs <immintrin.h> and __attribute__((target(...)))\n"
+            "#include <cstdint>\n"
+            "__attribute__((noinline)) void g();\n",
+        )
+        self.assertEqual(self.tree.findings(), [])
+
     def test_bench_baseline_date(self):
         self.tree.write(
             "bench/baselines/BENCH_ok.json",
