@@ -1,13 +1,17 @@
 // Micro-benchmarks for the container read path (DESIGN.md §10): a cold
 // whole-file read, a block-cache hit, serving chunks from a loaded
 // container, and the CRC-carrying staged copy batched compaction/eviction
-// uses; and for the state file every CLI command opens and every
-// committing command saves (DESIGN.md §9).
+// uses; and for the repository state every CLI command opens and every
+// committing command saves (DESIGN.md §9): a metadata-only state file
+// beside one file per active container, of which a save rewrites only the
+// ones a version changed.
 // CI runs this with --benchmark_out=BENCH_io.json (artifact "BENCH_io").
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -78,20 +82,31 @@ void BM_FileReadBlockCacheHit(benchmark::State& state) {
 }
 BENCHMARK(BM_FileReadBlockCacheHit);
 
-// Every chunk of a loaded ~4 MiB container, as a restore serves them. Each
-// payload was CRC-checked once when the container loaded, so a read is a
-// table lookup; a read-time CRC would pin this to BM_Crc32's rate.
+// Every chunk of a loaded ~4 MiB container, as a restore serves them: a
+// fixed fingerprint vector walked in storage-offset order. Each payload
+// was CRC-checked once when the container loaded, so a read is a table
+// lookup; a read-time CRC would pin this to BM_Crc32's rate. The lookups
+// are ~10 µs in all, so the run is long enough (MinTime) for repeated runs
+// to agree; walking the hash table's own order instead made the row swing
+// by ~3x between runs of one binary.
 void BM_ContainerRead(benchmark::State& state) {
   const auto loaded = Container::deserialize(filled_container().serialize());
+  std::vector<std::pair<std::uint32_t, Fingerprint>> by_offset;
+  for (const auto& [fp, entry] : loaded->entries()) {
+    by_offset.emplace_back(entry.offset, fp);
+  }
+  std::sort(by_offset.begin(), by_offset.end());
+  std::vector<Fingerprint> order;
+  for (const auto& [offset, fp] : by_offset) order.push_back(fp);
   for (auto _ : state) {
-    for (const auto& [fp, entry] : loaded->entries()) {
+    for (const Fingerprint& fp : order) {
       benchmark::DoNotOptimize(loaded->read(fp));
     }
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kChunks * kChunkBytes));
 }
-BENCHMARK(BM_ContainerRead);
+BENCHMARK(BM_ContainerRead)->MinTime(6.0);
 
 // Batched eviction/compaction staging: copying chunks between containers
 // with the already-verified CRC carried over (add_with_crc) vs recomputing
@@ -125,9 +140,26 @@ void BM_StagedCopyRecomputedCrc(benchmark::State& state) {
 BENCHMARK(BM_StagedCopyRecomputedCrc);
 
 // A file-backed store whose active pool holds ~32 MiB (one 8192-chunk
-// version, all of it hot), about the state a `nightly` perfbench command
-// opens and saves. The state file is the serialized pool plus one recipe.
+// version, all of it hot, in eight 4 MiB active container files), about
+// the state a `nightly` perfbench command opens and saves. The state file
+// is the pool's listing plus one recipe.
 constexpr std::size_t kStateChunks = 8192;
+
+ChunkRecord state_chunk(std::uint64_t seed) {
+  ChunkRecord chunk;
+  chunk.content_seed = seed;
+  chunk.fp = Fingerprint::from_seed(seed);
+  chunk.size = kChunkBytes;
+  return chunk;
+}
+
+VersionStream state_version() {
+  VersionStream stream;
+  for (std::size_t i = 0; i < kStateChunks; ++i) {
+    stream.chunks.push_back(state_chunk(i));
+  }
+  return stream;
+}
 
 struct StateFixture {
   std::filesystem::path dir;
@@ -139,15 +171,7 @@ struct StateFixture {
     HiDeStoreConfig config;
     config.storage_dir = dir;
     HiDeStore sys(config);
-    VersionStream stream;
-    for (std::size_t i = 0; i < kStateChunks; ++i) {
-      ChunkRecord chunk;
-      chunk.fp = Fingerprint::from_seed(i);
-      chunk.size = kChunkBytes;
-      chunk.content_seed = i;
-      stream.chunks.push_back(chunk);
-    }
-    (void)sys.backup(stream);
+    (void)sys.backup(state_version());
     sys.save(dir);
     for (const auto& entry : std::filesystem::directory_iterator(dir)) {
       if (entry.path().extension() == ".hds") {
@@ -158,8 +182,9 @@ struct StateFixture {
   ~StateFixture() { std::filesystem::remove_all(dir); }
 };
 
-// One open of a committed state file: read, integrity check, parse, and
-// the pool's containers loaded with their payloads checked.
+// One open of a committed repository: read the state file, check its seal,
+// parse the recipes and the pool's listing, rebuild the fingerprint cache.
+// No active container loads.
 void BM_StateOpen(benchmark::State& state) {
   StateFixture fx("hds_micro_io_state_open");
   for (auto _ : state) {
@@ -170,8 +195,9 @@ void BM_StateOpen(benchmark::State& state) {
 }
 BENCHMARK(BM_StateOpen)->Unit(benchmark::kMillisecond);
 
-// One save of the same store: serialize, stage the next epoch's file and
-// commit it to the MANIFEST.
+// One save of the same store with nothing changed (what `expire` and
+// `flatten` pay): stage the next epoch's state file and commit it to the
+// MANIFEST. No container file is written.
 void BM_StateSave(benchmark::State& state) {
   StateFixture fx("hds_micro_io_state_save");
   auto sys = HiDeStore::open(fx.dir);
@@ -182,6 +208,32 @@ void BM_StateSave(benchmark::State& state) {
                           static_cast<std::int64_t>(fx.state_bytes));
 }
 BENCHMARK(BM_StateSave)->Unit(benchmark::kMillisecond);
+
+// The save a `nightly` backup pays: a version that replaced a clustered 1%
+// of the chunks (backed up, with the oldest version expired, outside the
+// timed region) dirties the containers its cold chunks leave and the one
+// its new chunks enter; the save rewrites those files and the state.
+void BM_StateSaveOneEdit(benchmark::State& state) {
+  StateFixture fx("hds_micro_io_state_save_edit");
+  auto sys = HiDeStore::open(fx.dir);
+  constexpr std::size_t kEdited = kStateChunks / 100;
+  VersionStream current = state_version();
+  std::uint64_t seed = kStateChunks;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const std::size_t at = (seed * 2654435761u) % (kStateChunks - kEdited);
+    for (std::size_t i = at; i < at + kEdited; ++i) {
+      current.chunks[i] = state_chunk(seed++);
+    }
+    (void)sys->backup(current);
+    if (sys->latest_version() > 2) {
+      (void)sys->delete_versions_up_to(sys->latest_version() - 2);
+    }
+    state.ResumeTiming();
+    sys->save(fx.dir);
+  }
+}
+BENCHMARK(BM_StateSaveOneEdit)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -32,8 +32,12 @@
 //                                        serve-protocol client (exit 0 ok,
 //                                        1 error, 3 busy/over-quota)
 //
-// Every command runs crash recovery on open, with a one-line notice on
-// stderr when it repaired anything. Flags for any command:
+// One writer at a time (DESIGN.md §9): backup, expire, flatten and recover
+// hold an exclusive lock on <repo>/LOCK while they run, and a second writer
+// fails at once with "repository in use". They run crash recovery on open,
+// with a one-line notice on stderr when it repaired anything. Every other
+// command is a reader: it opens the committed version and moves no file,
+// so it never disturbs a writer in flight. Flags for any command:
 //   --metrics-out=<file>   JSON metrics snapshot after the command
 //   --trace-out=<file>     Chrome trace_event JSON of the command's phases
 //   --profile-out=<file>   this invocation's per-operation profiles
@@ -510,7 +514,9 @@ int run_command(const std::vector<std::string>& args, const Options& options,
     return 0;
   }
   if (command == "fsck") {
-    const auto report = verify::run_fsck(sys);
+    verify::FsckOptions fsck_options;
+    fsck_options.writer_live = durable::DirectoryLock::held(repo);
+    const auto report = verify::run_fsck(sys, fsck_options);
     const auto text = options.json ? report.to_json() : report.to_text();
     std::fwrite(text.data(), 1, text.size(), stdout);
     return report.clean() ? 0 : 1;
@@ -661,9 +667,12 @@ int run(const std::vector<std::string>& args, const Options& options) {
   if (command == "client") return client(args, options);
 
   // --shards=N on any other command asserts the recorded count.
+  const bool writer = command == "backup" || command == "expire" ||
+                      command == "flatten" || command == "recover";
   RecoveryReport recovery;
   auto repository =
-      Repository::open(repo, options.number("shards"), &recovery);
+      Repository::open(repo, options.number("shards"), &recovery,
+                       writer ? OpenMode::kRepair : OpenMode::kReadOnly);
   if (command == "recover") {
     // `recover` reports instead of complaining: a failed open IS its output.
     const auto text =

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "common/byte_io.h"
 #include "obs/log.h"
@@ -65,7 +66,9 @@ std::unique_ptr<ContainerStore> make_archival_store(
 HiDeStore::HiDeStore(const HiDeStoreConfig& config)
     : config_(config),
       store_(make_archival_store(config, /*index_existing=*/false)),
-      pool_(config.container_size, config.materialize_contents),
+      pool_(config.container_size, config.materialize_contents,
+            config.storage_dir.empty() ? std::filesystem::path{}
+                                       : config.storage_dir / "active"),
       cache_(config.cache_window) {
   register_metrics();
   store_->attach_metrics(metrics_);
@@ -278,8 +281,7 @@ void HiDeStore::check_version_invariants() const {
       const ContainerId* cid = pool_.find(fp);
       HDS_CHECK(cid != nullptr && *cid == entry.active_cid,
                 "cached chunk missing from the active pool index");
-      const auto container = pool_.peek(entry.active_cid);
-      HDS_CHECK(container != nullptr && container->contains(fp),
+      HDS_CHECK(pool_.chunk_size(entry.active_cid, fp).has_value(),
                 "cached chunk missing from its active container");
     }
   }
@@ -318,6 +320,10 @@ void HiDeStore::evict_cold(DoubleHashFingerprintCache::Table cold,
     if (it == by_container.end()) continue;
     auto& fps = it->second;
     const auto src_container = pool_.fetch(src);
+    if (src_container == nullptr) {
+      throw std::runtime_error("active container " + std::to_string(src) +
+                               " cannot be loaded for eviction");
+    }
     std::sort(fps.begin(), fps.end(),
               [&](const Fingerprint& a, const Fingerprint& b) {
                 return src_container->find(a)->offset <
@@ -511,10 +517,14 @@ std::size_t HiDeStore::flatten_recipes() {
 
 namespace {
 constexpr std::uint32_t kStateMagic = 0x48445353;  // "HDSS"
-// Format 3: a commit epoch (u64) follows the format field, tying the
-// snapshot to its MANIFEST record. Format 2 (pre-journal, per-chunk CRC
-// column) files are still accepted and adopt epoch 1 on load.
-constexpr std::uint32_t kStateFormat = 3;
+// Format 4: metadata only. Where format 3 inlined every active container,
+// it lists each one (ID, file epoch, used bytes, (fingerprint, size)
+// entries); the containers are files under <dir>/active (active_pool.h).
+// Format 3 (a commit epoch (u64) follows the format field, tying the
+// snapshot to its MANIFEST record) and format 2 (pre-journal, adopting
+// epoch 1) are still read; a writer's open migrates them to format 4.
+constexpr std::uint32_t kStateFormat = 4;
+constexpr std::uint32_t kStateFormatInline = 3;
 constexpr std::uint32_t kStateFormatLegacy = 2;
 // Archival placement byte: saves write 0, containers are files under
 // <dir>/archival. 1 (containers serialized inside the state file, the old
@@ -539,7 +549,8 @@ std::optional<journal::FileHeader> peek_state_header(
   journal::FileHeader header;
   if (format == kStateFormatLegacy) {
     header.epoch = 1;
-  } else if (format != kStateFormat || !reader.u64(header.epoch)) {
+  } else if ((format != kStateFormat && format != kStateFormatInline) ||
+             !reader.u64(header.epoch)) {
     return std::nullopt;
   }
   std::uint64_t u64v;
@@ -597,9 +608,12 @@ CommitRecord HiDeStore::stage_save(const std::filesystem::path& dir) {
         "HiDeStore::save: a file-backed repository must be saved into its "
         "own storage_dir");
   }
-  std::filesystem::create_directories(dir);
+  std::filesystem::create_directories(pool_.dir());
 
+  // Copy-on-write: the containers this version changed go to new files
+  // first, so the state that names them is never ahead of its data.
   const CommitRecord record = commit_record(epoch_ + 1);
+  pool_.write_dirty(record.epoch);
   ByteWriter writer;
   writer.u32(kStateMagic);
   writer.u32(kStateFormat);
@@ -629,39 +643,115 @@ CommitRecord HiDeStore::stage_save(const std::filesystem::path& dir) {
     writer.blob(recipes_.get(v)->serialize());
   }
 
-  // Active pool; archival containers are already files.
-  writer.blob(pool_.serialize_state());
+  // The active pool's listing; its containers and the archival ones are
+  // files.
+  pool_.write_listing(writer, record.epoch);
   writer.u32(static_cast<std::uint32_t>(store_->next_id()));
 
-  return journal::stage(dir, journal::kStateStem, record, std::move(writer));
+  try {
+    return journal::stage(dir, journal::kStateStem, record,
+                          std::move(writer));
+  } catch (const durable::InjectedCrash&) {
+    throw;  // simulated crash: leave the debris a crash would
+  } catch (...) {
+    pool_.abort(record.epoch);
+    throw;
+  }
 }
 
 void HiDeStore::commit_staged_save(const std::filesystem::path& dir,
                                    const CommitRecord& record) {
   journal::commit(dir, journal::kStateStem, record);
   epoch_ = record.epoch;
+  pool_.commit(record.epoch);
 }
 
 void HiDeStore::abort_staged_save(const std::filesystem::path& dir,
                                   const CommitRecord& record) {
   journal::abort(dir, journal::kStateStem, record);
+  pool_.abort(record.epoch);
 }
+
+namespace {
+
+// Reconciles <dir>/active with the files the adopted listing names, the
+// way the journal reconciles state files: a file newer than the committed
+// epoch is an uncommitted save (quarantined); an older one the listing
+// does not name is superseded (removed when the journal vouched for the
+// listing, else quarantined); a named file that is absent is data loss.
+// A reader (kReadOnly) only reports the loss.
+void reconcile_active(const std::filesystem::path& dir,
+                      const ActiveContainerPool& pool,
+                      std::uint64_t committed_epoch, bool vouched,
+                      OpenMode mode, RecoveryReport& report) {
+  const auto& named = pool.committed_files();
+  std::vector<std::pair<std::filesystem::path,
+                        std::pair<ContainerId, std::uint64_t>>>
+      files;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(pool.dir(), ec)) {
+    if (const auto parsed = ActiveContainerPool::parse_file_name(
+            entry.path().filename().string())) {
+      files.emplace_back(entry.path(), *parsed);
+    }
+  }
+  std::sort(files.begin(), files.end());
+  std::unordered_set<ContainerId> present;
+  for (const auto& [path, file] : files) {
+    const auto& [id, epoch] = file;
+    if (const auto it = named.find(id);
+        it != named.end() && it->second == epoch) {
+      present.insert(id);
+      continue;
+    }
+    if (mode == OpenMode::kReadOnly) continue;
+    const std::string name = path.filename().string();
+    if (epoch <= committed_epoch && vouched) {
+      std::filesystem::remove(path, ec);
+      report.performed = true;
+      report.notes.push_back("removed superseded active " + name);
+      continue;
+    }
+    quarantine_file(dir, path, report);
+    report.notes.push_back(
+        std::string(epoch > committed_epoch ? "quarantined uncommitted "
+                                            : "quarantined superseded ") +
+        "active " + name);
+  }
+  for (const auto& [id, epoch] : named) {
+    if (!present.contains(id)) report.missing_active.push_back(id);
+  }
+  if (!report.missing_active.empty()) {
+    report.notes.push_back(
+        std::to_string(report.missing_active.size()) +
+        " listed active container file(s) missing — the newest versions "
+        "cannot fully restore");
+  }
+}
+
+}  // namespace
 
 std::unique_ptr<HiDeStore> HiDeStore::open(const std::filesystem::path& dir,
                                            RecoveryReport* report_out,
-                                           const CommitRecord* roll_forward) {
+                                           const CommitRecord* roll_forward,
+                                           OpenMode mode) {
   RecoveryReport local;
   RecoveryReport& report = report_out != nullptr ? *report_out : local;
   report = RecoveryReport{};
+  const bool repair = mode == OpenMode::kRepair;
 
   std::error_code ec;
   if (!std::filesystem::is_directory(dir, ec)) return nullptr;
 
   // 1. Atomic-writer debris.
-  sweep_partial_writes(dir, {dir, dir / "archival"}, report);
+  if (repair) {
+    sweep_partial_writes(dir, {dir, dir / "archival", dir / "active"},
+                         report);
+  }
 
   // 2. The journal picks the committed snapshot (journal.h).
   std::unique_ptr<HiDeStore> sys;
+  bool vouched = false;
   const auto committed = journal::open(
       dir, journal::kStateStem, &peek_state_header,
       [&](std::span<const std::uint8_t> body) -> std::optional<CommitRecord> {
@@ -669,20 +759,22 @@ std::unique_ptr<HiDeStore> HiDeStore::open(const std::filesystem::path& dir,
         if (sys == nullptr) return std::nullopt;
         return sys->commit_record(sys->epoch_);
       },
-      report, roll_forward);
+      report, roll_forward, mode, &vouched);
   if (!committed) return nullptr;
 
   // 3. Reconcile the container directory with the committed deletion tags.
-  // A system opened from a directory always has a file store.
+  // A system opened from a directory always has a file store. A reader
+  // leaves an orphan where it lies: it may be a live writer's.
   auto& fstore = static_cast<FileContainerStore&>(*sys->store_);
   auto on_disk = fstore.ids();
   std::sort(on_disk.begin(), on_disk.end());
   for (const ContainerId id : on_disk) {
     if (sys->container_version_.contains(id)) continue;
+    fstore.forget(id);
+    if (!repair) continue;
     // Sealed by a transaction that never committed: an orphan.
     report.orphan_containers.push_back(id);
     quarantine_file(dir, fstore.container_path(id), report);
-    fstore.forget(id);
   }
   for (const auto& [id, version] : sys->container_version_) {
     if (!std::filesystem::exists(fstore.container_path(id), ec)) {
@@ -698,6 +790,28 @@ std::unique_ptr<HiDeStore> HiDeStore::open(const std::filesystem::path& dir,
         "cannot fully restore");
   }
 
+  // 4. The same for the active container files.
+  reconcile_active(dir, sys->pool_, sys->epoch_, vouched, mode, report);
+
+  // 5. One-way migration: a writer rewrites an inline-pool state (formats
+  // 2 and 3) as active files plus a format-4 state, in one commit.
+  if (repair && sys->inline_pool_) {
+    try {
+      sys->save(dir);
+      sys->inline_pool_ = false;
+      report.performed = true;
+      report.committed_epoch = sys->epoch_;
+      report.notes.push_back("migrated the state to format 4 at epoch " +
+                             std::to_string(sys->epoch_));
+    } catch (const durable::InjectedCrash&) {
+      throw;
+    } catch (const durable::WriteError& e) {
+      report.notes.push_back(
+          std::string("opened in place; could not migrate the state: ") +
+          e.what());
+    }
+  }
+
   report.opened = true;
   sys->refresh_gauges();
   return sys;
@@ -710,11 +824,12 @@ std::unique_ptr<HiDeStore> HiDeStore::parse_state(
   std::uint32_t magic, format;
   if (!reader.u32(magic) || magic != kStateMagic) return nullptr;
   if (!reader.u32(format) ||
-      (format != kStateFormat && format != kStateFormatLegacy)) {
+      (format != kStateFormat && format != kStateFormatInline &&
+       format != kStateFormatLegacy)) {
     return nullptr;
   }
   std::uint64_t epoch = 1;  // pre-journal snapshots adopt epoch 1
-  if (format == kStateFormat && (!reader.u64(epoch) || epoch == 0)) {
+  if (format != kStateFormatLegacy && (!reader.u64(epoch) || epoch == 0)) {
     return nullptr;
   }
 
@@ -775,9 +890,14 @@ std::unique_ptr<HiDeStore> HiDeStore::parse_state(
     sys->recipes_.put(std::move(*recipe));
   }
 
-  std::vector<std::uint8_t> pool_blob;
-  if (!reader.blob(pool_blob) || !sys->pool_.restore_state(pool_blob)) {
-    return nullptr;
+  if (format == kStateFormat) {
+    if (!sys->pool_.read_listing(reader, epoch)) return nullptr;
+  } else {
+    std::vector<std::uint8_t> pool_blob;
+    if (!reader.blob(pool_blob) || !sys->pool_.read_inline(pool_blob)) {
+      return nullptr;
+    }
+    sys->inline_pool_ = true;
   }
 
   std::uint32_t store_next;

@@ -111,11 +111,14 @@ class HiDeStore final : public BackupSystem {
   }
 
   // --- Repository lifecycle ---
-  // Persists the complete system state (config, recipes, active pool,
-  // deletion tags; archival containers are already files) into `dir`, the
-  // store's own storage_dir, as one CRC-guarded `state.<epoch>.hds` file,
-  // then commits it by appending to the MANIFEST journal (journal.h,
-  // DESIGN.md §9). Every file goes through the atomic writer and the
+  // Persists the system state into `dir`, the store's own storage_dir:
+  // each active container changed since the last commit goes to a new file
+  // `active/container_<id>.<epoch>.hdsc` (copy-on-write), then one
+  // CRC-guarded, metadata-only `state.<epoch>.hds` (config, recipes,
+  // deletion tags, the active pool's listing) is committed by appending to
+  // the MANIFEST journal (journal.h, DESIGN.md §9). A save that changed no
+  // container writes only the state file; archival containers are already
+  // files. Every file goes through the atomic writer and the
   // committed file is never touched, so a crash at any step leaves either
   // the old or the new version fully recoverable by open(). On a non-crash
   // write failure (e.g. disk full) save() removes what it staged and
@@ -127,12 +130,14 @@ class HiDeStore final : public BackupSystem {
   void save(const std::filesystem::path& dir);
   // The journal's stage/commit/abort, exposed so ShardRouter can make one
   // commit atomic across N shard journals (DESIGN.md §16):
-  //   * stage_save() publishes `state.<epoch+1>.hds` beside the committed
-  //     file and returns the CommitRecord that commits it. On a non-crash
-  //     write failure nothing stays staged.
+  //   * stage_save() writes the changed active containers and publishes
+  //     `state.<epoch+1>.hds` beside the committed file, and returns the
+  //     CommitRecord that commits it. On a non-crash write failure nothing
+  //     stays staged.
   //   * commit_staged_save() appends the record to the MANIFEST (the commit
-  //     point), adopts the record's epoch and removes the superseded file.
-  //   * abort_staged_save() removes the staged file. Only legal between a
+  //     point), adopts the record's epoch and removes the superseded state
+  //     file and the active files the new listing no longer names.
+  //   * abort_staged_save() removes the staged files. Only legal between a
   //     successful stage_save() and commit_staged_save().
   // save() == stage_save() + commit_staged_save(), with abort on a
   // non-crash commit failure; the split changes no on-disk byte.
@@ -144,15 +149,23 @@ class HiDeStore final : public BackupSystem {
   // Reconstructs a system from a save() directory, running crash recovery
   // first: the journal adopts the newest state file the MANIFEST vouches
   // for, quarantines anything an aborted commit left behind (uncommitted
-  // state, orphan containers, temp files), migrates a pre-epoch
-  // `state.hds` layout, and reports what it did through `report`
-  // (optional). nullptr if nothing committed is recoverable — the report
+  // state, orphan containers, active files past the committed epoch, temp
+  // files), removes superseded active files, migrates a pre-epoch
+  // `state.hds` layout and an inline-pool state (formats 2 and 3, in one
+  // save), and reports what it did through `report` (optional). It reads
+  // the active pool's listing only: no container loads. nullptr if
+  // nothing committed is recoverable — the report
   // still describes what was found. `roll_forward` is the record a sharded
   // root committed for this shard (journal::open): a shard whose own
   // MANIFEST append was lost adopts it.
+  //
+  // Under OpenMode::kReadOnly the same epoch is adopted and nothing on disk
+  // moves (no quarantine, removal, rename or migration); untagged archival
+  // containers are only left out of the store (DESIGN.md §9).
   static std::unique_ptr<HiDeStore> open(
       const std::filesystem::path& dir, RecoveryReport* report = nullptr,
-      const CommitRecord* roll_forward = nullptr);
+      const CommitRecord* roll_forward = nullptr,
+      OpenMode mode = OpenMode::kRepair);
   // True when `dir` holds the state file `record` commits: the recorded
   // size, an intact seal, and its header carries the record's epoch
   // (journal::holds_committed).
@@ -279,6 +292,8 @@ class HiDeStore final : public BackupSystem {
   VersionId oldest_version_ = 1;
   // MANIFEST journal epoch of the last committed save (0 = never saved).
   std::uint64_t epoch_ = 0;
+  // Loaded from a state format that inlines the active pool (2 or 3).
+  bool inline_pool_ = false;
   std::size_t restore_workers_ = 1;
   // Process-wide chunk-CRC failure count at construction/load time; the
   // io_crc_failures counter mirrors growth past this baseline.

@@ -516,9 +516,8 @@ void ShardRouter::save(const std::filesystem::path& dir) {
   const std::size_t shards = shards_.size();
 
   // Phase 1: stage every shard. Sequential (shard 0..N-1) so HDS_CRASH_STEP
-  // hits a deterministic site. Staging is not small: each shard's state file
-  // carries its serialized active pool (~9 MB per shard on perfbench's
-  // `tenants`), and this loop is most of a sharded backup's wall time.
+  // hits a deterministic site. Each shard writes the active containers its
+  // version changed and a metadata-only state file.
   std::vector<CommitRecord> records(shards);
   std::size_t staged = 0;
   CommitRecord root;
@@ -570,7 +569,7 @@ std::size_t ShardRouter::detect_shards(const std::filesystem::path& dir) {
 
 std::unique_ptr<ShardRouter> ShardRouter::open(
     const std::filesystem::path& dir, std::size_t expected_shards,
-    RecoveryReport* report) {
+    RecoveryReport* report, OpenMode mode) {
   RecoveryReport local;
   RecoveryReport& rep = report != nullptr ? *report : local;
   if (journal::holds_single_store_state(dir)) {
@@ -579,7 +578,7 @@ std::unique_ptr<ShardRouter> ShardRouter::open(
           "repository records 1 shard; requested --shards=" +
           std::to_string(expected_shards));
     }
-    auto sys = HiDeStore::open(dir, report);
+    auto sys = HiDeStore::open(dir, report, nullptr, mode);
     if (sys == nullptr) return nullptr;
     auto router = std::unique_ptr<ShardRouter>(new ShardRouter());
     router->root_ = dir;
@@ -604,14 +603,14 @@ std::unique_ptr<ShardRouter> ShardRouter::open(
         }
         return parsed->root_record();
       },
-      rep);
+      rep, nullptr, mode);
   if (!committed) {
     rep.notes.push_back("router: no recoverable router state");
     return nullptr;  // not a repository (or nothing committed survives)
   }
   // A repository: its root's *.tmp files are a crashed save's partial
   // writes (router state, root MANIFEST, catalog).
-  sweep_partial_writes(dir, {dir}, rep);
+  if (mode == OpenMode::kRepair) sweep_partial_writes(dir, {dir}, rep);
 
   auto router = std::unique_ptr<ShardRouter>(new ShardRouter());
   router->root_ = dir;
@@ -623,8 +622,8 @@ std::unique_ptr<ShardRouter> ShardRouter::open(
     // A shard rolls forward to the record the root committed for it when
     // its own MANIFEST append was lost.
     RecoveryReport shard_report;
-    auto sys =
-        HiDeStore::open(shard_dir(dir, i), &shard_report, &parsed->pending[i]);
+    auto sys = HiDeStore::open(shard_dir(dir, i), &shard_report,
+                               &parsed->pending[i], mode);
     rep.performed = rep.performed || shard_report.performed;
     // Every shard holds the same versions: a rolled-back version counts
     // once, however many shards it touched.
@@ -633,6 +632,7 @@ std::unique_ptr<ShardRouter> ShardRouter::open(
     append(rep.quarantined, shard_report.quarantined);
     append(rep.orphan_containers, shard_report.orphan_containers);
     append(rep.missing_containers, shard_report.missing_containers);
+    append(rep.missing_active, shard_report.missing_active);
     for (const auto& note : shard_report.notes) {
       rep.notes.push_back("shard_" + std::to_string(i) + ": " + note);
     }

@@ -90,10 +90,13 @@ class ShardRouter {
   // Opens a repository, auto-detecting its layout. `expected_shards` == 0
   // accepts whatever the repository records; a nonzero value throws
   // ShardMismatchError when it disagrees with the recorded count. Returns
-  // nullptr when nothing committed is recoverable.
+  // nullptr when nothing committed is recoverable. Under
+  // OpenMode::kReadOnly every journal adopts its committed epoch and no
+  // file moves (HiDeStore::open).
   static std::unique_ptr<ShardRouter> open(const std::filesystem::path& dir,
                                            std::size_t expected_shards = 0,
-                                           RecoveryReport* report = nullptr);
+                                           RecoveryReport* report = nullptr,
+                                           OpenMode mode = OpenMode::kRepair);
   // Shard count a repository directory records: 1 for a single-store
   // layout (journal::holds_single_store_state), the router state's count
   // for a sharded layout, 0 when the directory is not a repository.

@@ -36,22 +36,48 @@ std::unique_ptr<Repository> Repository::create(
   const fs::path& dir = config.base.storage_dir;
   if (exists(dir)) throw RepositoryError("repository already exists");
   fs::create_directories(dir);
+  auto lock = std::make_unique<durable::DirectoryLock>(dir);
   auto sys = std::make_unique<ShardRouter>(config);
   sys->save(dir);
-  return std::unique_ptr<Repository>(new Repository(dir, std::move(sys)));
+  return std::unique_ptr<Repository>(
+      new Repository(dir, std::move(sys), std::move(lock)));
 }
 
 std::unique_ptr<Repository> Repository::open(const fs::path& dir,
                                              std::size_t expected_shards,
-                                             RecoveryReport* report) {
+                                             RecoveryReport* report,
+                                             OpenMode mode) {
   RecoveryReport local;
   RecoveryReport& rep = report != nullptr ? *report : local;
-  auto sys = ShardRouter::open(dir, expected_shards, &rep);
+  // The writer locks before recovery looks at anything: what recovery
+  // would repair may be another writer's staged save. A directory that
+  // holds no repository gets no lock file.
+  std::unique_ptr<durable::DirectoryLock> lock;
+  if (mode == OpenMode::kRepair && exists(dir)) {
+    lock = std::make_unique<durable::DirectoryLock>(dir);
+  }
+  auto sys = ShardRouter::open(dir, expected_shards, &rep, mode);
+  // A reader racing a writer's commit may find the file the MANIFEST named
+  // already superseded; a second look finds its successor.
+  for (int retry = 0; sys == nullptr && lock == nullptr && retry < 3 &&
+                      durable::DirectoryLock::held(dir);
+       ++retry) {
+    sys = ShardRouter::open(dir, expected_shards, &rep, mode);
+  }
   if (sys == nullptr) return nullptr;
-  auto repo = std::unique_ptr<Repository>(new Repository(dir, std::move(sys)));
+  auto repo = std::unique_ptr<Repository>(
+      new Repository(dir, std::move(sys), std::move(lock)));
   // Recovery may have rolled the store back past cataloged versions.
-  if (rep.performed && repo->drop_unretained()) repo->write_catalog();
+  if (rep.performed && mode == OpenMode::kRepair && repo->drop_unretained()) {
+    repo->write_catalog();
+  }
   return repo;
+}
+
+void Repository::require_writer() const {
+  if (lock_ == nullptr) {
+    throw RepositoryError("repository opened read-only: " + dir_.string());
+  }
 }
 
 std::vector<std::uint8_t> Repository::snapshot(
@@ -102,6 +128,7 @@ BackupReport Repository::backup(std::span<const std::uint8_t> data,
 BackupReport Repository::commit_backup(std::span<const std::uint8_t> data,
                                        std::vector<CatalogEntry> files,
                                        std::size_t threads) {
+  require_writer();
   const TttdChunker chunker;
   obs::Span span(tracer_, "chunking");
   VersionStream stream;
@@ -173,6 +200,7 @@ RestoreReport Repository::restore_file(VersionId version,
 }
 
 DeletionReport Repository::expire(VersionId upto) {
+  require_writer();
   const DeletionReport report = sys_->delete_versions_up_to(upto);
   sys_->save(dir_);
   if (drop_unretained()) write_catalog();
@@ -180,6 +208,7 @@ DeletionReport Repository::expire(VersionId upto) {
 }
 
 std::size_t Repository::flatten() {
+  require_writer();
   const std::size_t updated = sys_->flatten_recipes();
   sys_->save(dir_);
   return updated;

@@ -9,7 +9,13 @@
 //     with TTTD, serially or on a `ParallelChunkPipeline`;
 //   * restores check retention before the first byte, and single-file
 //     restores check the delivered length against the catalog;
-//   * `create` never writes over an existing repository.
+//   * `create` never writes over an existing repository;
+//   * one writer at a time: `create` and a writer's `open` hold an
+//     exclusive flock on `<dir>/LOCK` for the object's lifetime, and a
+//     second writer fails at once with durable::LockedError ("repository
+//     in use"). A reader (OpenMode::kReadOnly) takes no lock, adopts the
+//     committed epoch and moves no file, and refuses to back up, expire or
+//     flatten (DESIGN.md §9).
 // The catalog loads on first use and stays in memory; `versions`,
 // `restore` and `router` never read it. Not internally synchronized.
 #pragma once
@@ -27,6 +33,7 @@
 
 #include "backup/catalog.h"
 #include "core/shard_router.h"
+#include "storage/durable.h"
 
 namespace hds {
 
@@ -47,10 +54,10 @@ class Repository {
   // nothing committed is recoverable, ShardMismatchError (with nothing
   // written) when `expected_shards` is nonzero and differs from the
   // recorded count, RepositoryError when recovery acted and the catalog is
-  // unreadable.
+  // unreadable, durable::LockedError when another writer holds the lock.
   static std::unique_ptr<Repository> open(
       const std::filesystem::path& dir, std::size_t expected_shards = 0,
-      RecoveryReport* report = nullptr);
+      RecoveryReport* report = nullptr, OpenMode mode = OpenMode::kRepair);
   // True when `dir` holds a repository, committed or not, in any layout.
   [[nodiscard]] static bool exists(const std::filesystem::path& dir);
 
@@ -99,8 +106,12 @@ class Repository {
   [[nodiscard]] ShardRouter& router() noexcept { return *sys_; }
 
  private:
-  Repository(std::filesystem::path dir, std::unique_ptr<ShardRouter> sys)
-      : dir_(std::move(dir)), sys_(std::move(sys)) {}
+  Repository(std::filesystem::path dir, std::unique_ptr<ShardRouter> sys,
+             std::unique_ptr<durable::DirectoryLock> lock)
+      : dir_(std::move(dir)), sys_(std::move(sys)), lock_(std::move(lock)) {}
+
+  // Throws RepositoryError unless this is the writer.
+  void require_writer() const;
 
   BackupReport commit_backup(std::span<const std::uint8_t> data,
                              std::vector<CatalogEntry> files,
@@ -112,6 +123,8 @@ class Repository {
 
   std::filesystem::path dir_;
   std::unique_ptr<ShardRouter> sys_;
+  // Held for the repository's lifetime by the writer; null for a reader.
+  std::unique_ptr<durable::DirectoryLock> lock_;
   std::optional<FileCatalog> catalog_;
   obs::Tracer* tracer_ = nullptr;
 };

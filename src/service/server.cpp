@@ -48,6 +48,15 @@ void move_in(const std::string& name, ShardRouter& sys,
   }
 }
 
+// True when `dir` holds no entry but, at most, the writer's lock file.
+bool holds_nothing(const std::filesystem::path& dir) {
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    if (entry.path().filename() != "LOCK") return false;
+  }
+  return !ec;
+}
+
 }  // namespace
 
 ServeServer::ServeServer(ServeConfig config) : config_(std::move(config)) {
@@ -393,9 +402,10 @@ std::size_t ServeServer::load_tenants() {
   MutexLock lock(tenants_mu_);
   for (const auto& dir : dirs) {
     const std::string name = dir.filename().string();
-    // An empty directory holds nothing to lose: the name is created on
-    // first use like a new one.
-    if (!valid_tenant_name(name) || fs::is_empty(dir, ec)) continue;
+    // An empty directory holds nothing to lose (a lock file left by a
+    // create that died before its first commit is not a repository): the
+    // name is created on first use like a new one.
+    if (!valid_tenant_name(name) || holds_nothing(dir)) continue;
     auto tenant = std::make_shared<Tenant>();
     tenant->name = name;
     std::string reason;

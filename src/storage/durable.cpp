@@ -8,11 +8,14 @@
 #include <mutex>
 #include <string>
 
+#include "common/thread_annotations.h"
+
 #if defined(_WIN32)
 #error "durable.cpp requires a POSIX platform"
 #endif
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 namespace hds::durable {
@@ -22,7 +25,29 @@ namespace {
 std::atomic<int> g_mode{static_cast<int>(FaultMode::kNone)};
 std::atomic<std::uint64_t> g_trigger{0};
 std::atomic<std::uint64_t> g_counter{0};
+std::atomic<const char*> g_site{nullptr};
 std::once_flag g_env_once;
+
+// kPause: the parked thread waits on g_pause_cv until resume(). Unranked:
+// a crash point may run under any lock rank.
+Mutex g_pause_mu;
+CondVar g_pause_cv;
+bool g_paused HDS_GUARDED_BY(g_pause_mu) = false;    // a thread is parked
+bool g_released HDS_GUARDED_BY(g_pause_mu) = false;  // since the last arm()
+
+void park() {
+  MutexLock lock(g_pause_mu);
+  g_paused = true;
+  g_pause_cv.notify_all();
+  while (!g_released) g_pause_cv.wait(g_pause_mu);
+  g_paused = false;
+}
+
+void release() noexcept {
+  MutexLock lock(g_pause_mu);
+  g_released = true;
+  g_pause_cv.notify_all();
+}
 
 void arm_from_environment() {
   const char* step = std::getenv("HDS_CRASH_STEP");
@@ -48,16 +73,31 @@ void arm_from_environment() {
 
 }  // namespace
 
-void CrashInjector::arm(std::uint64_t step, FaultMode mode) noexcept {
+void CrashInjector::arm(std::uint64_t step, FaultMode mode,
+                        const char* site) noexcept {
+  {
+    MutexLock lock(g_pause_mu);
+    g_released = false;
+  }
   g_counter.store(0, std::memory_order_relaxed);
   g_trigger.store(step, std::memory_order_relaxed);
+  g_site.store(site, std::memory_order_relaxed);
   g_mode.store(static_cast<int>(mode), std::memory_order_release);
 }
 
 void CrashInjector::disarm() noexcept {
   g_mode.store(static_cast<int>(FaultMode::kNone),
                std::memory_order_release);
+  g_site.store(nullptr, std::memory_order_relaxed);
+  release();
 }
+
+void CrashInjector::wait_until_paused() {
+  MutexLock lock(g_pause_mu);
+  while (!g_paused && !g_released) g_pause_cv.wait(g_pause_mu);
+}
+
+void CrashInjector::resume() noexcept { release(); }
 
 bool CrashInjector::armed() noexcept {
   return g_mode.load(std::memory_order_acquire) !=
@@ -73,6 +113,10 @@ void CrashInjector::crash_point(const char* site) {
   const auto mode =
       static_cast<FaultMode>(g_mode.load(std::memory_order_acquire));
   if (mode == FaultMode::kNone) return;
+  if (const char* only = g_site.load(std::memory_order_relaxed);
+      only != nullptr && std::string_view(only) != site) {
+    return;
+  }
   const std::uint64_t n =
       g_counter.fetch_add(1, std::memory_order_relaxed) + 1;
   const std::uint64_t trigger = g_trigger.load(std::memory_order_relaxed);
@@ -90,6 +134,9 @@ void CrashInjector::crash_point(const char* site) {
       if (n >= trigger) {
         throw WriteError(std::string("injected write failure at ") + site);
       }
+      return;
+    case FaultMode::kPause:
+      if (n == trigger) park();
       return;
   }
 }
@@ -229,6 +276,37 @@ void fsync_directory(const std::filesystem::path& dir) {
   if (rc != 0) {
     throw_errno("fsync_directory: fsync " + target.string(), err);
   }
+}
+
+// --- DirectoryLock ---
+
+DirectoryLock::DirectoryLock(const std::filesystem::path& dir) {
+  const std::filesystem::path path = dir / "LOCK";
+  fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  if (fd_ < 0) throw_errno("cannot open " + path.string(), errno);
+  if (::flock(fd_, LOCK_EX | LOCK_NB) == 0) return;
+  const int err = errno;
+  ::close(fd_);
+  fd_ = -1;
+  if (err == EWOULDBLOCK) {
+    throw LockedError("repository in use: another process is writing " +
+                      dir.string());
+  }
+  throw_errno("cannot lock " + path.string(), err);
+}
+
+DirectoryLock::~DirectoryLock() {
+  if (fd_ >= 0) ::close(fd_);  // releases the flock
+}
+
+bool DirectoryLock::held(const std::filesystem::path& dir) {
+  const std::filesystem::path path = dir / "LOCK";
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  const bool locked =
+      ::flock(fd, LOCK_SH | LOCK_NB) != 0 && errno == EWOULDBLOCK;
+  ::close(fd);  // drops the probe's shared lock, if it got one
+  return locked;
 }
 
 }  // namespace hds::durable

@@ -11,9 +11,15 @@
 // CrashInjector is the proving ground: a process-global hook the durable
 // writer calls at every write/fsync/rename site ("crash points"). Tests arm
 // it to throw (in-process crash simulation, partial files intentionally
-// left behind), abort the process (out-of-process kill for shell tests), or
+// left behind), abort the process (out-of-process kill for shell tests),
 // fail persistently (full-disk / dying-device simulation through the normal
-// error path). Unarmed, a crash point is a single relaxed atomic load.
+// error path), or park the writer until a test resumes it (a live writer
+// caught between stage and commit). Unarmed, a crash point is a single
+// relaxed atomic load.
+//
+// DirectoryLock is the one-writer rule (DESIGN.md §9): an exclusive
+// flock(2) on `<root>/LOCK`, held by every command that changes a
+// repository for as long as it runs.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +55,7 @@ enum class FaultMode : int {
   kThrow,  // the N-th crash point throws InjectedCrash (leaves debris)
   kAbort,  // the N-th crash point terminates the process immediately
   kFail,   // every crash point from the N-th on throws WriteError (ENOSPC)
+  kPause,  // the N-th crash point blocks its thread until resume()
 };
 
 // Process-global crash/fault injection (CrashPoint hook). Thread-safe.
@@ -58,9 +65,18 @@ enum class FaultMode : int {
 class CrashInjector {
  public:
   // Arms the injector: crash points are counted from 1, and the `step`-th
-  // one triggers `mode`. Resets the step counter.
-  static void arm(std::uint64_t step, FaultMode mode) noexcept;
+  // one triggers `mode`. With a `site`, only crash points of that name
+  // count (e.g. "commit", the point before a journal's MANIFEST append).
+  // Resets the step counter.
+  static void arm(std::uint64_t step, FaultMode mode,
+                  const char* site = nullptr) noexcept;
+  // Disarms and releases a thread parked by kPause.
   static void disarm() noexcept;
+  // kPause: blocks until a thread is parked at the armed crash point.
+  static void wait_until_paused();
+  // kPause: lets the parked thread continue (the injector stays armed but
+  // has fired, so no later crash point parks).
+  static void resume() noexcept;
   [[nodiscard]] static bool armed() noexcept;
   // Crash points passed since the last arm().
   [[nodiscard]] static std::uint64_t steps() noexcept;
@@ -130,5 +146,32 @@ std::optional<std::vector<std::uint8_t>> read_file(
 // fsyncs a directory so a just-renamed entry survives power loss. Throws
 // WriteError.
 void fsync_directory(const std::filesystem::path& dir);
+
+// Another process (or another open of the same file) holds the lock.
+class LockedError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+// An exclusive flock(2) on `<dir>/LOCK`, released when the object dies —
+// and by the kernel when its process does, so a crash leaves no stale
+// lock. flock locks belong to an open file description: a second
+// DirectoryLock on the same directory fails even inside one process.
+class DirectoryLock {
+ public:
+  // Takes the lock without waiting. Throws LockedError when it is held,
+  // WriteError when `<dir>/LOCK` cannot be created or locked.
+  explicit DirectoryLock(const std::filesystem::path& dir);
+  ~DirectoryLock();
+  DirectoryLock(const DirectoryLock&) = delete;
+  DirectoryLock& operator=(const DirectoryLock&) = delete;
+
+  // True when some writer holds `<dir>/LOCK` right now. Creates nothing;
+  // false when there is no lock file.
+  [[nodiscard]] static bool held(const std::filesystem::path& dir);
+
+ private:
+  int fd_ = -1;
+};
 
 }  // namespace hds::durable

@@ -107,6 +107,7 @@ CommitRecord stage(const fs::path& dir, std::string_view stem,
 
 void commit(const fs::path& dir, std::string_view stem,
             const CommitRecord& record) {
+  durable::CrashInjector::crash_point("commit");
   Manifest manifest;
   if (load_manifest(dir, manifest) != ManifestStatus::kOk ||
       (manifest.head() != nullptr &&
@@ -143,7 +144,8 @@ bool holds_committed(const fs::path& dir, std::string_view stem,
 std::optional<CommitRecord> open(const fs::path& dir, std::string_view stem,
                                  PeekHeader peek, const Adopt& adopt,
                                  RecoveryReport& report,
-                                 const CommitRecord* roll_forward) {
+                                 const CommitRecord* roll_forward,
+                                 OpenMode mode, bool* vouched) {
   Manifest manifest;
   const ManifestStatus status = load_manifest(dir, manifest);
   if (status == ManifestStatus::kIoError) {
@@ -187,6 +189,7 @@ std::optional<CommitRecord> open(const fs::path& dir, std::string_view stem,
     if (body && adopt(*body)) adopted = *it;
   }
   const bool from_journal = adopted.has_value();
+  if (vouched != nullptr) *vouched = from_journal;
   // 2. No usable record: the newest file that parses and whose header names
   // the epoch in its file name.
   for (auto it = found.files.rbegin(); it != found.files.rend() && !adopted;
@@ -201,6 +204,13 @@ std::optional<CommitRecord> open(const fs::path& dir, std::string_view stem,
       adopted = record;
     }
   }
+
+  // What is committed now; with nothing recoverable, what the journal knew.
+  if (const CommitRecord* r = adopted ? &*adopted : head) {
+    report.committed_epoch = r->epoch;
+    report.committed_version = r->next_version - 1;
+  }
+  if (mode == OpenMode::kReadOnly) return adopted;
 
   // 3. Repairs, now that the outcome is known. A superseded file is
   // deleted only when the journal vouches for the adopted one; without
@@ -239,11 +249,6 @@ std::optional<CommitRecord> open(const fs::path& dir, std::string_view stem,
                       : epoch < adopted->epoch ? "superseded "
                                                : "uncommitted ";
     report.notes.push_back("quarantined " + (why + name));
-  }
-  // What is committed now; with nothing recoverable, what the journal knew.
-  if (const CommitRecord* r = adopted ? &*adopted : head) {
-    report.committed_epoch = r->epoch;
-    report.committed_version = r->next_version - 1;
   }
   if (!adopted) return std::nullopt;
   // A pre-epoch file takes its epoch-stamped name. On storage that refuses

@@ -71,7 +71,8 @@ CommitRecord stage(const std::filesystem::path& dir, std::string_view stem,
                    CommitRecord record, ByteWriter body);
 // Appends `record` to `<dir>/MANIFEST` (restarting a foreign, corrupt or
 // future-dated journal), then removes every other `<stem>.*.hds` file.
-// Throws durable::WriteError.
+// Passes the crash point "commit" first: a writer parked or killed there
+// has staged everything and committed nothing. Throws durable::WriteError.
 void commit(const std::filesystem::path& dir, std::string_view stem,
             const CommitRecord& record);
 // Removes the file stage() published for `record`.
@@ -100,7 +101,10 @@ using Adopt = std::function<std::optional<CommitRecord>(
 // directory (see the header comment) and narrates every repair in
 // `report`. Nothing is written or moved before `adopt` has accepted a file,
 // so an exception from `adopt` leaves the directory unchanged. Returns the
-// adopted file's record, or nullopt when no file parses.
+// adopted file's record, or nullopt when no file parses. `*vouched`
+// (optional) says whether a MANIFEST record vouched for the adopted file:
+// only then is an older file known to be superseded. Under
+// OpenMode::kReadOnly the same file is adopted and nothing is repaired.
 //
 // `roll_forward` is a record committed by an outer journal (a sharded
 // root's, for a shard): when this journal's head is older and the staged
@@ -115,7 +119,9 @@ using Adopt = std::function<std::optional<CommitRecord>(
 std::optional<CommitRecord> open(const std::filesystem::path& dir,
                                  std::string_view stem, PeekHeader peek,
                                  const Adopt& adopt, RecoveryReport& report,
-                                 const CommitRecord* roll_forward = nullptr);
+                                 const CommitRecord* roll_forward = nullptr,
+                                 OpenMode mode = OpenMode::kRepair,
+                                 bool* vouched = nullptr);
 
 // True when `dir` holds single-store state: a `state.<epoch>.hds` file or a
 // pre-epoch `state.hds` / `state.prev.hds`.

@@ -57,6 +57,11 @@ std::string RecoveryReport::to_text() const {
     for (const ContainerId id : missing_containers) out << " " << id;
     out << "\n";
   }
+  if (!missing_active.empty()) {
+    out << "  MISSING active containers (data loss):";
+    for (const ContainerId id : missing_active) out << " " << id;
+    out << "\n";
+  }
   for (const auto& note : notes) {
     out << "  note: " << note << "\n";
   }
@@ -84,6 +89,11 @@ std::string RecoveryReport::to_json() const {
   for (std::size_t i = 0; i < missing_containers.size(); ++i) {
     if (i > 0) out << ",";
     out << missing_containers[i];
+  }
+  out << "],\"missing_active\":[";
+  for (std::size_t i = 0; i < missing_active.size(); ++i) {
+    if (i > 0) out << ",";
+    out << missing_active[i];
   }
   out << "],\"notes\":[";
   for (std::size_t i = 0; i < notes.size(); ++i) {

@@ -7,6 +7,11 @@
 // moved into `<repo>/quarantine/` rather than deleted, so an operator can
 // inspect an aborted transaction before discarding it. The RecoveryReport
 // is the audit trail of that pass; `hds_tool recover` prints it.
+//
+// Only a writer repairs. A reader (OpenMode::kReadOnly: list, restore,
+// fsck) adopts the committed epoch the same way but moves, renames,
+// removes and rewrites nothing: what it would have repaired may be a live
+// writer's staged save (DESIGN.md §9).
 #pragma once
 
 #include <cstdint>
@@ -19,6 +24,11 @@
 #include "storage/recipe.h"
 
 namespace hds {
+
+enum class OpenMode : std::uint8_t {
+  kRepair,    // a writer: recover, repair and migrate the directory
+  kReadOnly,  // a reader: open the committed epoch, touch no file
+};
 
 struct RecoveryReport {
   // A system was successfully reconstructed (false => unrecoverable repo;
@@ -37,6 +47,9 @@ struct RecoveryReport {
   std::vector<std::string> quarantined;        // paths under quarantine/
   std::vector<ContainerId> orphan_containers;  // quarantined untagged IDs
   std::vector<ContainerId> missing_containers; // tagged but absent: loss
+  // Active containers the committed state names whose file is absent:
+  // loss of the hot set's chunks.
+  std::vector<ContainerId> missing_active;
   std::vector<std::string> notes;              // human-readable detail
 
   [[nodiscard]] std::string to_text() const;

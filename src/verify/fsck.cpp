@@ -27,6 +27,7 @@ constexpr std::string_view kNames[kInvariantCount] = {
     "class_exclusivity", "pool_utilization",  "cache_consistency",
     "accounting",        "manifest_commit",   "orphan_containers",
     "footer_index",      "shard_id_namespace", "shard_exclusivity",
+    "active_files",
 };
 
 // Accumulates one invariant's result, capping recorded findings.
@@ -343,17 +344,16 @@ FsckCheck check_active_resolution(const HiDeStore& sys,
                  "active chunk missing from the pool index");
         continue;
       }
-      const auto container = pool.peek(*cid);
-      const auto entry = container ? container->find(e.fp) : std::nullopt;
-      if (!entry) {
+      const auto size = pool.chunk_size(*cid, e.fp);
+      if (!size) {
         out.fail(entry_name(v, i, e.fp),
                  "pool index points at active " + container_name(*cid) +
                      " which does not hold the chunk");
-      } else if (entry->size != e.size) {
+      } else if (*size != e.size) {
         out.fail(entry_name(v, i, e.fp),
                  "recipe records " + std::to_string(e.size) +
                      " bytes but active " + container_name(*cid) +
-                     " holds " + std::to_string(entry->size));
+                     " holds " + std::to_string(*size));
       }
     }
   }
@@ -388,18 +388,24 @@ FsckCheck check_pool_utilization(const HiDeStore& sys,
   const auto& pool = sys.active_pool();
   const double threshold = sys.config().compaction_threshold;
   std::vector<ContainerId> sparse;
+  const auto capacity = static_cast<double>(sys.config().container_size);
   for (const ContainerId cid : pool.container_ids_sorted()) {
     out.object();
+    // A resident container's tail; a listed one's live bytes (its holes
+    // are in the file, which active_files reads).
     const auto container = pool.peek(cid);
-    if (!container) continue;
-    if (container->data_size() > container->capacity()) {
+    const std::uint64_t used = pool.used_bytes(cid);
+    if ((container ? container->data_size() : used) >
+        sys.config().container_size) {
       out.fail("active " + container_name(cid),
                "data size exceeds capacity");
     }
-    if (container->utilization() < threshold) sparse.push_back(cid);
+    if (static_cast<double>(used) / capacity < threshold) {
+      sparse.push_back(cid);
+    }
     // Pool-index agreement: every chunk of the container is indexed here.
-    for (const auto& [fp, entry] : container->entries()) {
-      (void)entry;
+    for (const auto& [fp, size] : pool.chunks(cid)) {
+      (void)size;
       const ContainerId* indexed = pool.find(fp);
       if (indexed == nullptr || *indexed != cid) {
         out.fail("active " + container_name(cid) + " chunk " +
@@ -413,15 +419,15 @@ FsckCheck check_pool_utilization(const HiDeStore& sys,
   }
   // Opposite direction: every index entry points at a container that
   // actually holds the chunk.
+  const auto ids = pool.container_ids_sorted();
   for (const auto& [fp, cid] : pool.index()) {
     out.object();
-    const auto container = pool.peek(cid);
-    if (!container || !container->contains(fp)) {
+    const bool exists = std::binary_search(ids.begin(), ids.end(), cid);
+    if (!exists || !pool.chunk_size(cid, fp)) {
       out.fail("pool index entry " + fp.hex().substr(0, 12),
-               !container
-                   ? "points at missing active " + container_name(cid)
-                   : "active " + container_name(cid) +
-                         " does not hold the chunk");
+               !exists ? "points at missing active " + container_name(cid)
+                       : "active " + container_name(cid) +
+                             " does not hold the chunk");
     }
   }
   if (sparse.size() > 1) {
@@ -464,14 +470,13 @@ FsckCheck check_cache_consistency(const HiDeStore& sys,
                              std::to_string(*cid));
         continue;
       }
-      const auto container = pool.peek(*cid);
-      const auto stored = container ? container->find(fp) : std::nullopt;
+      const auto stored = pool.chunk_size(*cid, fp);
       if (!stored) {
         out.fail(object, "pool container does not hold the cached chunk");
-      } else if (stored->size != entry.size) {
+      } else if (*stored != entry.size) {
         out.fail(object, "cache records " + std::to_string(entry.size) +
                              " bytes but the container holds " +
-                             std::to_string(stored->size));
+                             std::to_string(*stored));
       }
     }
   }
@@ -625,6 +630,10 @@ FsckCheck check_orphan_containers(const HiDeStore& sys,
   }
   std::sort(files.begin(), files.end());
   for (const auto& [id, name] : files) {
+    // A live writer's newly sealed containers sit past the watermark.
+    if (opt.writer_live && id >= head->store_next && !tags.contains(id)) {
+      continue;
+    }
     out.object();
     if (!tags.contains(id)) {
       out.fail(name,
@@ -718,6 +727,72 @@ FsckCheck check_footer_index(const HiDeStore& sys, const StoreView& view,
         break;
       }
     }
+  }
+  return out.take();
+}
+
+// The active container files against the committed listing: each named
+// file is re-read from the medium (no pool cache), checked whole-file and
+// per chunk, and compared with the listing of a container this process
+// has not changed since; then no other container file may sit beside them.
+FsckCheck check_active_files(const HiDeStore& sys, const FsckOptions& opt) {
+  CheckBuilder out(Invariant::kActiveFiles, opt.max_findings);
+  const auto& pool = sys.active_pool();
+  if (pool.dir().empty()) return out.take();
+  const auto& named = pool.committed_files();
+  const auto ids = pool.container_ids_sorted();
+  for (const auto& [id, epoch] : named) {
+    out.object();
+    const std::string name = ActiveContainerPool::file_name(id, epoch);
+    const auto bytes = durable::read_file(pool.dir() / name);
+    if (!bytes) {
+      out.fail(name, "listed active container file is missing or unreadable");
+      continue;
+    }
+    const auto container =
+        Container::deserialize(*bytes, Container::LoadCheck::kWholeFile);
+    if (!container || container->id() != id) {
+      out.fail(name, !container ? "fails its seal or footer CRC"
+                                : "holds active container " +
+                                      std::to_string(container->id()));
+      continue;
+    }
+    for (const auto& fp : container->corrupt_chunks()) {
+      out.fail(name + " chunk " + fp.hex().substr(0, 12),
+               "payload CRC-32 does not match the recorded per-chunk CRC");
+    }
+    if (!std::binary_search(ids.begin(), ids.end(), id) || pool.dirty(id)) {
+      continue;  // changed since the commit: the listing is in memory only
+    }
+    std::vector<std::pair<Fingerprint, std::uint32_t>> held;
+    for (const auto& [fp, entry] : container->entries()) {
+      held.emplace_back(fp, entry.size);
+    }
+    std::sort(held.begin(), held.end());
+    if (const auto listed = pool.chunks(id); held != listed) {
+      out.fail(name, "holds " + std::to_string(held.size()) +
+                         " chunk(s) that differ from the " +
+                         std::to_string(listed.size()) + " the state lists");
+    }
+  }
+  std::vector<std::string> unnamed;
+  std::error_code ec;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(pool.dir(), ec)) {
+    const std::string name = entry.path().filename().string();
+    const auto parsed = ActiveContainerPool::parse_file_name(name);
+    if (!parsed) continue;
+    const auto it = named.find(parsed->first);
+    if (it != named.end() && it->second == parsed->second) continue;
+    // A live writer stages its changed containers past the committed epoch.
+    if (opt.writer_live && parsed->second > sys.epoch()) continue;
+    unnamed.push_back(name);
+  }
+  std::sort(unnamed.begin(), unnamed.end());
+  for (const auto& name : unnamed) {
+    out.object();
+    out.fail(name, "active container file the committed state does not "
+                   "name (debris of an unfinished save; run recover)");
   }
   return out.take();
 }
@@ -826,6 +901,7 @@ FsckReport run_fsck(HiDeStore& system, const FsckOptions& options) {
   report.checks.push_back(
       CheckBuilder(Invariant::kShardExclusivity, options.max_findings)
           .take());
+  report.checks.push_back(check_active_files(system, options));
   return report;
 }
 

@@ -42,7 +42,12 @@
 //   shard_exclusivity   every fingerprint resident in a shard (active pool
 //                       index and recipe entries) routes to that shard
 //                       under `fp.bytes[0] % N` — so no fingerprint can be
-//                       resident in two shards (§16; multi-shard only).
+//                       resident in two shards (§16; multi-shard only);
+//   active_files        every active container file the committed state
+//                       lists exists, loads with clean CRCs and holds
+//                       exactly the fingerprints the state lists for it,
+//                       and no other active container file sits in
+//                       <dir>/active (persistent repositories only, §9).
 //
 // The report carries per-invariant pass/fail, object counts and the first
 // offending objects, and renders as text or JSON.
@@ -76,9 +81,10 @@ enum class Invariant {
   kFooterIndex,
   kShardIdNamespace,
   kShardExclusivity,
+  kActiveFiles,
 };
 
-inline constexpr std::size_t kInvariantCount = 15;
+inline constexpr std::size_t kInvariantCount = 16;
 
 [[nodiscard]] std::string_view invariant_name(Invariant invariant) noexcept;
 
@@ -86,6 +92,10 @@ struct FsckOptions {
   // Findings recorded per invariant; violations past the cap are still
   // counted, just not materialized.
   std::size_t max_findings = 16;
+  // A writer holds the repository's lock (durable::DirectoryLock::held):
+  // the files it has staged past the committed epoch and container
+  // watermark are its save in flight, not an aborted commit's orphans.
+  bool writer_live = false;
 };
 
 struct FsckFinding {

@@ -398,67 +398,129 @@ TEST(Fsck, ReadPathCrcFailureSurfacesInMetrics) {
   expect_only(verify::run_fsck(sys), Invariant::kChunkCrc);
 }
 
-// An active container lives inside the state file, so open is its load.
-// A payload that fails its chunk CRC must keep the state from being
-// adopted even when every outer CRC (the container's file CRC, the state
-// trailer, and so the journal record's residue) has been repaired.
-TEST(Fsck, StateWithActivePayloadFailingItsChunkCrcIsNotAdopted) {
-  TempDir dir("hds_fsck_active_payload");
+// --- active_files: the copy-on-write active container files (§9) ---
+
+// A repository saved after three versions, with its active containers in
+// several files (small containers), reopened: every container is listed,
+// none loaded.
+std::unique_ptr<HiDeStore> saved_and_reopened(const fs::path& dir) {
   HiDeStoreConfig config;
-  config.storage_dir = dir.path;
-  std::vector<std::uint8_t> image;
-  std::uint32_t payload_offset = 0;
+  config.storage_dir = dir;
+  config.container_size = 256 * 1024;
   {
     HiDeStore sys(config);
     ingest(sys, 3);
-    sys.save(dir.path);
-    // The state file holds each active container's serialize() verbatim.
-    for (const ContainerId cid : sys.active_pool().container_ids_sorted()) {
-      const auto container = sys.active_pool().peek(cid);
-      for (const auto& [fp, entry] : container->entries()) {
-        if (entry.offset == Container::kVirtualOffset || entry.size == 0) {
-          continue;
-        }
-        image = container->serialize();
-        payload_offset = entry.offset;
-        break;
+    sys.save(dir);
+  }
+  auto sys = HiDeStore::open(dir);
+  EXPECT_NE(sys, nullptr);
+  EXPECT_TRUE(verify::run_fsck(*sys).clean());
+  return sys;
+}
+
+// A listed active container's file, and one of its live payloads.
+struct ActiveFile {
+  fs::path path;
+  ContainerId id = 0;
+  std::uint64_t epoch = 0;
+  std::uint32_t payload_offset = 0;
+};
+
+ActiveFile active_file_with_payload(const HiDeStore& sys) {
+  const auto& pool = sys.active_pool();
+  for (const auto& [id, epoch] : pool.committed_files()) {
+    ActiveFile file{pool.dir() / ActiveContainerPool::file_name(id, epoch),
+                    id, epoch, 0};
+    const auto container = Container::deserialize(slurp(file.path));
+    if (!container) continue;
+    for (const auto& [fp, entry] : container->entries()) {
+      if (entry.offset == Container::kVirtualOffset || entry.size == 0) {
+        continue;
       }
-      if (!image.empty()) break;
+      file.payload_offset = entry.offset;
+      return file;
     }
   }
-  ASSERT_FALSE(image.empty()) << "no active chunk with a payload";
+  ADD_FAILURE() << "no active file with a live payload";
+  return {};
+}
 
-  fs::path state_path;
-  for (const auto& entry : fs::directory_iterator(dir.path)) {
-    const std::string name = entry.path().filename().string();
-    if (name.starts_with("state.") && name.ends_with(".hds")) {
-      ASSERT_TRUE(state_path.empty()) << "more than one state file";
-      state_path = entry.path();
-    }
-  }
-  ASSERT_FALSE(state_path.empty());
-  auto state = slurp(state_path);
-  const auto at = std::search(state.begin(), state.end(), image.begin(),
-                              image.end());
-  ASSERT_NE(at, state.end());
-
-  auto damaged = image;
-  damaged[Container::kHeaderSize + payload_offset] ^= 0xff;
-  write_u32_at(damaged, damaged.size() - 4,
-               crc32(damaged.data(), damaged.size() - 4));
+// Open reads metadata only, so a payload that fails its chunk CRC no
+// longer keeps the state from being adopted: it fails the container's
+// load, on first touch, and fsck's active_files names it.
+TEST(Fsck, ActivePayloadFailingItsChunkCrcFailsTheLoadNotTheOpen) {
+  TempDir dir("hds_fsck_active_payload");
+  auto sys = saved_and_reopened(dir.path);
+  ASSERT_NE(sys, nullptr);
+  const auto file = active_file_with_payload(*sys);
+  ASSERT_FALSE(file.path.empty());
+  auto bytes = slurp(file.path);
+  bytes[Container::kHeaderSize + file.payload_offset] ^= 0xff;
+  write_u32_at(bytes, bytes.size() - 4, crc32(bytes.data(), bytes.size() - 4));
   // Only the per-chunk CRC can object now.
-  ASSERT_TRUE(
-      Container::deserialize(damaged, Container::LoadCheck::kWholeFile));
-  std::copy(damaged.begin(), damaged.end(), at);
-  write_u32_at(state, state.size() - 4,
-               crc32(state.data(), state.size() - 4));
-  spit(state_path, state);
+  ASSERT_TRUE(Container::deserialize(bytes, Container::LoadCheck::kWholeFile));
+  spit(file.path, bytes);
+
+  RecoveryReport report;
+  sys = HiDeStore::open(dir.path, &report);
+  ASSERT_NE(sys, nullptr) << report.to_text();
+  EXPECT_FALSE(report.performed) << report.to_text();
+  expect_only(verify::run_fsck(*sys), Invariant::kActiveFiles);
 
   const std::uint64_t before = chunk_crc_failures();
-  RecoveryReport report;
-  EXPECT_EQ(HiDeStore::open(dir.path, &report), nullptr);
-  EXPECT_FALSE(report.opened);
+  const auto restored = sys->restore(
+      sys->latest_version(),
+      [](const ChunkLoc&, std::span<const std::uint8_t>) {});
+  EXPECT_GT(restored.stats.failed_chunks, 0u);
   EXPECT_GT(chunk_crc_failures(), before);
+}
+
+TEST(Fsck, DetectsMissingActiveFile) {
+  TempDir dir("hds_fsck_active_missing");
+  auto sys = saved_and_reopened(dir.path);
+  ASSERT_NE(sys, nullptr);
+  const auto file = active_file_with_payload(*sys);
+  ASSERT_FALSE(file.path.empty());
+  fs::remove(file.path);
+  expect_only(verify::run_fsck(*sys), Invariant::kActiveFiles);
+}
+
+// A well-formed file whose chunks are not the ones the state lists for it.
+TEST(Fsck, DetectsActiveFileHoldingOtherChunks) {
+  TempDir dir("hds_fsck_active_other");
+  auto sys = saved_and_reopened(dir.path);
+  ASSERT_NE(sys, nullptr);
+  const auto file = active_file_with_payload(*sys);
+  ASSERT_FALSE(file.path.empty());
+  auto container = Container::deserialize(slurp(file.path));
+  ASSERT_TRUE(container.has_value());
+  ASSERT_TRUE(container->remove(container->entries().begin()->first));
+  spit(file.path, container->serialize());
+  ASSERT_TRUE(Container::deserialize(slurp(file.path)).has_value());
+  expect_only(verify::run_fsck(*sys), Invariant::kActiveFiles);
+}
+
+// An active file the committed state does not name: the debris of an
+// unfinished save. With a live writer, a file staged past the committed
+// epoch is that writer's save in flight; an older one is debris anyway.
+TEST(Fsck, DetectsUnnamedActiveFile) {
+  TempDir dir("hds_fsck_active_unnamed");
+  auto sys = saved_and_reopened(dir.path);
+  ASSERT_NE(sys, nullptr);
+  const auto file = active_file_with_payload(*sys);
+  ASSERT_FALSE(file.path.empty());
+  const auto staged = sys->active_pool().dir() /
+                      ActiveContainerPool::file_name(file.id, file.epoch + 1);
+  fs::copy_file(file.path, staged);
+  expect_only(verify::run_fsck(*sys), Invariant::kActiveFiles);
+  verify::FsckOptions live;
+  live.writer_live = true;
+  EXPECT_TRUE(verify::run_fsck(*sys, live).clean());
+
+  fs::rename(staged, sys->active_pool().dir() /
+                         ActiveContainerPool::file_name(
+                             file.id + 1000, file.epoch));
+  expect_only(verify::run_fsck(*sys, live), Invariant::kActiveFiles);
 }
 
 // --- HDS_INVARIANT / HDS_CHECK macro layer ---

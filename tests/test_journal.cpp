@@ -4,15 +4,19 @@
 // rolled back, a superseded older one is swept, or kept in quarantine when
 // no journal vouches for the adopted file, a sharded root's partial writes
 // are swept, a directory named like a state file is not read, and
-// recovery converges), and the one-way migration of
+// recovery converges), the one-way migration of
 // pre-epoch `state.hds` repositories: flat, sharded, a shard killed after
-// its root's commit, and on storage that refuses the rename.
+// its root's commit, and on storage that refuses the rename, the active
+// container files recovery reconciles like state files, and the one-writer
+// rule: a writer parked between stage and commit is invisible to readers,
+// and a second writer fails with the lock error.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/crc32.h"
@@ -486,8 +490,9 @@ TEST(JournalMigration, LegacyStateOpensInPlaceWhenRenameFails) {
 }
 
 // (d) The bytes on disk. A fixed session (create, two backups, expire
-// version 1) writes these exact state, router, MANIFEST and catalog files;
-// a change to any of them is a format change and must be deliberate. Every
+// version 1) writes these exact state, active container, router, MANIFEST
+// and catalog files; a change to any of them is a format change and must
+// be deliberate. Every
 // committed record's `state_crc` is the CRC-32 residue: a file that ends
 // in its own little-endian CRC always has that whole-file CRC.
 std::map<std::string, std::string> golden_session(std::size_t shards) {
@@ -518,6 +523,10 @@ std::map<std::string, std::string> golden_session(std::size_t shards) {
   };
   const auto add_journal = [&](const fs::path& at, std::string_view stem) {
     for (const auto& [epoch, path] : journal::files(at, stem)) add(path);
+    std::error_code ec;
+    for (const auto& entry : fs::directory_iterator(at / "active", ec)) {
+      add(entry.path());
+    }
     add(at / Manifest::kFileName);
     Manifest manifest;
     ASSERT_EQ(load_manifest(at, manifest), ManifestStatus::kOk);
@@ -540,9 +549,14 @@ std::map<std::string, std::string> golden_session(std::size_t shards) {
 
 TEST(JournalGolden, OneShardSessionWritesPinnedBytes) {
   const std::map<std::string, std::string> pinned = {
-      {"MANIFEST", "2463ed2ed1a285ec698861e14982a60724cb2efc"},
+      {"MANIFEST", "1e541e90828ff1b7b3d7a27fcfb7b3675ef41cfd"},
+      {"active/container_1.3.hdsc", "1fd34766122c0304a2f6de6974a41d9d24eb9ec9"},
+      {"active/container_2.3.hdsc", "ac31f2e0b9914be51b7e04bf5dbe9d2f36395879"},
+      {"active/container_3.3.hdsc", "443f14d932c94626d7f1798ca2c11e3632876fd1"},
+      {"active/container_4.3.hdsc", "bda92b5e2199a9dbe953f1bd1ef302c6506f2e9e"},
+      {"active/container_5.3.hdsc", "12eab63651921285c83b3cef2bdab78a1a8f820a"},
       {"catalog.hds", "e380853bf126d58f62c51476aa864da67c97d752"},
-      {"state.4.hds", "f7bf0fad107e28ab8e4fc89b68d38cc3c949bcfa"},
+      {"state.4.hds", "9506fa4cc62eba5d89e7239e04adebe20086fe5e"},
   };
   EXPECT_EQ(golden_session(1), pinned);
 }
@@ -551,13 +565,186 @@ TEST(JournalGolden, TwoShardSessionWritesPinnedBytes) {
   const std::map<std::string, std::string> pinned = {
       {"MANIFEST", "0de7256ffd5ad739c200da6f36dc58e578ac5f70"},
       {"catalog.hds", "e380853bf126d58f62c51476aa864da67c97d752"},
-      {"router.4.hds", "5451f1214ada9e68bd064d9fc668adf046535c7a"},
-      {"shard_0/MANIFEST", "68f6309bede4c36482f0d039143ad66258e3f3bd"},
-      {"shard_0/state.4.hds", "c9c813478d72db460501ab42bd5b6a783871be42"},
-      {"shard_1/MANIFEST", "ec97b11f4a00873d20d1dccf19ba3a2f8008bb85"},
-      {"shard_1/state.4.hds", "136e80d788868962f2b3db59c08fead251799998"},
+      {"router.4.hds", "21ca1b5e18e791a812f34722eb2f14dec83e483c"},
+      {"shard_0/MANIFEST", "34e9401c4751b37d678abe2cce862274a585c4ed"},
+      {"shard_0/active/container_1.3.hdsc",
+       "fdc1a2ff215707c8ab70c2ce38e512124d6d7cd3"},
+      {"shard_0/active/container_2.3.hdsc",
+       "d3627bb50569084450f30dd01bd563f16e22be6a"},
+      {"shard_0/state.4.hds", "697d6f678240a44304f49f106cbce651bfcf68b1"},
+      {"shard_1/MANIFEST", "ef7823a7681f742007cebe72198046ae74caf548"},
+      {"shard_1/active/container_1.3.hdsc",
+       "a50354925d2900ef86c9014f0f98a8882da8fc8b"},
+      {"shard_1/active/container_2.3.hdsc",
+       "4f3f638ddee3b591587ca856200e1f99c849b60d"},
+      {"shard_1/active/container_3.3.hdsc",
+       "bde487172964df9683656bd3c38a8dd075f096a4"},
+      {"shard_1/state.4.hds", "45af6249a9d5b658d37326e7f510703241e7e0f4"},
   };
   EXPECT_EQ(golden_session(2), pinned);
+}
+
+// --- Active container files (copy-on-write, DESIGN.md §9) ---
+
+// Recovery treats an active file like a state file: one newer than the
+// committed epoch is an uncommitted save (quarantined), an older one the
+// listing does not name is superseded (removed, the journal vouching for
+// the listing). A second open finds nothing to do.
+TEST(JournalRecovery, UnnamedActiveFilesAreQuarantinedOrRemoved) {
+  TempDir dir("hds_journal_active_debris");
+  const auto versions = generate(3);
+  {
+    HiDeStore sys(repo_config(dir.path));
+    for (const auto& vs : versions) {
+      (void)sys.backup(vs);
+      sys.save(dir.path);
+    }
+  }
+  const auto active = dir.path / "active";
+  const auto named = names_with(active, "container_");
+  ASSERT_FALSE(named.empty());
+  const auto parsed = *ActiveContainerPool::parse_file_name(named.front());
+  const std::string newer =
+      ActiveContainerPool::file_name(parsed.first, 4);
+  const std::string superseded =
+      ActiveContainerPool::file_name(parsed.first + 100, 1);
+  fs::copy_file(active / named.front(), active / newer);
+  fs::copy_file(active / named.front(), active / superseded);
+
+  RecoveryReport report;
+  auto sys = HiDeStore::open(dir.path, &report);
+  ASSERT_NE(sys, nullptr) << report.to_text();
+  EXPECT_TRUE(report.performed);
+  EXPECT_EQ(sys->epoch(), 3u);
+  EXPECT_TRUE(fs::exists(dir.path / "quarantine" / newer)) << report.to_text();
+  EXPECT_FALSE(fs::exists(active / newer));
+  EXPECT_FALSE(fs::exists(active / superseded));
+  EXPECT_FALSE(fs::exists(dir.path / "quarantine" / superseded));
+  EXPECT_EQ(names_with(active, "container_"), named);
+  EXPECT_TRUE(verify::run_fsck(*sys).clean());
+
+  RecoveryReport second;
+  auto again = HiDeStore::open(dir.path, &second);
+  ASSERT_NE(again, nullptr);
+  EXPECT_FALSE(second.performed) << second.to_text();
+}
+
+// --- One writer at a time; readers never repair ---
+
+// Every file under `dir` with its size: what "nothing moved" compares.
+std::map<std::string, std::uintmax_t> tree_of(const fs::path& dir) {
+  std::map<std::string, std::uintmax_t> out;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    out[fs::relative(entry.path(), dir).string()] =
+        entry.is_regular_file() ? entry.file_size() : 0;
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> random_bytes(std::uint64_t seed, std::size_t n) {
+  std::vector<std::uint8_t> out(n);
+  Xoshiro256ss rng(seed);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
+  return out;
+}
+
+std::vector<std::uint8_t> restored(Repository& repo, VersionId version) {
+  std::vector<std::uint8_t> out;
+  (void)repo.restore(version, [&out](const ChunkLoc&,
+                                     std::span<const std::uint8_t> bytes) {
+    out.insert(out.end(), bytes.begin(), bytes.end());
+  });
+  return out;
+}
+
+// A writer parked between stage and commit (its containers, active files,
+// catalog and state all staged, its MANIFEST append not yet made) is
+// invisible to readers: list, restore and fsck open the committed epoch
+// and move nothing, and every committed version restores byte-exactly. A
+// second writer fails at once. Once resumed, the writer commits.
+TEST(ReaderWriter, ParkedWriterIsInvisibleToReaders) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    TempDir dir("hds_journal_parked");
+    ShardRouterConfig config;
+    config.shards = shards;
+    config.base = repo_config(dir.path);
+    // A stable prefix plus a fresh tail per version: no chunk that goes
+    // cold ever comes back (the class_exclusivity caveat, DESIGN.md §8).
+    std::vector<std::vector<std::uint8_t>> versions;
+    for (std::uint64_t v = 0; v < 3; ++v) {
+      auto data = random_bytes(7, 144 * 1024);
+      const auto fresh = random_bytes(100 + v, 48 * 1024);
+      data.insert(data.end(), fresh.begin(), fresh.end());
+      versions.push_back(std::move(data));
+    }
+    auto writer = Repository::create(config);
+    (void)writer->backup(versions[0], "v1");
+    (void)writer->backup(versions[1], "v2");
+
+    durable::CrashInjector::arm(1, durable::FaultMode::kPause, "commit");
+    std::thread third([&] { (void)writer->backup(versions[2], "v3"); });
+    durable::CrashInjector::wait_until_paused();
+
+    const auto before = tree_of(dir.path);
+    EXPECT_THROW((void)Repository::open(dir.path), durable::LockedError);
+    try {
+      (void)Repository::open(dir.path);
+    } catch (const durable::LockedError& e) {
+      EXPECT_NE(std::string(e.what()).find("repository in use"),
+                std::string::npos)
+          << e.what();
+    }
+    {
+      RecoveryReport report;
+      auto reader =
+          Repository::open(dir.path, 0, &report, OpenMode::kReadOnly);
+      ASSERT_NE(reader, nullptr) << report.to_text();
+      EXPECT_FALSE(report.performed) << report.to_text();
+      EXPECT_EQ(reader->versions(), (std::vector<VersionId>{1, 2}));
+      EXPECT_EQ(restored(*reader, 1), versions[0]);
+      EXPECT_EQ(restored(*reader, 2), versions[1]);
+      EXPECT_THROW((void)reader->expire(1), RepositoryError);
+      EXPECT_TRUE(durable::DirectoryLock::held(dir.path));
+      verify::FsckOptions live;
+      live.writer_live = true;
+      const auto fsck = verify::run_fsck(reader->router(), live);
+      EXPECT_TRUE(fsck.clean()) << fsck.to_text();
+    }
+    EXPECT_EQ(tree_of(dir.path), before);
+
+    durable::CrashInjector::resume();
+    third.join();
+    durable::CrashInjector::disarm();
+    writer.reset();
+    EXPECT_FALSE(durable::DirectoryLock::held(dir.path));
+
+    RecoveryReport report;
+    auto reader = Repository::open(dir.path, 0, &report, OpenMode::kReadOnly);
+    ASSERT_NE(reader, nullptr);
+    EXPECT_EQ(reader->versions(), (std::vector<VersionId>{1, 2, 3}));
+    for (VersionId v = 1; v <= 3; ++v) {
+      EXPECT_EQ(restored(*reader, v), versions[v - 1]) << "version " << v;
+    }
+    const auto fsck = verify::run_fsck(reader->router());
+    EXPECT_TRUE(fsck.clean()) << fsck.to_text();
+  }
+}
+
+TEST(ReaderWriter, SecondWriterFailsUntilTheFirstCloses) {
+  TempDir dir("hds_journal_two_writers");
+  ShardRouterConfig config;
+  config.base = repo_config(dir.path);
+  auto first = Repository::create(config);
+  (void)first->backup(random_bytes(3, 64 * 1024), "a");
+  EXPECT_THROW((void)Repository::open(dir.path), durable::LockedError);
+  // A reader is never refused.
+  EXPECT_NE(Repository::open(dir.path, 0, nullptr, OpenMode::kReadOnly),
+            nullptr);
+  first.reset();
+  auto second = Repository::open(dir.path);
+  ASSERT_NE(second, nullptr);
+  EXPECT_EQ(second->versions(), (std::vector<VersionId>{1}));
 }
 
 }  // namespace
